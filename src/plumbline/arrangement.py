@@ -53,6 +53,10 @@ class FormatError(ValueError):
     """A JSON document does not have the expected arrangement shape."""
 
 
+class InternalContradiction(RuntimeError):
+    """A computed invariant contradicts one derived by an independent route."""
+
+
 class ArrangementClass(Enum):
     PENCIL = "pencil"  # one point contains every line
     NEAR_PENCIL = "near_pencil"  # one point contains all lines but one
@@ -213,7 +217,8 @@ def classify(arr: Arrangement) -> ArrangementClass:
 
     Three generic lines count as a near-pencil (a point of size two contains
     all lines but one). Degenerate classes always have beta <= 0, which is
-    asserted here; general arrangements have beta >= 1.
+    rechecked here (``InternalContradiction`` otherwise); general
+    arrangements have beta >= 1.
     """
     sizes = {len(pt) for pt in arr.points}
     if arr.n_lines in sizes:
@@ -222,8 +227,8 @@ def classify(arr: Arrangement) -> ArrangementClass:
         cls = ArrangementClass.NEAR_PENCIL
     else:
         cls = ArrangementClass.GENERAL
-    if cls is not ArrangementClass.GENERAL:
-        assert beta(arr) <= 0, "degenerate arrangement with positive beta"
+    if cls is not ArrangementClass.GENERAL and beta(arr) > 0:
+        raise InternalContradiction(f"degenerate arrangement ({cls.value}) with positive beta {beta(arr)}")
     return cls
 
 

@@ -160,14 +160,15 @@ def cohomology_ring(arr: Arrangement) -> GradedAlgebra:
     # PD(g) = ~tau in degree two.
     deg1 = tuple("~" + lab for lab in h1)
     deg2 = tuple("~" + _dual_surface(lab) for lab in h1)
+    pd1 = {_dual_surface(lab): "~" + lab for lab in h1}  # H_2 class -> its PD in degree 1
     pd2 = {lab: "~" + _dual_surface(lab) for lab in h1}  # H_1 class -> its PD in degree 2
 
+    # H_2 is ordered as the duals of H_1: a stored pair stays canonical.
+    idx = ring._h2_index
     products: dict[tuple[str, str], dict[str, int]] = {}
-    for a in range(len(h1)):
-        for b in range(a + 1, len(h1)):
-            vec = ring.product(_dual_surface(h1[a]), _dual_surface(h1[b]))
-            if vec:
-                products[("~" + h1[a], "~" + h1[b])] = {pd2[lab]: c for lab, c in vec.items()}
+    for (x, y), vec in ring.products.items():
+        if vec and idx[x] < idx[y]:
+            products[(pd1[x], pd1[y])] = {pd2[lab]: c for lab, c in vec.items()}
     for lab in h1:
         # complementary degrees pair as the identity, into the top class
         products[("~" + lab, pd2[lab])] = {"pt": 1}
@@ -206,6 +207,20 @@ def _label_map(arr: Arrangement, dbl: DoubledAlgebra) -> dict[str, str]:
     return out
 
 
+def _ordered_products(alg: GradedAlgebra) -> dict[tuple[str, str], dict[str, int]]:
+    """``basis_product`` on degree 1 x 1 and 1 x 2 pairs, both orders, read
+    off the stored products of a ring of top degree 3; other pairs are zero."""
+    pos = alg._position
+    out: dict[tuple[str, str], dict[str, int]] = {}
+    for (x, y), vec in alg.products.items():
+        (dx, ix), (dy, iy) = pos[x], pos[y]
+        if dx != 1 or dy not in (1, 2) or (dx, ix) >= (dy, iy):
+            continue
+        out[(x, y)] = vec
+        out[(y, x)] = {lab: -c for lab, c in vec.items()} if dy == 1 else vec
+    return out
+
+
 def verify_double_isomorphism(arr: Arrangement) -> IsomorphismReport:
     """Compare all ordered structure constants of the two rings.
 
@@ -215,20 +230,26 @@ def verify_double_isomorphism(arr: Arrangement) -> IsomorphismReport:
     of every ordered basis pair in degrees one times one and one times two
     (both orders). Returns a report rather than raising, so callers can
     surface the exact mismatching pairs.
+
+    Only stored products can differ, so only they are compared. Mismatches
+    come in pair order: degrees 1 x 1, 1 x 2, then 2 x 1, each row-major.
     """
     coh = cohomology_ring(arr)
     dbl = double(os_algebra(arr))
     phi = _label_map(arr, dbl)
+    back = {v: k for k, v in phi.items()}
 
-    mismatches: list[tuple[str, str, dict, dict]] = []
-    deg1 = coh.basis[1]
-    deg2 = coh.basis[2]
-    test_pairs = [(x, y) for x in deg1 for y in deg1]
-    test_pairs += [(x, y) for x in deg1 for y in deg2]
-    test_pairs += [(x, y) for x in deg2 for y in deg1]
-    for x, y in test_pairs:
-        lhs = {phi[lab]: c for lab, c in coh.basis_product(x, y).items()}
-        rhs = dbl.basis_product(phi[x], phi[y])
+    lhs_table = {
+        (phi[x], phi[y]): {phi[lab]: c for lab, c in vec.items()}
+        for (x, y), vec in _ordered_products(coh).items()
+    }
+    rhs_table = _ordered_products(dbl)
+    mismatches = []
+    for x, y in lhs_table.keys() | rhs_table.keys():
+        lhs = lhs_table.get((x, y), {})
+        rhs = rhs_table.get((x, y), {})
         if lhs != rhs:
-            mismatches.append((x, y, lhs, rhs))
+            mismatches.append((back[x], back[y], lhs, dict(rhs)))
+    pos = coh._position
+    mismatches.sort(key=lambda m: (pos[m[0]][0], pos[m[1]][0], pos[m[0]][1], pos[m[1]][1]))
     return IsomorphismReport(ok=not mismatches, mismatches=tuple(mismatches))

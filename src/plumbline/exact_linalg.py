@@ -387,10 +387,60 @@ def cokernel(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
 
     Returns (free_rank, torsion) where torsion lists the invariant factors
     greater than 1 in divisibility order.
+
+    Unit entries (+-1) are eliminated first on a sparse copy, least Markowitz
+    cost (row nnz - 1) * (column nnz - 1) first (Kannan-Bachem 1979). Each
+    step is unimodular and splits off an invariant factor 1, so only the
+    rest goes through ``snf``. For a plumbing matrix [[D_L, B], [B^T, -I]]
+    the -I point block eliminates to the all-ones J, whose cokernel is Z^n.
     """
-    diag = snf(m).diagonal
-    nonzero = [d for d in diag if d]
-    free = m.rows - len(nonzero)
+    from heapq import heapify, heappop, heappush  # imported on use: most commands never get here
+
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {j: set() for j in range(m.cols)}
+    for i in range(m.rows):
+        row = {j: x for j, x in enumerate(m.row(i)) if x}
+        rows[i] = row
+        for j in row:
+            cols[j].add(i)
+
+    def cost(i: int, j: int) -> int:
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+
+    # Unit entries by cost when pushed; a popped entry that is gone or no
+    # longer a unit is dropped, and one whose cost rose is pushed back.
+    heap = [(cost(i, j), i, j) for i, row in rows.items() for j, x in row.items() if x in (1, -1)]
+    heapify(heap)
+    while heap:
+        c, p, q = heappop(heap)
+        if p not in rows or rows[p].get(q) not in (1, -1):
+            continue
+        now = cost(p, q)
+        if now > c:
+            heappush(heap, (now, p, q))
+            continue
+        prow = rows.pop(p)
+        u = prow.pop(q)  # +-1, its own inverse
+        for i in cols.pop(q) - {p}:
+            row = rows[i]
+            f = row.pop(q) * u
+            for j, x in prow.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    row[j] = y
+                    cols[j].add(i)
+                    if y in (1, -1):
+                        heappush(heap, (cost(i, j), i, j))
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        for j in prow:
+            cols[j].discard(p)
+
+    left = sorted(cols)
+    rest = IntMatrix(len(rows), len(left), tuple(row.get(j, 0) for row in rows.values() for j in left))
+    nonzero = [d for d in snf(rest).diagonal if d]
+    free = len(rows) - len(nonzero)
     torsion = tuple(d for d in nonzero if d > 1)
     return free, torsion
 
@@ -417,7 +467,10 @@ def det(m: IntMatrix) -> int:
         pk = a[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (pk * a[i][j] - a[i][k] * a[k][j]) // prev
+                q, rem = divmod(pk * a[i][j] - a[i][k] * a[k][j], prev)
+                if rem:
+                    raise ArithmeticError("non-exact division in fraction-free determinant")
+                a[i][j] = q
             a[i][k] = 0
         prev = pk
     return sign * a[n - 1][n - 1]

@@ -191,6 +191,12 @@ def double(alg: GradedAlgebra) -> DoubledAlgebra:
     degree-two basis; degree 2 is the degree-two basis followed by the duals
     of the degree-one basis; degree 3 is the dual of the unit. Both middle
     degrees have rank (rank A1 + rank A2).
+
+    The a_j ~f_k block is read off the stored degree-one products in one
+    pass: x y = c f gives y ~f -> c ~x and x ~f -> -c ~y. The intersection
+    ring's F_a . F_b table copies the Orlik-Solomon case split of
+    ``os_algebra``, so on that block ``verify_double_isomorphism`` compares
+    two transcriptions of one rule.
     """
     if alg.top_degree != 2:
         raise DegreeError("doubling requires a graded algebra with top degree 2")
@@ -199,22 +205,20 @@ def double(alg: GradedAlgebra) -> DoubledAlgebra:
     top = dual_label(alg.unit)
     deg1 = a_labels + tuple(dual_label(b) for b in b_labels)
     deg2 = b_labels + tuple(dual_label(a) for a in a_labels)
+    pos = alg._position
 
     products: dict[tuple[str, str], dict[str, int]] = {}
-    for pair, vec in alg.products.items():
-        if alg.degree_of(pair[0]) == 1 and alg.degree_of(pair[1]) == 1:
-            products[pair] = dict(vec)
-    # A degree-one generator against a dualized degree-two generator lands in
-    # dualized degree-one generators, with the structure constants of the base.
-    for aj in a_labels:
-        for bk in b_labels:
-            vec = {}
-            for ai in a_labels:
-                c = alg.basis_product(ai, aj).get(bk, 0)
-                if c:
-                    vec[dual_label(ai)] = c
-            if vec:
-                products[(aj, dual_label(bk))] = vec
+    for (x, y), vec in alg.products.items():
+        (dx, ix), (dy, iy) = pos[x], pos[y]
+        if dx != 1 or dy != 1:
+            continue
+        products[(x, y)] = dict(vec)
+        if ix >= iy:
+            continue  # never read by basis_product
+        for f, c in vec.items():
+            if c:
+                products.setdefault((y, dual_label(f)), {})[dual_label(x)] = c
+                products.setdefault((x, dual_label(f)), {})[dual_label(y)] = -c
     # Complementary degrees pair as the identity on dual bases.
     for ai in a_labels:
         products[(ai, dual_label(ai))] = {top: 1}

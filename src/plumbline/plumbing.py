@@ -8,16 +8,19 @@ weights on the diagonal and a 1 for every edge, and the first homology of
 the plumbed manifold is Z^b1(G) plus the cokernel of that matrix.
 
 For graphs coming from an arrangement the cokernel is free of rank n (lines
-are 0..n), so the total first homology is free of rank b1(G) + n. That fact
-is rechecked on every call and a violation raises ``InternalContradiction``
-rather than returning silently.
+are 0..n), so the total first homology is free of rank b1(G) + n: with lines
+first the matrix is [[D_L, B], [B^T, -I]], eliminating the -I point block
+(unimodular) leaves D_L + B B^T, which is the all-ones matrix J because any
+two lines share exactly one point, and coker J = Z^n. That fact is rechecked
+on every call and a violation raises ``InternalContradiction`` rather than
+returning silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import Arrangement, incidence_graph
+from .arrangement import Arrangement, InternalContradiction, incidence_graph
 from .exact_linalg import IntMatrix, cokernel
 
 __all__ = [
@@ -29,10 +32,6 @@ __all__ = [
     "h1_plumbed",
     "h1_boundary",
 ]
-
-
-class InternalContradiction(RuntimeError):
-    """A computed invariant contradicts one derived by an independent route."""
 
 
 @dataclass(frozen=True)

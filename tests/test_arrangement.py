@@ -9,6 +9,7 @@ from plumbline import (
     ArrangementClass,
     FormatError,
     IndexOutOfRange,
+    InternalContradiction,
     PairCoveredTwice,
     PointTooSmall,
     beta,
@@ -188,6 +189,13 @@ class TestClassify:
     def test_degenerate_beta_nonpositive(self, any_fixture):
         if classify(any_fixture) is not ArrangementClass.GENERAL:
             assert beta(any_fixture) <= 0
+
+    @pytest.mark.parametrize("name", ["pencil_n3", "nearpencil_n4"])
+    def test_positive_beta_on_degenerate_class_raises(self, name, monkeypatch):
+        # A check that must survive python -O, so it cannot be an assert.
+        monkeypatch.setattr("plumbline.arrangement.beta", lambda arr: 1)
+        with pytest.raises(InternalContradiction, match="positive beta"):
+            classify(load_fixture(name))
 
 
 class TestJson:

@@ -238,6 +238,13 @@ class TestDet:
         with pytest.raises(ValueError):
             det(IntMatrix.zeros(2, 3))
 
+    def test_non_exact_division_raises(self):
+        # Bareiss divisions are exact on integer input; a non-integer entry
+        # breaks that, and the quotient must not be floored silently.
+        m = IntMatrix(2, 2, (Fraction(1, 2), 1, 1, 1))
+        with pytest.raises(ArithmeticError, match="non-exact"):
+            det(m)
+
     @settings(max_examples=100, deadline=None)
     @given(int_matrices(max_dim=4, max_abs=9))
     def test_det_vs_snf(self, m):
