@@ -29,6 +29,7 @@ from .arrangement import (
     from_json,
     incidence_graph,
     nbc_set,
+    random_arrangement,
     spanning_tree,
     to_json,
     validate,

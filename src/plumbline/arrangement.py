@@ -17,6 +17,7 @@ double point for every pair of lines not covered by a listed point.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -262,4 +263,31 @@ def from_json(doc: dict) -> Arrangement:
         for x in pt:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise FormatError('"points" must contain integer line indices')
+    return validate(points, lines)
+
+
+def random_arrangement(rng: random.Random, lines: int, density: float) -> Arrangement:
+    """A random valid arrangement on the given number of lines.
+
+    Draws multi-point candidates greedily: each attempt picks a size and a
+    subset of lines, and keeps the point only when none of its pairs is
+    already covered. Density 0 yields the generic arrangement (all double
+    points); density 1 attempts roughly one multi-point per pair of lines.
+    Every result passes ``validate``, which completes the double points.
+    """
+    if lines < 3:
+        raise ValueError("need at least 3 lines for interesting randomness")
+    if not 0 <= density <= 1:
+        raise ValueError("density must lie in [0, 1]")
+    attempts = round(density * lines * (lines - 1) / 2)
+    covered: set[tuple[int, int]] = set()
+    points: list[list[int]] = []
+    for _ in range(attempts):
+        size = rng.randint(3, min(lines, 5))
+        cand = sorted(rng.sample(range(lines), size))
+        pairs = [(cand[i], cand[j]) for i in range(size) for j in range(i + 1, size)]
+        if any(p in covered for p in pairs):
+            continue
+        covered.update(pairs)
+        points.append(cand)
     return validate(points, lines)

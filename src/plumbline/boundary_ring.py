@@ -53,7 +53,8 @@ class IntersectionRing:
     ``products`` stores the product of H_2 classes on ordered pairs only
     (lower basis index first); queries are extended antisymmetrically and
     diagonal products are zero. The H_1 x H_2 pairing is the identity on
-    dual bases (t_i with F_i, g_(j,k) with tau_(j,k)).
+    dual bases (t_i with F_i, g_(j,k) with tau_(j,k)): ``h1_labels[i]`` is
+    dual to ``h2_labels[i]``.
     """
 
     h1_labels: tuple[str, ...]
@@ -84,7 +85,7 @@ class IntersectionRing:
 
     @cached_property
     def _dual_of(self) -> dict[str, str]:
-        return {h1: _dual_surface(h1) for h1 in self.h1_labels}
+        return dict(zip(self.h1_labels, self.h2_labels))
 
     def to_json(self) -> dict:
         idx = self._h2_index
@@ -96,13 +97,6 @@ class IntersectionRing:
                 for (x, y), vec in sorted(self.products.items(), key=lambda kv: (idx[kv[0][0]], idx[kv[0][1]]))
             ],
         }
-
-
-def _dual_surface(h1_label: str) -> str:
-    # t3 <-> F3, g(1,2) <-> tau(1,2)
-    if h1_label.startswith("t"):
-        return "F" + h1_label[1:]
-    return "tau" + h1_label[1:]
 
 
 def intersection_ring(arr: Arrangement) -> IntersectionRing:
@@ -139,6 +133,7 @@ def intersection_ring(arr: Arrangement) -> IntersectionRing:
                 continue
             products[(f"F{i}", tau[(p.j, p.k)])] = vec
 
+    # Position i of h1 is dual to position i of h2: t_i <-> F_i, g <-> tau.
     h2 = tuple(f_surf) + tuple(tau[(p.j, p.k)] for p in pairs)
     h1 = tuple(t) + tuple(g[(p.j, p.k)] for p in pairs)
     return IntersectionRing(h1, h2, products)
@@ -155,13 +150,12 @@ def cohomology_ring(arr: Arrangement) -> GradedAlgebra:
     the identity pairing into pt.
     """
     ring = intersection_ring(arr)
-    h1 = ring.h1_labels
     # PD(F_i) = ~t_i and PD(tau) = ~g in degree one; PD(t_i) = ~F_i and
-    # PD(g) = ~tau in degree two.
-    deg1 = tuple("~" + lab for lab in h1)
-    deg2 = tuple("~" + _dual_surface(lab) for lab in h1)
-    pd1 = {_dual_surface(lab): "~" + lab for lab in h1}  # H_2 class -> its PD in degree 1
-    pd2 = {lab: "~" + _dual_surface(lab) for lab in h1}  # H_1 class -> its PD in degree 2
+    # PD(g) = ~tau in degree two. The H_1 and H_2 bases are in dual order.
+    deg1 = tuple("~" + lab for lab in ring.h1_labels)
+    deg2 = tuple("~" + lab for lab in ring.h2_labels)
+    pd1 = dict(zip(ring.h2_labels, deg1))  # H_2 class -> its PD in degree 1
+    pd2 = dict(zip(ring.h1_labels, deg2))  # H_1 class -> its PD in degree 2
 
     # H_2 is ordered as the duals of H_1: a stored pair stays canonical.
     idx = ring._h2_index
@@ -169,9 +163,9 @@ def cohomology_ring(arr: Arrangement) -> GradedAlgebra:
     for (x, y), vec in ring.products.items():
         if vec and idx[x] < idx[y]:
             products[(pd1[x], pd1[y])] = {pd2[lab]: c for lab, c in vec.items()}
-    for lab in h1:
+    for x, y in zip(deg1, deg2):
         # complementary degrees pair as the identity, into the top class
-        products[("~" + lab, pd2[lab])] = {"pt": 1}
+        products[(x, y)] = {"pt": 1}
 
     basis = (("1",), deg1, deg2, ("pt",))
     return GradedAlgebra(basis, products)

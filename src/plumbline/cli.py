@@ -18,9 +18,9 @@ from pathlib import Path
 import click
 
 from . import arrangement as arrmod
-from .arrangement import Arrangement, ArrangementError, FormatError, beta, classify, incidence_graph, nbc_set
+from .arrangement import Arrangement, ArrangementError, FormatError, beta, incidence_graph, nbc_set, random_arrangement
 from .boundary_ring import intersection_ring, verify_double_isomorphism
-from .os_algebra import double, os_algebra
+from .os_algebra import DoubledAlgebra, double, os_algebra
 from .plumbing import h1_boundary, plumbing_graph, plumbing_matrix
 from .resonance import (
     AomotoPoint,
@@ -76,7 +76,9 @@ def _kv_table(doc: dict, prefix: str = "") -> str:
 
 @click.group()
 @click.option("--seed", default=0, show_default=True, help="Seed for all randomized sampling.")
-@click.option("--trials", default=5, show_default=True, help="Sample count for generic values.")
+@click.option(
+    "--trials", default=5, show_default=True, type=click.IntRange(min=1), help="Sample count for generic values."
+)
 @click.option(
     "--format",
     "fmt",
@@ -209,11 +211,12 @@ def build_report(arr: Arrangement, seed: int, trials: int) -> dict:
     dbl = double(alg)
     graph = incidence_graph(arr)
     pairs = nbc_set(arr)
-    cls, dim = r11_prediction(arr)
+    res = _resonance_doc(arr, dbl, seed, trials)
+    res["betti_generic"] = res.pop("betti")
     return {
         "arrangement": arrmod.to_json(arr),
-        "class": classify(arr).value,
-        "beta": beta(arr),
+        "class": res["class"],
+        "beta": res["beta"],
         "nbc": [[p.j, p.k] for p in pairs],
         "incidence": {"vertices": graph.n_vertices, "edges": len(graph.edges), "b1": graph.b1},
         "os_algebra": alg.to_json(),
@@ -221,14 +224,20 @@ def build_report(arr: Arrangement, seed: int, trials: int) -> dict:
         "homology": h1_boundary(arr).to_json(),
         "intersection_ring": intersection_ring(arr).to_json(),
         "isomorphism": verify_double_isomorphism(arr).to_json(),
-        "resonance": {
-            "betti_generic": [generic_betti(dbl, k, trials=trials, seed=seed) for k in range(4)],
-            "beta": beta(arr),
-            "class": cls.value,
-            "predicted_r11_dim": dim,
-            "seed": seed,
-            "trials": trials,
-        },
+        "resonance": res,
+    }
+
+
+def _resonance_doc(arr: Arrangement, dbl: DoubledAlgebra, seed: int, trials: int) -> dict:
+    """Generic Betti numbers, beta, class and predicted R^1_1 dimension."""
+    cls, dim = r11_prediction(arr)
+    return {
+        "betti": [generic_betti(dbl, k, trials=trials, seed=seed) for k in range(4)],
+        "beta": beta(arr),
+        "class": cls.value,
+        "predicted_r11_dim": dim,
+        "seed": seed,
+        "trials": trials,
     }
 
 
@@ -240,7 +249,7 @@ def resonance() -> None:
 def _parse_coords(values, what: str) -> tuple[Fraction, ...]:
     try:
         return tuple(Fraction(v) for v in values)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         _fail(EXIT_IO, f"bad {what} coordinate: {exc}")
 
 
@@ -273,18 +282,7 @@ def resonance_eval(ctx: click.Context, path: str, point_json: str) -> None:
 def resonance_generic(ctx: click.Context, path: str) -> None:
     """Generic Betti numbers, the beta invariant, and the predicted dimension."""
     arr = _load_arrangement(path)
-    dbl = double(os_algebra(arr))
-    seed = ctx.obj["seed"]
-    trials = ctx.obj["trials"]
-    cls, dim = r11_prediction(arr)
-    doc = {
-        "betti": [generic_betti(dbl, k, trials=trials, seed=seed) for k in range(4)],
-        "beta": beta(arr),
-        "class": cls.value,
-        "predicted_r11_dim": dim,
-        "seed": seed,
-        "trials": trials,
-    }
+    doc = _resonance_doc(arr, double(os_algebra(arr)), ctx.obj["seed"], ctx.obj["trials"])
     _emit(ctx, doc, _kv_table({k: str(v) for k, v in doc.items()}))
 
 
@@ -299,35 +297,10 @@ def resonance_classify(ctx: click.Context, path: str) -> None:
     _emit(ctx, doc, _kv_table(doc))
 
 
-def random_arrangement(rng: random.Random, lines: int, density: float) -> Arrangement:
-    """A random valid arrangement on the given number of lines.
-
-    Draws multi-point candidates greedily: each attempt picks a size and a
-    subset of lines, and keeps the point only when none of its pairs is
-    already covered. Density 0 yields the generic arrangement (all double
-    points); density 1 attempts roughly one multi-point per pair of lines.
-    Every result passes ``validate``, which completes the double points.
-    """
-    if lines < 3:
-        raise ValueError("need at least 3 lines for interesting randomness")
-    if not 0 <= density <= 1:
-        raise ValueError("density must lie in [0, 1]")
-    attempts = round(density * lines * (lines - 1) / 2)
-    covered: set[tuple[int, int]] = set()
-    points: list[list[int]] = []
-    for _ in range(attempts):
-        size = rng.randint(3, min(lines, 5))
-        cand = sorted(rng.sample(range(lines), size))
-        pairs = [(cand[i], cand[j]) for i in range(size) for j in range(i + 1, size)]
-        if any(p in covered for p in pairs):
-            continue
-        covered.update(pairs)
-        points.append(cand)
-    return arrmod.validate(points, lines)
-
-
 @main.command("random")
-@click.option("--lines", default=5, show_default=True, help="Total number of lines (at least 3).")
+@click.option(
+    "--lines", default=5, show_default=True, type=click.IntRange(min=3), help="Total number of lines (at least 3)."
+)
 @click.option(
     "--density",
     default=0.5,
@@ -335,12 +308,12 @@ def random_arrangement(rng: random.Random, lines: int, density: float) -> Arrang
     type=click.FloatRange(0.0, 1.0),
     help="How aggressively to create multiple points.",
 )
-@click.option("--count", default=1, show_default=True, help="How many arrangements to emit.")
+@click.option(
+    "--count", default=1, show_default=True, type=click.IntRange(min=0), help="How many arrangements to emit."
+)
 @click.pass_context
 def random_cmd(ctx: click.Context, lines: int, density: float, count: int) -> None:
     """Emit random valid arrangements, one JSON document per line."""
-    if lines < 3:
-        _fail(EXIT_IO, "--lines must be at least 3")
     rng = random.Random(ctx.obj["seed"])
     for _ in range(count):
         arr = random_arrangement(rng, lines, density)

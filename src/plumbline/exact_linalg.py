@@ -3,20 +3,24 @@
 Everything in this module is exact: integer matrices hold arbitrary-precision
 Python ints, rational matrices hold ``fractions.Fraction`` values (always in
 lowest terms with positive denominator). No floating point is used anywhere.
+``IntMatrix`` and ``RatMatrix`` share one implementation and differ only in
+how ``from_rows`` coerces an entry.
 
 The entry points are Smith normal form (``snf``), rank and kernel dimension
 over the rationals (``rank``, ``kernel_dim``), cokernel invariants of an
-integer matrix (``cokernel``), and an exact determinant (``det``). Rank is
-computed by fraction-free (Bareiss) elimination after scaling each row to
-integers, which keeps intermediate entries bounded by minors of the input.
+integer matrix (``cokernel``), and an exact determinant (``det``). Rank and
+determinant come from one fraction-free (Bareiss) elimination, run on rows
+scaled to integers, which keeps intermediate entries bounded by minors of
+the input.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 __all__ = [
     "IntMatrix",
@@ -29,91 +33,20 @@ __all__ = [
     "det",
 ]
 
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable dense integer matrix, row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-
-    @staticmethod
-    def from_rows(data: Sequence[Sequence[int]]) -> "IntMatrix":
-        nrows = len(data)
-        ncols = len(data[0]) if nrows else 0
-        flat: list[int] = []
-        for row in data:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(int(x) for x in row)
-        return IntMatrix(nrows, ncols, tuple(flat))
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, (0,) * (rows * cols))
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"index {key} out of range for {self.rows}x{self.cols} matrix")
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        flat: list[int] = []
-        for i in range(self.rows):
-            left = self.row(i)
-            for j in range(other.cols):
-                flat.append(sum(left[k] * other.entries[k * other.cols + j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(flat))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
-
-    def to_rational(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, tuple(Fraction(x) for x in self.entries))
-
-    def to_json(self) -> dict:
-        """Serialize as ``{"rows", "cols", "entries"}`` with decimal strings."""
-        return {"rows": self.rows, "cols": self.cols, "entries": [str(x) for x in self.entries]}
+_M = TypeVar("_M", bound="_Matrix")
 
 
 @dataclass(frozen=True)
-class RatMatrix:
-    """Immutable dense rational matrix, row-major.
+class _Matrix:
+    """Immutable dense matrix, row-major.
 
-    Entries are ``Fraction`` values, which are reduced with positive
-    denominator by construction.
+    A subclass sets ``_coerce``, which ``from_rows`` applies to every entry.
+    Matrices of different subclasses never compare equal.
     """
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    entries: tuple
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
@@ -121,62 +54,76 @@ class RatMatrix:
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match shape")
 
-    @staticmethod
-    def from_rows(data: Sequence[Sequence]) -> "RatMatrix":
+    @classmethod
+    def from_rows(cls: type[_M], data: Sequence[Sequence]) -> _M:
         nrows = len(data)
         ncols = len(data[0]) if nrows else 0
-        flat: list[Fraction] = []
+        flat: list = []
         for row in data:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
-            flat.extend(Fraction(x) for x in row)
-        return RatMatrix(nrows, ncols, tuple(flat))
+            flat.extend(map(cls._coerce, row))
+        return cls(nrows, ncols, tuple(flat))
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix(rows, cols, (Fraction(0),) * (rows * cols))
+    @classmethod
+    def zeros(cls: type[_M], rows: int, cols: int) -> _M:
+        return cls(rows, cols, (cls._coerce(0),) * (rows * cols))
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+    def __getitem__(self, key: tuple[int, int]):
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"index {key} out of range for {self.rows}x{self.cols} matrix")
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def to_rows(self) -> list[list[Fraction]]:
+    def to_rows(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
+    def transpose(self: _M) -> _M:
+        return type(self)(
             self.cols,
             self.rows,
             tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
         )
 
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
+    def __matmul__(self: _M, other: _M) -> _M:
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        flat: list[Fraction] = []
+        zero = self._coerce(0)
+        flat = []
         for i in range(self.rows):
             left = self.row(i)
             for j in range(other.cols):
-                flat.append(sum((left[k] * other.entries[k * other.cols + j] for k in range(self.cols)), Fraction(0)))
-        return RatMatrix(self.rows, other.cols, tuple(flat))
+                flat.append(sum((left[k] * other.entries[k * other.cols + j] for k in range(self.cols)), zero))
+        return type(self)(self.rows, other.cols, tuple(flat))
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
 
     def to_json(self) -> dict:
         """Serialize as ``{"rows", "cols", "entries"}``; entries are "p" or "p/q"."""
-        return {"rows": self.rows, "cols": self.cols, "entries": [_fraction_str(x) for x in self.entries]}
+        return {"rows": self.rows, "cols": self.cols, "entries": [str(x) for x in self.entries]}
 
 
-def _fraction_str(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+class IntMatrix(_Matrix):
+    """Immutable dense integer matrix; ``from_rows`` rejects non-integers."""
+
+    _coerce = staticmethod(operator.index)
+
+    @staticmethod
+    def identity(n: int) -> "IntMatrix":
+        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+
+    def to_rational(self) -> "RatMatrix":
+        return RatMatrix(self.rows, self.cols, tuple(map(Fraction, self.entries)))
+
+
+class RatMatrix(_Matrix):
+    """Immutable dense rational matrix of ``Fraction`` entries."""
+
+    _coerce = staticmethod(Fraction)
 
 
 @dataclass(frozen=True)
@@ -334,15 +281,18 @@ def _scaled_integer_rows(m: RatMatrix) -> list[list[int]]:
     return out
 
 
-def _fraction_free_rank(rows: list[list[int]], ncols: int) -> int:
-    """Rank by Bareiss elimination with column skipping.
+def _bareiss(rows: list[list[int]], ncols: int) -> tuple[int, int]:
+    """Bareiss elimination with column skipping, in place.
 
-    Entries stay equal to minors of the input, so every division below is
-    exact (Sylvester's determinant identity); this holds for any choice of
-    pivot columns.
+    Returns the rank and the last pivot times the sign of the row swaps,
+    which for a square matrix of full rank is its determinant. Entries stay
+    equal to minors of the input, so every division below is exact
+    (Sylvester's determinant identity); this holds for any choice of pivot
+    columns.
     """
     r = 0
     prev = 1
+    sign = 1
     nrows = len(rows)
     for c in range(ncols):
         piv = None
@@ -352,7 +302,9 @@ def _fraction_free_rank(rows: list[list[int]], ncols: int) -> int:
                 break
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
         pv = rows[r][c]
         top = rows[r]
         for i in range(r + 1, nrows):
@@ -369,12 +321,12 @@ def _fraction_free_rank(rows: list[list[int]], ncols: int) -> int:
         r += 1
         if r == nrows:
             break
-    return r
+    return r, sign * prev
 
 
 def rank(m: RatMatrix) -> int:
     """Rank of a rational matrix, exactly."""
-    return _fraction_free_rank(_scaled_integer_rows(m), m.cols)
+    return _bareiss(_scaled_integer_rows(m), m.cols)[0]
 
 
 def kernel_dim(m: RatMatrix) -> int:
@@ -449,28 +401,5 @@ def det(m: IntMatrix) -> int:
     """Determinant of a square integer matrix by fraction-free elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                q, rem = divmod(pk * a[i][j] - a[i][k] * a[k][j], prev)
-                if rem:
-                    raise ArithmeticError("non-exact division in fraction-free determinant")
-                a[i][j] = q
-            a[i][k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1]
+    r, d = _bareiss(m.to_rows(), m.cols)
+    return d if r == m.rows else 0

@@ -1,16 +1,18 @@
 """Reference implementations that the fast paths in ``src/`` replaced.
 
 Each function here is the earlier, direct implementation, kept unchanged as
-a test oracle: the Smith-form cokernel, the triple-loop double, the pair-loop
-cohomology ring and the pair-loop ring verifier. The property tests in
-``test_oracles.py`` check that the package's versions give the same results.
+a test oracle: the Smith-form cokernel, the stand-alone Bareiss determinant,
+the triple-loop double, the pair-loop cohomology ring (with the label parsing
+it used for Poincare duality) and the pair-loop ring verifier. The property
+tests in ``test_oracles.py`` check that the package's versions give the same
+results.
 Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 from plumbline.arrangement import Arrangement
-from plumbline.boundary_ring import IsomorphismReport, _dual_surface, _label_map, intersection_ring
+from plumbline.boundary_ring import IsomorphismReport, _label_map, intersection_ring
 from plumbline.exact_linalg import IntMatrix, snf
 from plumbline.os_algebra import DegreeError, DoubledAlgebra, GradedAlgebra, dual_label, os_algebra
 
@@ -26,6 +28,37 @@ def cokernel(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
     free = m.rows - len(nonzero)
     torsion = tuple(d for d in nonzero if d > 1)
     return free, torsion
+
+
+def det(m: IntMatrix) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant needs a square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pk = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                q, rem = divmod(pk * a[i][j] - a[i][k] * a[k][j], prev)
+                if rem:
+                    raise ArithmeticError("non-exact division in fraction-free determinant")
+                a[i][j] = q
+            a[i][k] = 0
+        prev = pk
+    return sign * a[n - 1][n - 1]
 
 
 def double(alg: GradedAlgebra) -> DoubledAlgebra:
@@ -67,6 +100,13 @@ def double(alg: GradedAlgebra) -> DoubledAlgebra:
 
     basis = ((alg.unit,), deg1, deg2, (top,))
     return DoubledAlgebra(basis=basis, products=products, base=alg)
+
+
+def _dual_surface(h1_label: str) -> str:
+    # t3 <-> F3, g(1,2) <-> tau(1,2)
+    if h1_label.startswith("t"):
+        return "F" + h1_label[1:]
+    return "tau" + h1_label[1:]
 
 
 def cohomology_ring(arr: Arrangement) -> GradedAlgebra:

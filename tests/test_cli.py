@@ -240,6 +240,28 @@ class TestRandomArrangementFunction:
             random_arrangement(random.Random(0), 5, 1.5)
 
 
+class TestUsageErrors:
+    """Out-of-range options and unreadable coordinates exit 2 without a traceback."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--trials", "0", "resonance", "generic", fixture_path("two_triples")],
+            ["random", "--count", "-1"],
+            [
+                "resonance", "eval", fixture_path("two_triples"),
+                "--point", '{"a": [1e400, 0, 0, 0], "b": [0, 0, 0, 0]}',
+            ],
+        ],
+        ids=["trials-0", "count-negative", "point-overflow"],
+    )
+    def test_exits_2(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in all_output(result)
+
+
 def test_help_runs(runner):
     assert runner.invoke(main, ["--help"]).exit_code == 0
     assert runner.invoke(main, ["resonance", "--help"]).exit_code == 0

@@ -264,6 +264,11 @@ class TestMatrixBasics:
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])
 
+    @pytest.mark.parametrize("entry", [Fraction(7, 2), 2.9])
+    def test_int_from_rows_rejects_non_integers(self, entry):
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[entry, 2]])
+
     def test_matmul(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         b = IntMatrix.from_rows([[0, 1], [1, 0]])

@@ -1,10 +1,10 @@
 """The fast boundary-manifold paths against the implementations they replaced.
 
 ``oracles`` holds the earlier code unchanged: the Smith-form cokernel, the
-triple-loop double, the pair-loop cohomology ring and the pair-loop ring
-verifier. Each property runs on the shipped fixtures and on random
-arrangements of 3-12 lines at densities 0-1, or on random integer matrices,
-and requires identical results.
+stand-alone Bareiss determinant, the triple-loop double, the pair-loop
+cohomology ring and the pair-loop ring verifier. Each property runs on the
+shipped fixtures and on random arrangements of 3-12 lines at densities 0-1,
+or on random integer matrices, and requires identical results.
 """
 
 import random
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from plumbline import cohomology_ring, double, os_algebra, verify_double_isomorphism
 from plumbline.cli import random_arrangement
-from plumbline.exact_linalg import IntMatrix, cokernel
+from plumbline.exact_linalg import IntMatrix, cokernel, det
 from plumbline.os_algebra import DoubledAlgebra
 from plumbline.plumbing import plumbing_graph, plumbing_matrix
 
@@ -137,6 +137,32 @@ class TestCokernelMatchesSmithForm:
     def test_torsion_behind_units(self):
         m = IntMatrix.from_rows([[1, 1, 0], [1, 3, 0], [0, 0, 6]])
         assert cokernel(m) == oracles.cokernel(m) == (0, (2, 6))
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices of size 0-6; half of them get a row that is a
+    combination of the others, which makes them singular."""
+    n = draw(st.integers(0, 6))
+    values = st.integers(-9, 9) | st.just(0)
+    rows = [draw(st.lists(values, min_size=n, max_size=n)) for _ in range(n)]
+    if n and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        rows[i] = [sum(c * rows[k][j] for k, c in enumerate(coeffs) if k != i) for j in range(n)]
+    return IntMatrix.from_rows(rows)
+
+
+class TestDetMatchesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(square_matrices())
+    def test_random(self, m):
+        assert det(m) == oracles.det(m)
+
+    def test_examples(self):
+        for rows in ([], [[0]], [[0, 1], [1, 0]], [[1, 2], [2, 4]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]]):
+            m = IntMatrix.from_rows(rows)
+            assert det(m) == oracles.det(m)
 
 
 def _flipped(dbl: DoubledAlgebra, flips) -> DoubledAlgebra:
