@@ -7,7 +7,8 @@ lowest terms with positive denominator). No floating point is used anywhere.
 how ``from_rows`` coerces an entry.
 
 The entry points are Smith normal form (``snf``), rank and kernel dimension
-over the rationals (``rank``, ``kernel_dim``), cokernel invariants of an
+over the rationals (``rank``, ``kernel_dim``), a lower bound on the rank
+by reduction modulo a prime (``rank_mod_p``), cokernel invariants of an
 integer matrix (``cokernel``), and an exact determinant (``det``). Rank and
 determinant come from one fraction-free (Bareiss) elimination, run on rows
 scaled to integers, which keeps intermediate entries bounded by minors of
@@ -28,6 +29,7 @@ __all__ = [
     "SnfResult",
     "snf",
     "rank",
+    "rank_mod_p",
     "kernel_dim",
     "cokernel",
     "det",
@@ -277,7 +279,7 @@ def _scaled_integer_rows(m: RatMatrix) -> list[list[int]]:
         scale = 1
         for x in row:
             scale = scale * x.denominator // gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
+        out.append([x.numerator * (scale // x.denominator) for x in row])
     return out
 
 
@@ -327,6 +329,32 @@ def _bareiss(rows: list[list[int]], ncols: int) -> tuple[int, int]:
 def rank(m: RatMatrix) -> int:
     """Rank of a rational matrix, exactly."""
     return _bareiss(_scaled_integer_rows(m), m.cols)[0]
+
+
+def rank_mod_p(m: RatMatrix, p: int) -> int:
+    """Rank modulo a prime p of m with each row scaled to integers.
+
+    Scaling a row by a nonzero rational does not change the rank, and a
+    minor of an integer matrix that is nonzero mod p is nonzero, so the
+    result is at most ``rank(m)``.
+    """
+    rows = [[x % p for x in row] for row in _scaled_integer_rows(m)]
+    r = 0
+    for c in range(m.cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        inv = pow(top[c], -1, p)
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        r += 1
+        if r == len(rows):
+            break
+    return r
 
 
 def kernel_dim(m: RatMatrix) -> int:

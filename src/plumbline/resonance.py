@@ -14,13 +14,42 @@ where Delta(a)[j, k] = sum_i mu[i, j, k] a_i (r1 x r2) and
 Phi(b)[i, j] = sum_k mu[i, j, k] b_k (r1 x r1, antisymmetric), with
 mu[i, j, k] the structure constants of the base algebra extended
 antisymmetrically in (i, j). The chain identities d1 d2 = 0 and d2 d3 = 0
-hold for every point and are asserted at construction.
+hold for every point and are asserted at construction, in one pass over the
+nonzero entries of d2.
 
-Betti numbers of the complex are computed from exact ranks. A point lies in
-the k-th resonance variety of depth d exactly when the k-th Betti number is
-at least d. For the base algebra alone, a degree-one element a is
-nonresonant when the complex (A, a) is exact in degrees zero and one, which
-for a != 0 happens exactly when Delta(a) has rank r1 - 1.
+Betti numbers are proved rather than ranked whenever possible
+(Cohen-Suciu, "The boundary manifold of a complex line arrangement",
+Geom. Topol. Monogr. 13, 2008, give the generic values (0, beta, beta, 0)).
+rank d1 = rank d3 = 1 at a nonzero point and 0 at the zero point.
+
+* Upper bound. d2 is antisymmetric (Phi(b) is built antisymmetric and the
+  lower-left block is minus the transpose of the upper-right), so its rank
+  is even. The last r2 columns of d1 d2 are a Delta(a), so the chain check
+  proves a Delta(a) = 0, and rank Delta(a) <= r1 - 1 (for a = 0 trivially).
+  The first r1 rows of d2 add at most r1 to the rank of the last r2, which
+  is rank Delta(a); so rank d2 <= 2 r1 - 1, and by evenness <= 2 r1 - 2.
+  This is the case r2 > 0, which forces r1 >= 2: a degree-two class is a
+  product of two degree-one classes.
+* The floor. Hence at every point each Betti number is at least
+  (0, beta, beta, 0) with beta = N - 1 - 2 (r1 - 1), which is the
+  arrangement invariant 1 - n + (number of nbc pairs). When r2 = 0
+  (pencils) d2 vanishes and the floor is (0, N - 1, N - 1, 0).
+* The witness. A nonsingular r x r block Delta(a)[I, J] gives the principal
+  minor of d2 on I and r1 + J, which is det(Delta(a)[I, J])^2, so
+  rank d2 >= 2 rank Delta(a). The rank of an integer matrix modulo a prime
+  is at most its rational rank. So if a != 0 and the rows of Delta(a),
+  scaled to integers, have rank r1 - 1 modulo the prime 2^31 - 1, then
+  rank d2 = 2 (r1 - 1) and the Betti numbers are exactly the floor,
+  whatever b is. The witness ranks the Delta block of the assembled d2, the
+  same block the chain check tested; without that check the bound
+  rank Delta(a) <= r1 - 1 would be unproved for it. Only where no witness
+  is found is d2 ranked exactly.
+
+A point lies in the k-th resonance variety of depth d exactly when the k-th
+Betti number is at least d. For the base algebra alone, a degree-one element
+a is nonresonant when the complex (A, a) is exact in degrees zero and one,
+which for a != 0 happens exactly when Delta(a) has rank r1 - 1; the same
+witness settles that first.
 """
 
 from __future__ import annotations
@@ -31,7 +60,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .arrangement import Arrangement, ArrangementClass, classify, nbc_set
-from .exact_linalg import RatMatrix, kernel_dim, rank
+from .exact_linalg import RatMatrix, kernel_dim, rank, rank_mod_p
 from .os_algebra import DoubledAlgebra, GradedAlgebra
 
 __all__ = [
@@ -102,18 +131,21 @@ def _check_length(coords: Sequence[Fraction], want: int, what: str) -> None:
         raise DimensionMismatch(f"{what} has {len(coords)} coordinates, expected {want}")
 
 
+_PRIME = 2**31 - 1  # the modulus of the rank witness
+
+
 def delta_matrix(alg: GradedAlgebra, a: Sequence[Fraction]) -> RatMatrix:
     """The r1 x r2 matrix Delta(a)[j, k] = sum_i mu[i, j, k] a_i."""
     r1 = alg.rank(1)
     r2 = alg.rank(2)
     a = tuple(Fraction(x) for x in a)
     _check_length(a, r1, "a")
-    rows = [[Fraction(0)] * r2 for _ in range(r1)]
+    entries = [Fraction(0)] * (r1 * r2)
     for (i, j), vec in _mu_rows(alg).items():
         for k, c in vec.items():
-            rows[j][k] += c * a[i]
-            rows[i][k] -= c * a[j]
-    return RatMatrix.from_rows(rows) if r1 else RatMatrix(0, r2, ())
+            entries[j * r2 + k] += c * a[i]
+            entries[i * r2 + k] -= c * a[j]
+    return RatMatrix(r1, r2, tuple(entries))
 
 
 def phi_matrix(alg: GradedAlgebra, b: Sequence[Fraction]) -> RatMatrix:
@@ -122,16 +154,21 @@ def phi_matrix(alg: GradedAlgebra, b: Sequence[Fraction]) -> RatMatrix:
     r2 = alg.rank(2)
     b = tuple(Fraction(x) for x in b)
     _check_length(b, r2, "b")
-    rows = [[Fraction(0)] * r1 for _ in range(r1)]
+    entries = [Fraction(0)] * (r1 * r1)
     for (i, j), vec in _mu_rows(alg).items():
         s = sum((c * b[k] for k, c in vec.items()), Fraction(0))
-        rows[i][j] = s
-        rows[j][i] = -s
-    return RatMatrix.from_rows(rows) if r1 else RatMatrix(0, 0, ())
+        entries[i * r1 + j] = s
+        entries[j * r1 + i] = -s
+    return RatMatrix(r1, r1, tuple(entries))
 
 
 def aomoto_complex(dbl: DoubledAlgebra, pt: AomotoPoint) -> AomotoComplex:
-    """Assemble the differentials at a point and assert the chain identities."""
+    """Assemble the differentials at a point and assert the chain identities.
+
+    The check computes (a, b) d2 and d2 (a; b) in one pass over the nonzero
+    entries of d2. Besides guarding against a corrupt complex it proves
+    a Delta(a) = 0, on which the rank witness of ``betti_numbers`` rests.
+    """
     base = dbl.base
     r1 = base.rank(1)
     r2 = base.rank(2)
@@ -144,21 +181,30 @@ def aomoto_complex(dbl: DoubledAlgebra, pt: AomotoPoint) -> AomotoComplex:
     delta = delta_matrix(base, a)
     phi = phi_matrix(base, b)
 
-    d1 = RatMatrix(1, n, a + b)
-    rows = []
+    zero = Fraction(0)
+    entries: list[Fraction] = []
     for i in range(r1):
-        rows.append(list(phi.row(i)) + list(delta.row(i)))
+        entries += phi.row(i)
+        entries += delta.row(i)
     dt = delta.transpose()
     for k in range(r2):
-        rows.append([-x for x in dt.row(k)] + [Fraction(0)] * r2)
-    d2 = RatMatrix.from_rows(rows) if n else RatMatrix(0, 0, ())
-    d3 = RatMatrix(n, 1, a + b)
+        entries += [-x for x in dt.row(k)]
+        entries += [zero] * r2
+    d2 = RatMatrix(n, n, tuple(entries))
 
-    if n and not (d1 @ d2).is_zero():
+    v = a + b
+    left = [zero] * n  # (a, b) d2
+    right = [zero] * n  # d2 (a; b)
+    for idx, x in enumerate(entries):
+        if x:
+            i, j = divmod(idx, n)
+            left[j] += v[i] * x
+            right[i] += x * v[j]
+    if any(left):
         raise ChainConditionViolated("d1 . d2 != 0")
-    if n and not (d2 @ d3).is_zero():
+    if any(right):
         raise ChainConditionViolated("d2 . d3 != 0")
-    return AomotoComplex(d1, d2, d3)
+    return AomotoComplex(RatMatrix(1, n, v), d2, RatMatrix(n, 1, v))
 
 
 def betti_numbers(dbl: DoubledAlgebra, pt: AomotoPoint) -> tuple[int, int, int, int]:
@@ -166,13 +212,42 @@ def betti_numbers(dbl: DoubledAlgebra, pt: AomotoPoint) -> tuple[int, int, int, 
 
     Cochains are row vectors, so the kernel of d acting from degree k has
     dimension (rows of d) - rank d, and the k-th Betti number is
-    dim ker d_(k+1) - rank d_k, with the outer differentials zero.
+    dim ker d_(k+1) - rank d_k, with the outer differentials zero. The rank
+    of d2 is 0 when r2 = 0, 2 (r1 - 1) when the witness of the module
+    docstring holds, and is computed exactly otherwise.
     """
     cx = aomoto_complex(dbl, pt)
+    r1 = dbl.base.rank(1)
     n = cx.d1.cols
+    v = cx.d1.entries
+    if n == r1:  # r2 = 0 (pencils), so d2 = 0
+        rank_d2 = 0
+    elif any(v[:r1]) and _witness_rank(_delta_block(cx.d2, r1)) == r1 - 1:
+        rank_d2 = 2 * (r1 - 1)
+    else:
+        rank_d2 = rank(cx.d2)
+    outer = 1 if any(v) else 0
     dims = (1, n, n, 1)
-    ranks = (0, rank(cx.d1), rank(cx.d2), rank(cx.d3), 0)
+    ranks = (0, outer, rank_d2, outer, 0)
     return tuple(dims[k] - ranks[k + 1] - ranks[k] for k in range(4))
+
+
+def _delta_block(d2: RatMatrix, r1: int) -> RatMatrix:
+    """The upper-right r1 x r2 block of d2, which is Delta(a)."""
+    return RatMatrix(r1, d2.cols - r1, tuple(x for i in range(r1) for x in d2.row(i)[r1:]))
+
+
+def _witness_rank(delta: RatMatrix) -> int:
+    """The rank witness: rank Delta(a) modulo ``_PRIME``, a lower bound on it."""
+    return rank_mod_p(delta, _PRIME)
+
+
+def _betti_floor(alg: GradedAlgebra) -> tuple[int, int, int, int]:
+    """(0, beta, beta, 0): no point of the complex has a smaller Betti number."""
+    r1 = alg.rank(1)
+    n = r1 + alg.rank(2)
+    beta = n - 1 if n == r1 else n - 1 - 2 * (r1 - 1)
+    return (0, beta, beta, 0)
 
 
 def betti(dbl: DoubledAlgebra, pt: AomotoPoint, k: int) -> int:
@@ -187,13 +262,16 @@ def is_nonresonant(alg: GradedAlgebra, a: Sequence[Fraction]) -> bool:
 
     The rows of Delta(a) are always dependent (a itself is in the kernel),
     so the rank is at most r1 - 1; equality, together with a != 0, is
-    exactness.
+    exactness. The rank modulo a prime is tried first: reaching r1 - 1
+    there proves equality, and only otherwise is the exact rank computed.
     """
     a = tuple(Fraction(x) for x in a)
-    _check_length(a, alg.rank(1), "a")
+    r1 = alg.rank(1)
+    _check_length(a, r1, "a")
     if all(x == 0 for x in a):
         return False
-    return rank(delta_matrix(alg, a)) == alg.rank(1) - 1
+    delta = delta_matrix(alg, a)
+    return _witness_rank(delta) == r1 - 1 or rank(delta) == r1 - 1
 
 
 def in_resonance(dbl: DoubledAlgebra, pt: AomotoPoint, k: int, d: int) -> bool:
@@ -240,13 +318,19 @@ def generic_betti(dbl: DoubledAlgebra, k: int, trials: int = 5, seed: int = 0) -
 
     Betti numbers can only jump up on proper subvarieties, so the minimum
     over a few random points is the generic value with overwhelming margin;
-    sampling is deterministic in (seed, trials) via ``trial_seed``.
+    sampling is deterministic in (seed, trials) via ``trial_seed``. No point
+    lies below the floor of the module docstring, so the walk stops at the
+    first point that reaches it: the result is then certified, and equal to
+    the minimum over all ``trials`` points. Otherwise every trial runs.
     """
+    floor = _betti_floor(dbl.base)
     best: int | None = None
     for t in range(trials):
         pt = sample_point(dbl, random.Random(trial_seed(seed, t)))
         val = betti(dbl, pt, k)
         best = val if best is None else min(best, val)
+        if best == floor[k]:
+            break
     if best is None:
         raise ValueError("at least one trial is required")
     return best

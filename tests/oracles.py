@@ -3,18 +3,32 @@
 Each function here is the earlier, direct implementation, kept unchanged as
 a test oracle: the Smith-form cokernel, the stand-alone Bareiss determinant,
 the triple-loop double, the pair-loop cohomology ring (with the label parsing
-it used for Poincare duality) and the pair-loop ring verifier. The property
-tests in ``test_oracles.py`` check that the package's versions give the same
-results.
+it used for Poincare duality), the pair-loop ring verifier, and the resonance
+complex with Betti numbers from dense rational ranks and generic Betti
+numbers as a minimum over every sampled point. The property tests in
+``test_oracles.py`` check that the package's versions give the same results.
 Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+from typing import Sequence
+
 from plumbline.arrangement import Arrangement
 from plumbline.boundary_ring import IsomorphismReport, _label_map, intersection_ring
-from plumbline.exact_linalg import IntMatrix, snf
+from plumbline.exact_linalg import IntMatrix, RatMatrix, rank, snf
 from plumbline.os_algebra import DegreeError, DoubledAlgebra, GradedAlgebra, dual_label, os_algebra
+from plumbline.resonance import (
+    AomotoComplex,
+    AomotoPoint,
+    ChainConditionViolated,
+    _check_length,
+    _mu_rows,
+    sample_point,
+    trial_seed,
+)
 
 
 def cokernel(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
@@ -167,3 +181,100 @@ def verify_double_isomorphism(arr: Arrangement) -> IsomorphismReport:
         if lhs != rhs:
             mismatches.append((x, y, lhs, rhs))
     return IsomorphismReport(ok=not mismatches, mismatches=tuple(mismatches))
+
+
+def delta_matrix(alg: GradedAlgebra, a: Sequence[Fraction]) -> RatMatrix:
+    """The r1 x r2 matrix Delta(a)[j, k] = sum_i mu[i, j, k] a_i."""
+    r1 = alg.rank(1)
+    r2 = alg.rank(2)
+    a = tuple(Fraction(x) for x in a)
+    _check_length(a, r1, "a")
+    rows = [[Fraction(0)] * r2 for _ in range(r1)]
+    for (i, j), vec in _mu_rows(alg).items():
+        for k, c in vec.items():
+            rows[j][k] += c * a[i]
+            rows[i][k] -= c * a[j]
+    return RatMatrix.from_rows(rows) if r1 else RatMatrix(0, r2, ())
+
+
+def phi_matrix(alg: GradedAlgebra, b: Sequence[Fraction]) -> RatMatrix:
+    """The antisymmetric r1 x r1 matrix Phi(b)[i, j] = sum_k mu[i, j, k] b_k."""
+    r1 = alg.rank(1)
+    r2 = alg.rank(2)
+    b = tuple(Fraction(x) for x in b)
+    _check_length(b, r2, "b")
+    rows = [[Fraction(0)] * r1 for _ in range(r1)]
+    for (i, j), vec in _mu_rows(alg).items():
+        s = sum((c * b[k] for k, c in vec.items()), Fraction(0))
+        rows[i][j] = s
+        rows[j][i] = -s
+    return RatMatrix.from_rows(rows) if r1 else RatMatrix(0, 0, ())
+
+
+def aomoto_complex(dbl: DoubledAlgebra, pt: AomotoPoint) -> AomotoComplex:
+    """Assemble the differentials at a point and assert the chain identities."""
+    base = dbl.base
+    r1 = base.rank(1)
+    r2 = base.rank(2)
+    a = tuple(Fraction(x) for x in pt.a)
+    b = tuple(Fraction(x) for x in pt.b)
+    _check_length(a, r1, "a")
+    _check_length(b, r2, "b")
+    n = r1 + r2
+
+    delta = delta_matrix(base, a)
+    phi = phi_matrix(base, b)
+
+    d1 = RatMatrix(1, n, a + b)
+    rows = []
+    for i in range(r1):
+        rows.append(list(phi.row(i)) + list(delta.row(i)))
+    dt = delta.transpose()
+    for k in range(r2):
+        rows.append([-x for x in dt.row(k)] + [Fraction(0)] * r2)
+    d2 = RatMatrix.from_rows(rows) if n else RatMatrix(0, 0, ())
+    d3 = RatMatrix(n, 1, a + b)
+
+    if n and not (d1 @ d2).is_zero():
+        raise ChainConditionViolated("d1 . d2 != 0")
+    if n and not (d2 @ d3).is_zero():
+        raise ChainConditionViolated("d2 . d3 != 0")
+    return AomotoComplex(d1, d2, d3)
+
+
+def betti_numbers(dbl: DoubledAlgebra, pt: AomotoPoint) -> tuple[int, int, int, int]:
+    """All four Betti numbers of the complex at the point.
+
+    Cochains are row vectors, so the kernel of d acting from degree k has
+    dimension (rows of d) - rank d, and the k-th Betti number is
+    dim ker d_(k+1) - rank d_k, with the outer differentials zero.
+    """
+    cx = aomoto_complex(dbl, pt)
+    n = cx.d1.cols
+    dims = (1, n, n, 1)
+    ranks = (0, rank(cx.d1), rank(cx.d2), rank(cx.d3), 0)
+    return tuple(dims[k] - ranks[k + 1] - ranks[k] for k in range(4))
+
+
+def betti(dbl: DoubledAlgebra, pt: AomotoPoint, k: int) -> int:
+    """The k-th Betti number of the complex at the point, k in 0..3."""
+    if not 0 <= k <= 3:
+        raise ValueError("degree k must be between 0 and 3")
+    return betti_numbers(dbl, pt)[k]
+
+
+def generic_betti(dbl: DoubledAlgebra, k: int, trials: int = 5, seed: int = 0) -> int:
+    """Minimum k-th Betti number over seeded random sample points.
+
+    Betti numbers can only jump up on proper subvarieties, so the minimum
+    over a few random points is the generic value with overwhelming margin;
+    sampling is deterministic in (seed, trials) via ``trial_seed``.
+    """
+    best: int | None = None
+    for t in range(trials):
+        pt = sample_point(dbl, random.Random(trial_seed(seed, t)))
+        val = betti(dbl, pt, k)
+        best = val if best is None else min(best, val)
+    if best is None:
+        raise ValueError("at least one trial is required")
+    return best

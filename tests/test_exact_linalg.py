@@ -22,6 +22,7 @@ from plumbline.exact_linalg import (
     det,
     kernel_dim,
     rank,
+    rank_mod_p,
     snf,
 )
 
@@ -212,6 +213,30 @@ class TestRank:
             [[x * Fraction(3, 7) for x in q.row(0)]] + [list(q.row(i)) for i in range(1, q.rows)]
         )
         assert rank(scaled) == rank(q)
+
+
+class TestRankModP:
+    def test_examples(self):
+        assert rank_mod_p(RatMatrix.from_rows([[1, 2], [2, 4]]), 7) == 1
+        assert rank_mod_p(RatMatrix.from_rows([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]), 7) == 2
+        assert rank_mod_p(RatMatrix.zeros(2, 3), 7) == 0
+        assert rank_mod_p(RatMatrix(0, 3, ()), 7) == 0
+
+    def test_can_fall_below_the_rank(self):
+        # det = 7, so the rows are independent over Q but not modulo 7.
+        m = RatMatrix.from_rows([[1, 2], [3, 13]])
+        assert rank(m) == 2
+        assert rank_mod_p(m, 7) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices(max_dim=5, max_abs=9), st.sampled_from([2, 3, 5, 2**31 - 1]))
+    def test_lower_bound(self, m, p):
+        q = m.to_rational()
+        scaled = RatMatrix.from_rows([[x / (i + 2) for x in q.row(i)] for i in range(q.rows)]) if q.rows else q
+        assert rank_mod_p(q, p) <= rank(q)
+        assert rank_mod_p(scaled, p) <= rank(scaled) == rank(q)
+        if p == 2**31 - 1:  # no minor of an entry-9 matrix reaches it
+            assert rank_mod_p(scaled, p) == rank_mod_p(q, p) == rank(q)
 
 
 class TestCokernel:

@@ -1,20 +1,39 @@
-"""The fast boundary-manifold paths against the implementations they replaced.
+"""The fast paths against the implementations they replaced.
 
 ``oracles`` holds the earlier code unchanged: the Smith-form cokernel, the
 stand-alone Bareiss determinant, the triple-loop double, the pair-loop
-cohomology ring and the pair-loop ring verifier. Each property runs on the
-shipped fixtures and on random arrangements of 3-12 lines at densities 0-1,
-or on random integer matrices, and requires identical results.
+cohomology ring, the pair-loop ring verifier, and the resonance complex with
+Betti numbers from dense rational ranks. Each property runs on the shipped
+fixtures and on random arrangements of 3-12 lines (3-10 for resonance) at
+densities 0-1, or on random integer matrices, and requires identical
+results.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from plumbline import cohomology_ring, double, os_algebra, verify_double_isomorphism
+from plumbline import (
+    AomotoPoint,
+    ArrangementClass,
+    aomoto_complex,
+    beta,
+    betti_numbers,
+    classify,
+    cohomology_ring,
+    delta_matrix,
+    double,
+    generic_betti,
+    is_nonresonant,
+    os_algebra,
+    phi_matrix,
+    verify_double_isomorphism,
+)
+from plumbline import resonance
 from plumbline.cli import random_arrangement
 from plumbline.exact_linalg import IntMatrix, cokernel, det
 from plumbline.os_algebra import DoubledAlgebra
@@ -205,3 +224,141 @@ class TestMutatedDouble:
         keys = data.draw(st.lists(st.sampled_from(sorted(dbl.products)), min_size=1, max_size=4, unique=True))
         flips = [(key, data.draw(st.sampled_from(sorted(dbl.products[key])))) for key in keys]
         _check_flips(arr, flips)
+
+
+# Resonance: the proved floor and the rank witness against dense ranks.
+
+small_arrangements = st.builds(
+    lambda seed, lines, density: random_arrangement(random.Random(seed), lines, density),
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 10),
+    st.floats(0.0, 1.0),
+)
+
+
+def _points(arr, dbl, rng: random.Random) -> list[AomotoPoint]:
+    """Integer, rational, a = 0 and zero points, plus points whose a is
+    supported on the lines of one multiple point (zero sum when the point
+    avoids line 0), where the complex can be resonant."""
+    r1, r2 = dbl.base.rank(1), dbl.base.rank(2)
+
+    def ints(m):
+        return [rng.randint(-9, 9) for _ in range(m)]
+
+    def rats(m):
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(m)]
+
+    pts = [
+        AomotoPoint.make(ints(r1), ints(r2)),
+        AomotoPoint.make(rats(r1), rats(r2)),
+        AomotoPoint.make([0] * r1, ints(r2)),
+        AomotoPoint.make([0] * r1, [0] * r2),
+    ]
+    multiple = [p for p in arr.points if len(p) >= 3]
+    if multiple:
+        point = rng.choice(multiple)
+        lines = [i for i in point if i != 0]
+        a = [0] * r1
+        for i in lines:
+            a[i - 1] = rng.randint(1, 9) * rng.choice([-1, 1])
+        if 0 not in point:
+            a[lines[-1] - 1] -= sum(a[i - 1] for i in lines)
+        pts += [AomotoPoint.make(a, [0] * r2), AomotoPoint.make(a, ints(r2))]
+    return pts
+
+
+def _same_resonance(arr, seed: int = 0):
+    dbl = double(os_algebra(arr))
+    for pt in _points(arr, dbl, random.Random(seed)):
+        assert delta_matrix(dbl.base, pt.a) == oracles.delta_matrix(dbl.base, pt.a)
+        assert phi_matrix(dbl.base, pt.b) == oracles.phi_matrix(dbl.base, pt.b)
+        new, old = aomoto_complex(dbl, pt), oracles.aomoto_complex(dbl, pt)
+        for d in ("d1", "d2", "d3"):
+            assert getattr(new, d).to_rows() == getattr(old, d).to_rows(), d
+        assert betti_numbers(dbl, pt) == oracles.betti_numbers(dbl, pt), pt
+
+
+def _same_generic_betti(arr, seeds=range(4), trials=range(1, 6)):
+    dbl = double(os_algebra(arr))
+    for k in range(4):
+        for seed in seeds:
+            for t in trials:
+                got = generic_betti(dbl, k, trials=t, seed=seed)
+                assert got == oracles.generic_betti(dbl, k, trials=t, seed=seed), (k, seed, t)
+
+
+class TestResonanceMatchesOracle:
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fixture_points(self, name, seed):
+        _same_resonance(load_fixture(name), seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_arrangements, st.integers(0, 2**32 - 1))
+    def test_random_points(self, arr, seed):
+        _same_resonance(arr, seed)
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_fixture_generic_betti(self, name):
+        _same_generic_betti(load_fixture(name))
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_arrangements, st.integers(0, 3), st.integers(1, 5))
+    def test_random_generic_betti(self, arr, seed, trials):
+        _same_generic_betti(arr, seeds=[seed], trials=[trials])
+
+
+class TestWitnessTeeth:
+    """The witness carries the proof: break it and the oracle must notice."""
+
+    def test_always_certifying_witness_is_caught(self, monkeypatch):
+        arr = load_fixture("two_triples")
+        dbl = double(os_algebra(arr))
+        # e1 - e2 lies on the local component of the triple point {1, 2, 3}.
+        pt = AomotoPoint.make([1, -1, 0, 0], [0, 0, 0, 0])
+        assert betti_numbers(dbl, pt) == oracles.betti_numbers(dbl, pt) == (0, 3, 3, 0)
+        monkeypatch.setattr("plumbline.resonance._witness_rank", lambda delta: delta.rows - 1)
+        assert betti_numbers(dbl, pt) == (0, 1, 1, 0)
+        assert is_nonresonant(dbl.base, pt.a)
+        with pytest.raises(AssertionError):
+            _same_resonance(arr)
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_never_certifying_witness_falls_back(self, name, monkeypatch):
+        arr = load_fixture(name)
+        ranked = []
+        monkeypatch.setattr("plumbline.resonance._witness_rank", lambda delta: -1)
+        monkeypatch.setattr("plumbline.resonance.rank", lambda m: ranked.append(m) or oracles.rank(m))
+        _same_resonance(arr)
+        _same_generic_betti(arr, seeds=[0], trials=[1, 5])
+        if classify(arr) is not ArrangementClass.PENCIL:
+            assert ranked
+
+
+def _floor_holds(arr, seed: int):
+    dbl = double(os_algebra(arr))
+    floor = resonance._betti_floor(dbl.base)
+    n = dbl.rank(1)
+    want = n - 1 if classify(arr) is ArrangementClass.PENCIL else beta(arr)
+    assert floor == (0, want, want, 0)
+    for pt in _points(arr, dbl, random.Random(seed)):
+        assert all(x >= f for x, f in zip(oracles.betti_numbers(dbl, pt), floor)), pt
+
+
+class TestBettiFloor:
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_fixtures(self, name):
+        _floor_holds(load_fixture(name), 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_arrangements, st.integers(0, 2**32 - 1))
+    def test_random(self, arr, seed):
+        _floor_holds(arr, seed)
+
+    def test_two_triples_certifies_at_trial_zero(self, monkeypatch):
+        dbl = double(os_algebra(load_fixture("two_triples")))
+        calls = []
+        real = resonance.betti_numbers
+        monkeypatch.setattr("plumbline.resonance.betti_numbers", lambda dbl, pt: calls.append(pt) or real(dbl, pt))
+        assert [generic_betti(dbl, k, trials=5, seed=0) for k in range(4)] == [0, 1, 1, 0]
+        assert len(calls) == 4
