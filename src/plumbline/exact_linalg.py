@@ -8,7 +8,7 @@ how ``from_rows`` coerces an entry.
 
 The entry points are Smith normal form (``snf``), rank and kernel dimension
 over the rationals (``rank``, ``kernel_dim``), a lower bound on the rank
-by reduction modulo a prime (``rank_mod_p``), cokernel invariants of an
+by reduction modulo the prime 2^31 - 1 (``rank_mod_p``), cokernel invariants of an
 integer matrix (``cokernel``), and an exact determinant (``det``). Rank and
 determinant come from one fraction-free (Bareiss) elimination, run on rows
 scaled to integers, which keeps intermediate entries bounded by minors of
@@ -331,13 +331,14 @@ def rank(m: RatMatrix) -> int:
     return _bareiss(_scaled_integer_rows(m), m.cols)[0]
 
 
-def rank_mod_p(m: RatMatrix, p: int) -> int:
-    """Rank modulo a prime p of m with each row scaled to integers.
+def rank_mod_p(m: RatMatrix) -> int:
+    """Rank modulo the prime 2^31 - 1 of m with each row scaled to integers.
 
     Scaling a row by a nonzero rational does not change the rank, and a
     minor of an integer matrix that is nonzero mod p is nonzero, so the
     result is at most ``rank(m)``.
     """
+    p = 2**31 - 1
     rows = [[x % p for x in row] for row in _scaled_integer_rows(m)]
     r = 0
     for c in range(m.cols):

@@ -48,8 +48,7 @@ rank d1 = rank d3 = 1 at a nonzero point and 0 at the zero point.
 A point lies in the k-th resonance variety of depth d exactly when the k-th
 Betti number is at least d. For the base algebra alone, a degree-one element
 a is nonresonant when the complex (A, a) is exact in degrees zero and one,
-which for a != 0 happens exactly when Delta(a) has rank r1 - 1; the same
-witness settles that first.
+which for a != 0 happens exactly when Delta(a) has rank r1 - 1.
 """
 
 from __future__ import annotations
@@ -131,9 +130,6 @@ def _check_length(coords: Sequence[Fraction], want: int, what: str) -> None:
         raise DimensionMismatch(f"{what} has {len(coords)} coordinates, expected {want}")
 
 
-_PRIME = 2**31 - 1  # the modulus of the rank witness
-
-
 def delta_matrix(alg: GradedAlgebra, a: Sequence[Fraction]) -> RatMatrix:
     """The r1 x r2 matrix Delta(a)[j, k] = sum_i mu[i, j, k] a_i."""
     r1 = alg.rank(1)
@@ -213,16 +209,14 @@ def betti_numbers(dbl: DoubledAlgebra, pt: AomotoPoint) -> tuple[int, int, int, 
     Cochains are row vectors, so the kernel of d acting from degree k has
     dimension (rows of d) - rank d, and the k-th Betti number is
     dim ker d_(k+1) - rank d_k, with the outer differentials zero. The rank
-    of d2 is 0 when r2 = 0, 2 (r1 - 1) when the witness of the module
-    docstring holds, and is computed exactly otherwise.
+    of d2 is 2 (r1 - 1) when the witness of the module docstring holds, and
+    is computed exactly otherwise.
     """
     cx = aomoto_complex(dbl, pt)
     r1 = dbl.base.rank(1)
     n = cx.d1.cols
     v = cx.d1.entries
-    if n == r1:  # r2 = 0 (pencils), so d2 = 0
-        rank_d2 = 0
-    elif any(v[:r1]) and _witness_rank(_delta_block(cx.d2, r1)) == r1 - 1:
+    if any(v[:r1]) and rank_mod_p(_delta_block(cx.d2, r1)) == r1 - 1:
         rank_d2 = 2 * (r1 - 1)
     else:
         rank_d2 = rank(cx.d2)
@@ -235,11 +229,6 @@ def betti_numbers(dbl: DoubledAlgebra, pt: AomotoPoint) -> tuple[int, int, int, 
 def _delta_block(d2: RatMatrix, r1: int) -> RatMatrix:
     """The upper-right r1 x r2 block of d2, which is Delta(a)."""
     return RatMatrix(r1, d2.cols - r1, tuple(x for i in range(r1) for x in d2.row(i)[r1:]))
-
-
-def _witness_rank(delta: RatMatrix) -> int:
-    """The rank witness: rank Delta(a) modulo ``_PRIME``, a lower bound on it."""
-    return rank_mod_p(delta, _PRIME)
 
 
 def _betti_floor(alg: GradedAlgebra) -> tuple[int, int, int, int]:
@@ -262,16 +251,13 @@ def is_nonresonant(alg: GradedAlgebra, a: Sequence[Fraction]) -> bool:
 
     The rows of Delta(a) are always dependent (a itself is in the kernel),
     so the rank is at most r1 - 1; equality, together with a != 0, is
-    exactness. The rank modulo a prime is tried first: reaching r1 - 1
-    there proves equality, and only otherwise is the exact rank computed.
+    exactness.
     """
     a = tuple(Fraction(x) for x in a)
-    r1 = alg.rank(1)
-    _check_length(a, r1, "a")
+    _check_length(a, alg.rank(1), "a")
     if all(x == 0 for x in a):
         return False
-    delta = delta_matrix(alg, a)
-    return _witness_rank(delta) == r1 - 1 or rank(delta) == r1 - 1
+    return rank(delta_matrix(alg, a)) == alg.rank(1) - 1
 
 
 def in_resonance(dbl: DoubledAlgebra, pt: AomotoPoint, k: int, d: int) -> bool:
