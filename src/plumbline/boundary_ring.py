@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .arrangement import Arrangement, nbc_set
-from .os_algebra import DoubledAlgebra, GradedAlgebra, double, dual_label, os_algebra
+from .os_algebra import DoubledAlgebra, GradedAlgebra, double, os_algebra
 
 __all__ = [
     "IntersectionRing",
@@ -188,17 +188,11 @@ class IsomorphismReport:
         }
 
 
-def _label_map(arr: Arrangement, dbl: DoubledAlgebra) -> dict[str, str]:
-    """Cohomology basis label -> double basis label, via Poincare duality."""
-    n = arr.n
-    out = {"1": dbl.unit, "pt": dual_label(dbl.base.unit)}
-    for i in range(1, n + 1):
-        out[f"~t{i}"] = f"e{i}"
-        out[f"~F{i}"] = dual_label(f"e{i}")
-    for p in nbc_set(arr):
-        out[f"~g({p.j},{p.k})"] = dual_label(f"f({p.j},{p.k})")
-        out[f"~tau({p.j},{p.k})"] = f"f({p.j},{p.k})"
-    return out
+def _basis_map(coh: GradedAlgebra, dbl: DoubledAlgebra) -> dict[str, str]:
+    """The module docstring's correspondence, by position: both bases follow nbc_set order."""
+    unit, deg1, deg2, top = dbl.basis
+    r2 = dbl.base.rank(2)  # degree two lists f before ~e, the reverse of PD(t) before PD(g)
+    return dict(zip(sum(coh.basis, ()), unit + deg1 + deg2[r2:] + deg2[:r2] + top, strict=True))
 
 
 def _ordered_products(alg: GradedAlgebra) -> dict[tuple[str, str], dict[str, int]]:
@@ -230,7 +224,7 @@ def verify_double_isomorphism(arr: Arrangement) -> IsomorphismReport:
     """
     coh = cohomology_ring(arr)
     dbl = double(os_algebra(arr))
-    phi = _label_map(arr, dbl)
+    phi = _basis_map(coh, dbl)
     back = {v: k for k, v in phi.items()}
 
     lhs_table = {

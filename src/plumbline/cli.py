@@ -21,7 +21,7 @@ from . import arrangement as arrmod
 from .arrangement import Arrangement, ArrangementError, FormatError, beta, incidence_graph, nbc_set, random_arrangement
 from .boundary_ring import intersection_ring, verify_double_isomorphism
 from .os_algebra import DoubledAlgebra, double, os_algebra
-from .plumbing import h1_boundary, plumbing_graph, plumbing_matrix
+from .plumbing import h1_boundary
 from .resonance import (
     AomotoPoint,
     betti_numbers,
@@ -147,12 +147,9 @@ def double_cmd(ctx: click.Context, path: str) -> None:
 @click.pass_context
 def homology(ctx: click.Context, path: str) -> None:
     """First homology of the boundary manifold, with the plumbing matrix."""
-    arr = _load_arrangement(path)
-    res = h1_boundary(arr)
+    res = h1_boundary(_load_arrangement(path))
     doc = res.to_json()
-    doc["matrix"] = plumbing_matrix(plumbing_graph(arr)).to_json()
-    table = _kv_table(res.to_json())
-    _emit(ctx, doc, table)
+    _emit(ctx, {**doc, "matrix": res.matrix.to_json()}, _kv_table(doc))
 
 
 @main.command()
@@ -231,8 +228,11 @@ def build_report(arr: Arrangement, seed: int, trials: int) -> dict:
 def _resonance_doc(arr: Arrangement, dbl: DoubledAlgebra, seed: int, trials: int) -> dict:
     """Generic Betti numbers, beta, class and predicted R^1_1 dimension."""
     cls, dim = r11_prediction(arr)
+    # The double is a Poincare duality algebra of formal dimension 3, so the
+    # complex is self-dual (d3 = d1^T, d2 antisymmetric) and b_k = b_(3-k).
+    low = [generic_betti(dbl, k, trials=trials, seed=seed) for k in range(2)]
     return {
-        "betti": [generic_betti(dbl, k, trials=trials, seed=seed) for k in range(4)],
+        "betti": low + low[::-1],
         "beta": beta(arr),
         "class": cls.value,
         "predicted_r11_dim": dim,
@@ -246,10 +246,12 @@ def resonance() -> None:
     """Resonance varieties of the doubled algebra."""
 
 
-def _parse_coords(values, what: str) -> tuple[Fraction, ...]:
+def _parse_coords(values: list, what: str) -> tuple[Fraction, ...]:
+    if not all(type(v) in (int, str) for v in values):
+        _fail(EXIT_IO, f'bad {what} coordinate: write an integer or a string such as "1/3" or "0.1"')
     try:
         return tuple(Fraction(v) for v in values)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         _fail(EXIT_IO, f"bad {what} coordinate: {exc}")
 
 
@@ -265,7 +267,7 @@ def resonance_eval(ctx: click.Context, path: str, point_json: str) -> None:
         doc = json.loads(point_json)
     except json.JSONDecodeError as exc:
         _fail(EXIT_IO, f"--point: invalid JSON: {exc.msg}")
-    if not isinstance(doc, dict) or "a" not in doc or "b" not in doc:
+    if not isinstance(doc, dict) or not all(isinstance(doc.get(k), list) for k in "ab"):
         _fail(EXIT_IO, '--point must be an object with "a" and "b" arrays')
     pt = AomotoPoint(_parse_coords(doc["a"], "a"), _parse_coords(doc["b"], "b"))
     try:

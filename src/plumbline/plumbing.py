@@ -18,7 +18,7 @@ returning silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arrangement import Arrangement, InternalContradiction, incidence_graph
 from .exact_linalg import IntMatrix, cokernel
@@ -92,6 +92,7 @@ class H1Result:
     torsion: tuple[int, ...]
     graph_b1: int
     coker_free_rank: int
+    matrix: IntMatrix = field(compare=False, repr=False)  # the plumbing matrix, for output
 
     def to_json(self) -> dict:
         return {
@@ -129,19 +130,21 @@ def plumbing_matrix(g: PlumbingGraph) -> IntMatrix:
     for i, j in g.edges:
         rows[i][j] = 1
         rows[j][i] = 1
-    return IntMatrix.from_rows(rows) if nv else IntMatrix(0, 0, ())
+    return IntMatrix.from_rows(rows)
 
 
 def h1_plumbed(g: PlumbingGraph) -> H1Result:
     """First homology of the 3-manifold plumbed along a connected graph."""
     if not g.is_connected():
         raise ValueError("plumbing graph must be connected")
-    free, torsion = cokernel(plumbing_matrix(g))
+    m = plumbing_matrix(g)
+    free, torsion = cokernel(m)
     return H1Result(
         free_rank=g.b1 + free,
         torsion=torsion,
         graph_b1=g.b1,
         coker_free_rank=free,
+        matrix=m,
     )
 
 

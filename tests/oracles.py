@@ -3,9 +3,10 @@
 Each function here is the earlier, direct implementation, kept unchanged as
 a test oracle: the Smith-form cokernel, the stand-alone Bareiss determinant,
 the triple-loop double, the pair-loop cohomology ring (with the label parsing
-it used for Poincare duality), the pair-loop ring verifier, and the resonance
-complex with Betti numbers from dense rational ranks and generic Betti
-numbers as a minimum over every sampled point. The property tests in
+it used for Poincare duality), the pair-loop ring verifier (with the label
+map it used), and the resonance complex with Betti numbers from dense
+rational ranks and generic Betti numbers as a minimum over every sampled
+point. The property tests in
 ``test_oracles.py`` check that the package's versions give the same results.
 Nothing in ``src/`` imports this module.
 """
@@ -16,8 +17,8 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from plumbline.arrangement import Arrangement
-from plumbline.boundary_ring import IsomorphismReport, _label_map, intersection_ring
+from plumbline.arrangement import Arrangement, nbc_set
+from plumbline.boundary_ring import IsomorphismReport, intersection_ring
 from plumbline.exact_linalg import IntMatrix, RatMatrix, rank, snf
 from plumbline.os_algebra import DegreeError, DoubledAlgebra, GradedAlgebra, dual_label, os_algebra
 from plumbline.resonance import (
@@ -153,6 +154,19 @@ def cohomology_ring(arr: Arrangement) -> GradedAlgebra:
 
     basis = (("1",), deg1, deg2, ("pt",))
     return GradedAlgebra(basis, products)
+
+
+def _label_map(arr: Arrangement, dbl: DoubledAlgebra) -> dict[str, str]:
+    """Cohomology basis label -> double basis label, via Poincare duality."""
+    n = arr.n
+    out = {"1": dbl.unit, "pt": dual_label(dbl.base.unit)}
+    for i in range(1, n + 1):
+        out[f"~t{i}"] = f"e{i}"
+        out[f"~F{i}"] = dual_label(f"e{i}")
+    for p in nbc_set(arr):
+        out[f"~g({p.j},{p.k})"] = dual_label(f"f({p.j},{p.k})")
+        out[f"~tau({p.j},{p.k})"] = f"f({p.j},{p.k})"
+    return out
 
 
 def verify_double_isomorphism(arr: Arrangement) -> IsomorphismReport:

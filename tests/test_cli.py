@@ -2,10 +2,12 @@
 
 import json
 import random
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import plumbline
 from plumbline import beta, from_json, verify_double_isomorphism
 from plumbline.cli import build_report, main, random_arrangement
 
@@ -252,14 +254,66 @@ class TestUsageErrors:
                 "resonance", "eval", fixture_path("two_triples"),
                 "--point", '{"a": [1e400, 0, 0, 0], "b": [0, 0, 0, 0]}',
             ],
+            [
+                "resonance", "eval", fixture_path("two_triples"),
+                "--point", '{"a": [0.1, 0, 0, 0], "b": [0, 0, 0, 0]}',
+            ],
+            [
+                "resonance", "eval", fixture_path("two_triples"),
+                "--point", '{"a": "1000", "b": [0, 0, 0, 0]}',
+            ],
+            [
+                "resonance", "eval", fixture_path("two_triples"),
+                "--point", '{"a": [true, 0, 0, 0], "b": [0, 0, 0, 0]}',
+            ],
         ],
-        ids=["trials-0", "count-negative", "point-overflow"],
+        ids=["trials-0", "count-negative", "point-overflow", "point-float", "point-string", "point-bool"],
     )
     def test_exits_2(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in all_output(result)
+
+
+class TestOncePerOp:
+    """Each command builds each object once; Betti degrees 2 and 3 come from
+    1 and 0 by Poincare duality."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name: str) -> list:
+        """Record the arguments of every call of ``plumbline.<name>``, through
+        whichever module global the call goes."""
+        calls = []
+        real = getattr(plumbline, name)
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        for modname, module in list(sys.modules.items()):
+            if modname == "plumbline" or modname.startswith("plumbline."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, spy)
+        return calls
+
+    @pytest.mark.parametrize("command", [["report"], ["resonance", "generic"]])
+    def test_two_generic_betti_walks(self, runner, monkeypatch, command):
+        calls = self.count_calls(monkeypatch, "generic_betti")
+        result = runner.invoke(main, command + [fixture_path("two_triples")])
+        assert result.exit_code == 0
+        assert [args[1] for args, _ in calls] == [0, 1]
+
+    def test_homology_builds_one_plumbing_matrix(self, runner, monkeypatch):
+        calls = self.count_calls(monkeypatch, "plumbing_matrix")
+        assert runner.invoke(main, ["homology", fixture_path("two_triples")]).exit_code == 0
+        assert len(calls) == 1
+
+    def test_verify_lists_nbc_pairs_twice(self, runner, monkeypatch):
+        calls = self.count_calls(monkeypatch, "nbc_set")
+        assert runner.invoke(main, ["verify", fixture_path("two_triples")]).exit_code == 0
+        assert len(calls) == 2
 
 
 def test_help_runs(runner):

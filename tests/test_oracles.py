@@ -32,7 +32,7 @@ from plumbline import (
     phi_matrix,
     verify_double_isomorphism,
 )
-from plumbline import resonance
+from plumbline import boundary_ring, resonance
 from plumbline.cli import random_arrangement
 from plumbline.exact_linalg import IntMatrix, cokernel, det
 from plumbline.os_algebra import DoubledAlgebra
@@ -88,10 +88,16 @@ def _same_plumbing_cokernel(arr):
     assert cokernel(m) == oracles.cokernel(m) == (arr.n, ())
 
 
+def _positional_map_is_label_map(arr):
+    dbl = double(os_algebra(arr))
+    assert boundary_ring._basis_map(cohomology_ring(arr), dbl) == oracles._label_map(arr, dbl)
+
+
 test_double_fixture, test_double_random = fixture_and_random(_same_double)
 test_cohomology_ring_fixture, test_cohomology_ring_random = fixture_and_random(_same_cohomology_ring)
 test_verify_fixture, test_verify_random = fixture_and_random(_same_report)
 test_plumbing_cokernel_fixture, test_plumbing_cokernel_random = fixture_and_random(_same_plumbing_cokernel)
+test_basis_map_fixture, test_basis_map_random = fixture_and_random(_positional_map_is_label_map)
 
 
 @st.composite
@@ -359,3 +365,26 @@ class TestBettiFloor:
         monkeypatch.setattr("plumbline.resonance.betti_numbers", lambda dbl, pt: calls.append(pt) or real(dbl, pt))
         assert [generic_betti(dbl, k, trials=5, seed=0) for k in range(4)] == [0, 1, 1, 0]
         assert len(calls) == 4
+
+
+def _duality_holds(arr, seed: int, seeds=range(4), trials=range(1, 6)):
+    """b_k = b_(3-k) at every point, and so for the generic values too."""
+    dbl = double(os_algebra(arr))
+    for pt in _points(arr, dbl, random.Random(seed)):
+        b = betti_numbers(dbl, pt)
+        assert b == b[::-1], pt
+    for s in seeds:
+        for t in trials:
+            for k in range(2):
+                assert generic_betti(dbl, k, trials=t, seed=s) == generic_betti(dbl, 3 - k, trials=t, seed=s), (k, s, t)
+
+
+class TestPoincareDuality:
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_fixtures(self, name):
+        _duality_holds(load_fixture(name), 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_arrangements, st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(1, 5))
+    def test_random(self, arr, seed, sample_seed, trials):
+        _duality_holds(arr, seed, seeds=[sample_seed], trials=[trials])
