@@ -45,8 +45,8 @@ def _load_arrangement(path: str) -> Arrangement:
         _fail(EXIT_IO, f"cannot read {path}: {exc}")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        _fail(EXIT_IO, f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, or nesting too deep
+        _fail(EXIT_IO, f"{path}: invalid JSON: {exc}")
     try:
         return arrmod.from_json(doc)
     except FormatError as exc:
@@ -55,8 +55,8 @@ def _load_arrangement(path: str) -> Arrangement:
         _fail(EXIT_MATH, f"{path}: {exc}")
 
 
-def _emit(ctx: click.Context, doc: dict, table: str | None = None) -> None:
-    if ctx.obj["format"] == "table" and table is not None:
+def _emit(ctx: click.Context, doc: dict, table: str) -> None:
+    if ctx.obj["format"] == "table":
         click.echo(table)
     else:
         click.echo(json.dumps(doc, indent=2, sort_keys=True))
@@ -228,11 +228,13 @@ def build_report(arr: Arrangement, seed: int, trials: int) -> dict:
 def _resonance_doc(arr: Arrangement, dbl: DoubledAlgebra, seed: int, trials: int) -> dict:
     """Generic Betti numbers, beta, class and predicted R^1_1 dimension."""
     cls, dim = r11_prediction(arr)
-    # The double is a Poincare duality algebra of formal dimension 3, so the
-    # complex is self-dual (d3 = d1^T, d2 antisymmetric) and b_k = b_(3-k).
-    low = [generic_betti(dbl, k, trials=trials, seed=seed) for k in range(2)]
+    # b_k = b_(3-k) by Poincare duality. b0 = 1 - rank d1 is 1 only at the zero
+    # point, the one point with b1 = N, and the degree-1 walk (floor < N) never
+    # stops there: so the generic b0 is 1 exactly when the generic b1 is N.
+    b1 = generic_betti(dbl, 1, trials=trials, seed=seed)
+    b0 = int(b1 == dbl.rank(1))
     return {
-        "betti": low + low[::-1],
+        "betti": [b0, b1, b1, b0],
         "beta": beta(arr),
         "class": cls.value,
         "predicted_r11_dim": dim,
@@ -265,8 +267,8 @@ def resonance_eval(ctx: click.Context, path: str, point_json: str) -> None:
     dbl = double(os_algebra(arr))
     try:
         doc = json.loads(point_json)
-    except json.JSONDecodeError as exc:
-        _fail(EXIT_IO, f"--point: invalid JSON: {exc.msg}")
+    except (ValueError, RecursionError) as exc:
+        _fail(EXIT_IO, f"--point: invalid JSON: {exc}")
     if not isinstance(doc, dict) or not all(isinstance(doc.get(k), list) for k in "ab"):
         _fail(EXIT_IO, '--point must be an object with "a" and "b" arrays')
     pt = AomotoPoint(_parse_coords(doc["a"], "a"), _parse_coords(doc["b"], "b"))

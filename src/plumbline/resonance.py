@@ -168,14 +168,10 @@ def aomoto_complex(dbl: DoubledAlgebra, pt: AomotoPoint) -> AomotoComplex:
     base = dbl.base
     r1 = base.rank(1)
     r2 = base.rank(2)
-    a = tuple(Fraction(x) for x in pt.a)
-    b = tuple(Fraction(x) for x in pt.b)
-    _check_length(a, r1, "a")
-    _check_length(b, r2, "b")
     n = r1 + r2
 
-    delta = delta_matrix(base, a)
-    phi = phi_matrix(base, b)
+    delta = delta_matrix(base, pt.a)
+    phi = phi_matrix(base, pt.b)
 
     zero = Fraction(0)
     entries: list[Fraction] = []
@@ -188,7 +184,7 @@ def aomoto_complex(dbl: DoubledAlgebra, pt: AomotoPoint) -> AomotoComplex:
         entries += [zero] * r2
     d2 = RatMatrix(n, n, tuple(entries))
 
-    v = a + b
+    v = pt.a + pt.b
     left = [zero] * n  # (a, b) d2
     right = [zero] * n  # d2 (a; b)
     for idx, x in enumerate(entries):
@@ -291,11 +287,11 @@ def trial_seed(seed: int, index: int) -> int:
     return seed * 1_000_003 + index
 
 
-def sample_point(dbl: DoubledAlgebra, rng: random.Random, bound: int = 10) -> AomotoPoint:
-    """A point with integer coordinates drawn uniformly from [-bound, bound]."""
+def sample_point(dbl: DoubledAlgebra, rng: random.Random) -> AomotoPoint:
+    """A point with integer coordinates drawn uniformly from [-10, 10]."""
     r1 = dbl.base.rank(1)
     r2 = dbl.base.rank(2)
-    coords = [Fraction(rng.randint(-bound, bound)) for _ in range(r1 + r2)]
+    coords = [Fraction(rng.randint(-10, 10)) for _ in range(r1 + r2)]
     return AomotoPoint(tuple(coords[:r1]), tuple(coords[r1:]))
 
 

@@ -62,6 +62,17 @@ class TestValidateCommand:
         assert result.exit_code == 2
         assert "line 1" in all_output(result)
 
+    @pytest.mark.parametrize(
+        "text", ['{"lines": ' + "7" * 5000 + ', "points": []}', "[" * 100_000], ids=["long-integer", "deep-nesting"]
+    )
+    def test_unreadable_json_exits_2(self, runner, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        result = runner.invoke(main, ["validate", str(bad)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in all_output(result)
+
     def test_missing_file_exits_2(self, runner):
         result = runner.invoke(main, ["validate", "no_such_file.json"])
         assert result.exit_code == 2
@@ -266,8 +277,16 @@ class TestUsageErrors:
                 "resonance", "eval", fixture_path("two_triples"),
                 "--point", '{"a": [true, 0, 0, 0], "b": [0, 0, 0, 0]}',
             ],
+            [
+                "resonance", "eval", fixture_path("two_triples"),
+                "--point", '{"a": [' + "1" * 5000 + ', 0, 0, 0], "b": [0, 0, 0, 0]}',
+            ],
+            ["resonance", "eval", fixture_path("two_triples"), "--point", "[" * 5000],
         ],
-        ids=["trials-0", "count-negative", "point-overflow", "point-float", "point-string", "point-bool"],
+        ids=[
+            "trials-0", "count-negative", "point-overflow", "point-float", "point-string", "point-bool",
+            "point-long-integer", "point-deep-nesting",
+        ],
     )
     def test_exits_2(self, runner, args):
         result = runner.invoke(main, args)
@@ -277,8 +296,8 @@ class TestUsageErrors:
 
 
 class TestOncePerOp:
-    """Each command builds each object once; Betti degrees 2 and 3 come from
-    1 and 0 by Poincare duality."""
+    """Each command builds each object once; the generic Betti numbers come
+    from one degree-one walk."""
 
     @staticmethod
     def count_calls(monkeypatch, name: str) -> list:
@@ -299,11 +318,25 @@ class TestOncePerOp:
         return calls
 
     @pytest.mark.parametrize("command", [["report"], ["resonance", "generic"]])
-    def test_two_generic_betti_walks(self, runner, monkeypatch, command):
+    def test_one_generic_betti_walk(self, runner, monkeypatch, command):
         calls = self.count_calls(monkeypatch, "generic_betti")
         result = runner.invoke(main, command + [fixture_path("two_triples")])
         assert result.exit_code == 0
-        assert [args[1] for args, _ in calls] == [0, 1]
+        assert [args[1] for args, _ in calls] == [1]
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["report"],
+            ["resonance", "generic"],
+            ["resonance", "eval", "--point", '{"a": [1, 2, 0, -1], "b": [0, 1, 1, 3]}'],
+        ],
+        ids=["report", "generic", "eval"],
+    )
+    def test_one_aomoto_complex(self, runner, monkeypatch, command):
+        calls = self.count_calls(monkeypatch, "aomoto_complex")
+        assert runner.invoke(main, command + [fixture_path("two_triples")]).exit_code == 0
+        assert len(calls) == 1
 
     def test_homology_builds_one_plumbing_matrix(self, runner, monkeypatch):
         calls = self.count_calls(monkeypatch, "plumbing_matrix")

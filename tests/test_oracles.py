@@ -27,12 +27,13 @@ from plumbline import (
     cohomology_ring,
     delta_matrix,
     double,
+    from_json,
     generic_betti,
     os_algebra,
     phi_matrix,
     verify_double_isomorphism,
 )
-from plumbline import boundary_ring, resonance
+from plumbline import boundary_ring, cli, resonance
 from plumbline.cli import random_arrangement
 from plumbline.exact_linalg import IntMatrix, cokernel, det
 from plumbline.os_algebra import DoubledAlgebra
@@ -388,3 +389,30 @@ class TestPoincareDuality:
     @given(small_arrangements, st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(1, 5))
     def test_random(self, arr, seed, sample_seed, trials):
         _duality_holds(arr, seed, seeds=[sample_seed], trials=[trials])
+
+
+def _one_walk_matches(arr, seeds=range(4), trials=range(1, 6)):
+    """The CLI's single degree-one walk gives all four generic Betti numbers."""
+    dbl = double(os_algebra(arr))
+    for s in seeds:
+        for t in trials:
+            want = [generic_betti(dbl, k, trials=t, seed=s) for k in range(4)]
+            assert cli._resonance_doc(arr, dbl, s, t)["betti"] == want, (s, t)
+
+
+class TestOneGenericWalk:
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_fixtures(self, name):
+        _one_walk_matches(load_fixture(name))
+
+    def test_two_lines(self):
+        # N = 1, so a sample point is zero with probability 1/21. At seed 99
+        # the first two are, which gives the generic b0 = 1 at trials 1 and 2.
+        arr = from_json({"lines": 2, "points": []})
+        _one_walk_matches(arr, seeds=[0, 1, 2, 3, 99])
+        assert cli._resonance_doc(arr, double(os_algebra(arr)), 99, 2)["betti"] == [1, 1, 1, 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_arrangements, st.integers(0, 3), st.integers(1, 5))
+    def test_random(self, arr, seed, trials):
+        _one_walk_matches(arr, seeds=[seed], trials=[trials])
