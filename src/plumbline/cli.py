@@ -31,6 +31,7 @@ from .resonance import (
 
 EXIT_MATH = 1
 EXIT_IO = 2
+MAX_DIGITS = 4300  # the interpreter's default limit on int() of a string, which JSON integers meet too
 
 
 def _fail(code: int, message: str) -> None:
@@ -248,9 +249,19 @@ def resonance() -> None:
     """Resonance varieties of the doubled algebra."""
 
 
+def _too_many_digits(v: str) -> bool:
+    """Whether Fraction(v) may build a numerator or denominator of over MAX_DIGITS
+    digits: neither has more than the digits and point v writes plus its exponent."""
+    mantissa, _, exp = v.lower().partition("e")
+    exp = "".join(filter(str.isdecimal, exp)).lstrip("0")
+    return len(exp) > 4 or sum(c.isdecimal() or c == "." for c in mantissa) + int(exp or 0) > MAX_DIGITS
+
+
 def _parse_coords(values: list, what: str) -> tuple[Fraction, ...]:
     if not all(type(v) in (int, str) for v in values):
         _fail(EXIT_IO, f'bad {what} coordinate: write an integer or a string such as "1/3" or "0.1"')
+    if any(type(v) is str and _too_many_digits(v) for v in values):
+        _fail(EXIT_IO, f"bad {what} coordinate: more than {MAX_DIGITS} digits")
     try:
         return tuple(Fraction(v) for v in values)
     except (ValueError, ZeroDivisionError) as exc:

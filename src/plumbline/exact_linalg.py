@@ -6,13 +6,13 @@ lowest terms with positive denominator). No floating point is used anywhere.
 ``IntMatrix`` and ``RatMatrix`` share one implementation and differ only in
 how ``from_rows`` coerces an entry.
 
-The entry points are Smith normal form (``snf``), rank and kernel dimension
-over the rationals (``rank``, ``kernel_dim``), a lower bound on the rank
-by reduction modulo the prime 2^31 - 1 (``rank_mod_p``), cokernel invariants of an
-integer matrix (``cokernel``), and an exact determinant (``det``). Rank and
-determinant come from one fraction-free (Bareiss) elimination, run on rows
-scaled to integers, which keeps intermediate entries bounded by minors of
-the input.
+The entry points are Smith normal form (``snf``), rank, kernel dimension and
+left kernel over the rationals (``rank``, ``kernel_dim``, ``left_kernel``), a
+lower bound on the rank modulo the prime 2^31 - 1 (``rank_mod_p``), cokernel
+invariants of an integer matrix (``cokernel``) and an exact determinant
+(``det``). Rank, left kernel and determinant come from one fraction-free
+(Bareiss) elimination, run on rows scaled to integers, which keeps
+intermediate entries bounded by minors of the input.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 __all__ = [
     "IntMatrix",
@@ -31,6 +31,7 @@ __all__ = [
     "rank",
     "rank_mod_p",
     "kernel_dim",
+    "left_kernel",
     "cokernel",
     "det",
 ]
@@ -272,10 +273,9 @@ def snf(m: IntMatrix) -> SnfResult:
     )
 
 
-def _scaled_integer_rows(m: RatMatrix) -> list[list[int]]:
+def _scaled_integer_rows(rows: Iterable[Sequence]) -> list[list[int]]:
     out: list[list[int]] = []
-    for i in range(m.rows):
-        row = m.row(i)
+    for row in rows:
         scale = 1
         for x in row:
             scale = scale * x.denominator // gcd(scale, x.denominator)
@@ -286,11 +286,11 @@ def _scaled_integer_rows(m: RatMatrix) -> list[list[int]]:
 def _bareiss(rows: list[list[int]], ncols: int) -> tuple[int, int]:
     """Bareiss elimination with column skipping, in place.
 
-    Returns the rank and the last pivot times the sign of the row swaps,
-    which for a square matrix of full rank is its determinant. Entries stay
-    equal to minors of the input, so every division below is exact
-    (Sylvester's determinant identity); this holds for any choice of pivot
-    columns.
+    Pivots are taken in the first ``ncols`` columns; later columns are only
+    carried along. Returns the rank and the last pivot times the sign of the
+    row swaps, which for a square matrix of full rank is its determinant.
+    Entries stay equal to minors of the input, so every division below is
+    exact (Sylvester's determinant identity), for any choice of pivot columns.
     """
     r = 0
     prev = 1
@@ -312,7 +312,7 @@ def _bareiss(rows: list[list[int]], ncols: int) -> tuple[int, int]:
         for i in range(r + 1, nrows):
             row = rows[i]
             x = row[c]
-            for j in range(c + 1, ncols):
+            for j in range(c + 1, len(row)):
                 num = pv * row[j] - x * top[j]
                 q, rem = divmod(num, prev)
                 if rem:
@@ -328,7 +328,7 @@ def _bareiss(rows: list[list[int]], ncols: int) -> tuple[int, int]:
 
 def rank(m: RatMatrix) -> int:
     """Rank of a rational matrix, exactly."""
-    return _bareiss(_scaled_integer_rows(m), m.cols)[0]
+    return _bareiss(_scaled_integer_rows(map(m.row, range(m.rows))), m.cols)[0]
 
 
 def rank_mod_p(m: RatMatrix) -> int:
@@ -339,7 +339,7 @@ def rank_mod_p(m: RatMatrix) -> int:
     result is at most ``rank(m)``.
     """
     p = 2**31 - 1
-    rows = [[x % p for x in row] for row in _scaled_integer_rows(m)]
+    rows = [[x % p for x in row] for row in _scaled_integer_rows(map(m.row, range(m.rows)))]
     r = 0
     for c in range(m.cols):
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
@@ -361,6 +361,18 @@ def rank_mod_p(m: RatMatrix) -> int:
 def kernel_dim(m: RatMatrix) -> int:
     """Dimension of the right kernel: cols - rank."""
     return m.cols - rank(m)
+
+
+def left_kernel(m: RatMatrix) -> tuple[int, list[list[int]]]:
+    """The rank of m and an integer basis of {y : y m = 0}, one row per vector.
+
+    Scaling each row of [m | I] to integers gives [D m | D]. Bareiss elimination
+    with pivots in m keeps every row [z m | z] with independent z, and past the
+    rank z m = 0.
+    """
+    rows = _scaled_integer_rows(m.row(i) + (0,) * i + (1,) + (0,) * (m.rows - 1 - i) for i in range(m.rows))
+    r = _bareiss(rows, m.cols)[0]
+    return r, [row[m.cols :] for row in rows[r:]]
 
 
 def cokernel(m: IntMatrix) -> tuple[int, tuple[int, ...]]:

@@ -15,7 +15,7 @@ Phi(b)[i, j] = sum_k mu[i, j, k] b_k (r1 x r1, antisymmetric), with
 mu[i, j, k] the structure constants of the base algebra extended
 antisymmetrically in (i, j). The chain identities d1 d2 = 0 and d2 d3 = 0
 hold for every point and are asserted at construction, in one pass over the
-nonzero entries of d2.
+nonzero entries of Delta(a) and Phi(b); no Betti number needs d2 assembled.
 
 Betti numbers are proved rather than ranked whenever possible
 (Cohen-Suciu, "The boundary manifold of a complex line arrangement",
@@ -40,10 +40,16 @@ rank d1 = rank d3 = 1 at a nonzero point and 0 at the zero point.
   is at most its rational rank. So if a != 0 and the rows of Delta(a),
   scaled to integers, have rank r1 - 1 modulo the prime 2^31 - 1, then
   rank d2 = 2 (r1 - 1) and the Betti numbers are exactly the floor,
-  whatever b is. The witness ranks the Delta block of the assembled d2, the
-  same block the chain check tested; without that check the bound
-  rank Delta(a) <= r1 - 1 would be unproved for it. Only where no witness
-  is found is d2 ranked exactly.
+  whatever b is. The chain check proves rank Delta(a) <= r1 - 1 for the
+  very Delta(a) that the witness ranks.
+* The block rank. Elsewhere rank d2 = 2 s + rank(K Phi(b) K^T), with
+  s = rank Delta(a) and the rows of K a basis of {x : x Delta(a) = 0}.
+  Proof: pick invertible P and Q with P Delta Q = [[I_s, 0], [0, 0]]. The
+  congruence by diag(P, Q^T) keeps the rank and the antisymmetry. The I_s
+  blocks then clear everything in their rows and columns, which leaves 2 s
+  plus the rank of the lower-right block of P Phi P^T. The last r1 - s rows
+  of P span the left kernel of Delta, so that block is congruent to
+  K Phi K^T. At a = 0 this is rank Phi(b), and at b = 0 it is 2 s.
 
 A point lies in the k-th resonance variety of depth d exactly when the k-th
 Betti number is at least d. For the base algebra alone, a degree-one element
@@ -56,10 +62,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .arrangement import Arrangement, ArrangementClass, classify, nbc_set
-from .exact_linalg import RatMatrix, kernel_dim, rank, rank_mod_p
+from .exact_linalg import IntMatrix, RatMatrix, kernel_dim, left_kernel, rank, rank_mod_p
 from .os_algebra import DoubledAlgebra, GradedAlgebra
 
 __all__ = [
@@ -107,11 +116,27 @@ class AomotoPoint:
 
 @dataclass(frozen=True)
 class AomotoComplex:
-    """The three differentials of the complex at a fixed point."""
+    """The complex at a fixed point, held as the two blocks of d2."""
 
-    d1: RatMatrix  # 1 x N
-    d2: RatMatrix  # N x N
-    d3: RatMatrix  # N x 1
+    point: AomotoPoint
+    delta: RatMatrix  # r1 x r2
+    phi: RatMatrix  # r1 x r1
+
+    @property
+    def d1(self) -> RatMatrix:
+        return RatMatrix(1, self.delta.rows + self.delta.cols, self.point.a + self.point.b)
+
+    @property
+    def d3(self) -> RatMatrix:
+        return RatMatrix(self.delta.rows + self.delta.cols, 1, self.point.a + self.point.b)
+
+    @cached_property
+    def d2(self) -> RatMatrix:
+        """The dense N x N [[Phi, Delta], [-Delta^T, 0]], built on first access."""
+        r2 = self.delta.cols
+        rows = [self.phi.row(i) + self.delta.row(i) for i in range(self.phi.rows)]
+        rows += [[-x for x in self.delta.entries[k::r2]] + [0] * r2 for k in range(r2)]
+        return RatMatrix.from_rows(rows)
 
 
 def _mu_rows(alg: GradedAlgebra) -> dict[tuple[int, int], dict[int, int]]:
@@ -159,44 +184,36 @@ def phi_matrix(alg: GradedAlgebra, b: Sequence[Fraction]) -> RatMatrix:
 
 
 def aomoto_complex(dbl: DoubledAlgebra, pt: AomotoPoint) -> AomotoComplex:
-    """Assemble the differentials at a point and assert the chain identities.
+    """Build the blocks of d2 at a point and assert the chain identities.
 
-    The check computes (a, b) d2 and d2 (a; b) in one pass over the nonzero
-    entries of d2. Besides guarding against a corrupt complex it proves
-    a Delta(a) = 0, on which the rank witness of ``betti_numbers`` rests.
+    The check computes (a, b) d2 = (a Phi - b Delta^T, a Delta) and
+    d2 (a; b) = (Phi a^T + Delta b^T; -Delta^T a^T) in one pass over the
+    nonzero entries of the blocks. Besides guarding against a corrupt complex
+    it proves a Delta(a) = 0, on which the witness of ``betti_numbers`` rests.
     """
-    base = dbl.base
-    r1 = base.rank(1)
-    r2 = base.rank(2)
-    n = r1 + r2
-
-    delta = delta_matrix(base, pt.a)
-    phi = phi_matrix(base, pt.b)
-
-    zero = Fraction(0)
-    entries: list[Fraction] = []
-    for i in range(r1):
-        entries += phi.row(i)
-        entries += delta.row(i)
-    dt = delta.transpose()
-    for k in range(r2):
-        entries += [-x for x in dt.row(k)]
-        entries += [zero] * r2
-    d2 = RatMatrix(n, n, tuple(entries))
-
-    v = pt.a + pt.b
-    left = [zero] * n  # (a, b) d2
-    right = [zero] * n  # d2 (a; b)
-    for idx, x in enumerate(entries):
+    delta = delta_matrix(dbl.base, pt.a)
+    phi = phi_matrix(dbl.base, pt.b)
+    r1, r2 = delta.rows, delta.cols
+    a, b = pt.a, pt.b
+    left = [Fraction(0)] * (r1 + r2)  # (a, b) d2
+    right = [Fraction(0)] * (r1 + r2)  # d2 (a; b)
+    for idx, x in enumerate(phi.entries):
         if x:
-            i, j = divmod(idx, n)
-            left[j] += v[i] * x
-            right[i] += x * v[j]
+            i, j = divmod(idx, r1)
+            left[j] += a[i] * x
+            right[i] += x * a[j]
+    for idx, x in enumerate(delta.entries):
+        if x:
+            j, k = divmod(idx, r2)
+            left[j] -= b[k] * x
+            left[r1 + k] += a[j] * x
+            right[j] += x * b[k]
+            right[r1 + k] -= x * a[j]
     if any(left):
         raise ChainConditionViolated("d1 . d2 != 0")
     if any(right):
         raise ChainConditionViolated("d2 . d3 != 0")
-    return AomotoComplex(RatMatrix(1, n, v), d2, RatMatrix(n, 1, v))
+    return AomotoComplex(pt, delta, phi)
 
 
 def betti_numbers(dbl: DoubledAlgebra, pt: AomotoPoint) -> tuple[int, int, int, int]:
@@ -206,25 +223,27 @@ def betti_numbers(dbl: DoubledAlgebra, pt: AomotoPoint) -> tuple[int, int, int, 
     dimension (rows of d) - rank d, and the k-th Betti number is
     dim ker d_(k+1) - rank d_k, with the outer differentials zero. The rank
     of d2 is 2 (r1 - 1) when the witness of the module docstring holds, and
-    is computed exactly otherwise.
+    comes from the block rank otherwise.
     """
     cx = aomoto_complex(dbl, pt)
-    r1 = dbl.base.rank(1)
-    n = cx.d1.cols
-    v = cx.d1.entries
-    if any(v[:r1]) and rank_mod_p(_delta_block(cx.d2, r1)) == r1 - 1:
+    r1, r2 = cx.delta.rows, cx.delta.cols
+    if any(pt.a) and rank_mod_p(cx.delta) == r1 - 1:
         rank_d2 = 2 * (r1 - 1)
     else:
-        rank_d2 = rank(cx.d2)
-    outer = 1 if any(v) else 0
-    dims = (1, n, n, 1)
+        s, kernel = left_kernel(cx.delta)
+        rank_d2 = 2 * s + rank(_restricted_phi(cx.phi, kernel))
+    outer = 0 if pt.is_zero() else 1
+    dims = (1, r1 + r2, r1 + r2, 1)
     ranks = (0, outer, rank_d2, outer, 0)
     return tuple(dims[k] - ranks[k + 1] - ranks[k] for k in range(4))
 
 
-def _delta_block(d2: RatMatrix, r1: int) -> RatMatrix:
-    """The upper-right r1 x r2 block of d2, which is Delta(a)."""
-    return RatMatrix(r1, d2.cols - r1, tuple(x for i in range(r1) for x in d2.row(i)[r1:]))
+def _restricted_phi(phi: RatMatrix, kernel: list[list[int]]) -> IntMatrix:
+    """-K Phi K^T over the integers, K the rows of ``kernel``, Phi times its lcm denominator."""
+    den = lcm(*(x.denominator for x in phi.entries))
+    rows = [[x.numerator * (den // x.denominator) for x in phi.row(i)] for i in range(phi.rows)]
+    k_phi = [[sum(map(mul, row, y)) for row in rows] for y in kernel]  # K Phi^T = -K Phi
+    return IntMatrix(len(kernel), len(kernel), tuple(sum(map(mul, t, y)) for t in k_phi for y in kernel))
 
 
 def _betti_floor(alg: GradedAlgebra) -> tuple[int, int, int, int]:
@@ -264,8 +283,8 @@ def in_resonance(dbl: DoubledAlgebra, pt: AomotoPoint, k: int, d: int) -> bool:
 def zero_a_identity_check(dbl: DoubledAlgebra, b: Sequence[Fraction]) -> tuple[int, int]:
     """First Betti number at (0, b) against r2 - 1 + dim ker Phi(b).
 
-    The two sides are computed by different routes (rank of the full d2
-    versus the kernel of Phi alone) and agree identically for nonzero b.
+    The two sides come by different routes (the rank of the dense d2, not
+    ``betti_numbers``, against the kernel of Phi alone) and agree for b != 0.
     Returns (lhs, rhs) so callers can report both.
     """
     base = dbl.base
@@ -277,7 +296,7 @@ def zero_a_identity_check(dbl: DoubledAlgebra, b: Sequence[Fraction]) -> tuple[i
     _check_length(b, r2, "b")
     if all(x == 0 for x in b):
         raise ValueError("b must be nonzero")
-    lhs = betti(dbl, AomotoPoint((Fraction(0),) * r1, b), 1)
+    lhs = r1 + r2 - 1 - rank(aomoto_complex(dbl, AomotoPoint((Fraction(0),) * r1, b)).d2)
     rhs = r2 - 1 + kernel_dim(phi_matrix(base, b))
     return lhs, rhs
 

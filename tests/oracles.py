@@ -4,7 +4,8 @@ Each function here is the earlier, direct implementation, kept unchanged as
 a test oracle: the Smith-form cokernel, the stand-alone Bareiss determinant,
 the triple-loop double, the pair-loop cohomology ring (with the label parsing
 it used for Poincare duality), the pair-loop ring verifier (with the label
-map it used), and the resonance complex with Betti numbers from dense
+map it used), and the resonance complex (as the three dense differentials
+of the ``AomotoComplex`` it returned) with Betti numbers from dense
 rational ranks and generic Betti numbers as a minimum over every sampled
 point. The property tests in
 ``test_oracles.py`` check that the package's versions give the same results.
@@ -14,6 +15,7 @@ Nothing in ``src/`` imports this module.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,7 +24,6 @@ from plumbline.boundary_ring import IsomorphismReport, intersection_ring
 from plumbline.exact_linalg import IntMatrix, RatMatrix, rank, snf
 from plumbline.os_algebra import DegreeError, DoubledAlgebra, GradedAlgebra, dual_label, os_algebra
 from plumbline.resonance import (
-    AomotoComplex,
     AomotoPoint,
     ChainConditionViolated,
     _check_length,
@@ -195,6 +196,15 @@ def verify_double_isomorphism(arr: Arrangement) -> IsomorphismReport:
         if lhs != rhs:
             mismatches.append((x, y, lhs, rhs))
     return IsomorphismReport(ok=not mismatches, mismatches=tuple(mismatches))
+
+
+@dataclass(frozen=True)
+class AomotoComplex:
+    """The three differentials of the complex at a fixed point."""
+
+    d1: RatMatrix  # 1 x N
+    d2: RatMatrix  # N x N
+    d3: RatMatrix  # N x 1
 
 
 def delta_matrix(alg: GradedAlgebra, a: Sequence[Fraction]) -> RatMatrix:

@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -294,6 +295,18 @@ class TestUsageErrors:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in all_output(result)
 
+    @pytest.mark.parametrize(
+        "coord", ['"1e-999999"', '"1e-9999999"', '"1/' + "7" * 5000 + '"'], ids=["exp-6", "exp-7", "long-denominator"]
+    )
+    def test_oversized_coordinate_exits_2_at_once(self, runner, coord):
+        # Fraction("1e-9999999") alone takes seconds; the digits are counted first.
+        point = '{"a": [' + coord + ', 0, 0, 0], "b": [0, 0, 0, 0]}'
+        start = time.perf_counter()
+        result = runner.invoke(main, ["resonance", "eval", fixture_path("two_triples"), "--point", point])
+        assert time.perf_counter() - start < 2
+        assert result.exit_code == 2
+        assert "4300 digits" in all_output(result)
+
 
 class TestOncePerOp:
     """Each command builds each object once; the generic Betti numbers come
@@ -337,6 +350,26 @@ class TestOncePerOp:
         calls = self.count_calls(monkeypatch, "aomoto_complex")
         assert runner.invoke(main, command + [fixture_path("two_triples")]).exit_code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["report"],
+            ["resonance", "eval", "--point", '{"a": [1, 2, 0, -1], "b": [0, 1, 1, 3]}'],
+            ["resonance", "eval", "--point", '{"a": [0, 0, 0, 0], "b": [1, 0, 2, 0]}'],
+            # e1 - e2 lies on the local component of the triple point {1, 2, 3}.
+            ["resonance", "eval", "--point", '{"a": [1, -1, 0, 0], "b": [0, 1, 1, 3]}'],
+        ],
+        ids=["report", "eval-integer", "eval-zero-a", "eval-multiple-point"],
+    )
+    def test_no_dense_d2(self, runner, monkeypatch, command):
+        ranked = self.count_calls(monkeypatch, "rank")
+        reads = []
+        monkeypatch.setattr(plumbline.AomotoComplex, "d2", property(reads.append))
+        assert runner.invoke(main, command + [fixture_path("two_triples")]).exit_code == 0
+        n = 8  # r1 + r2 on two_triples
+        assert [args[0] for args, _ in ranked if (args[0].rows, args[0].cols) == (n, n)] == []
+        assert reads == []
 
     def test_homology_builds_one_plumbing_matrix(self, runner, monkeypatch):
         calls = self.count_calls(monkeypatch, "plumbing_matrix")

@@ -21,6 +21,7 @@ from plumbline.exact_linalg import (
     cokernel,
     det,
     kernel_dim,
+    left_kernel,
     rank,
     rank_mod_p,
     snf,
@@ -236,6 +237,46 @@ class TestRankModP:
         q = m.to_rational()
         scaled = RatMatrix.from_rows([[x / (i + 2) for x in q.row(i)] for i in range(q.rows)]) if q.rows else q
         assert rank_mod_p(scaled) == rank_mod_p(q) == rank(q)
+
+
+def check_left_kernel(m: RatMatrix) -> None:
+    r, kernel = left_kernel(m)
+    assert r == fraction_rank(m)
+    assert len(kernel) == m.rows - r
+    assert all(type(x) is int for y in kernel for x in y)
+    if kernel:
+        y = RatMatrix.from_rows(kernel)
+        assert (y @ m).is_zero()
+        assert fraction_rank(y) == len(kernel)
+
+
+class TestLeftKernel:
+    def test_no_rows(self):
+        assert left_kernel(RatMatrix(0, 3, ())) == (0, [])
+
+    def test_no_columns(self):
+        assert left_kernel(RatMatrix(2, 0, ())) == (0, [[1, 0], [0, 1]])
+
+    def test_all_zero(self):
+        check_left_kernel(RatMatrix.zeros(3, 4))
+
+    def test_full_rank(self):
+        assert left_kernel(IntMatrix.identity(3).to_rational()) == (3, [])
+
+    def test_fractional_entries(self):
+        m = RatMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1], [Fraction(5, 7), 0]])
+        check_left_kernel(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices(max_dim=6, max_abs=3), st.integers(0, 2**32 - 1))
+    def test_random_with_dependent_rows(self, m, seed):
+        # Append scaled combinations of the rows, so the kernel is rarely empty.
+        rng = random.Random(seed)
+        rows = m.to_rational().to_rows()
+        for _ in range(rng.randint(0, 3)):
+            c = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in rows]
+            rows.append([sum(ci * row[j] for ci, row in zip(c, rows)) for j in range(m.cols)])
+        check_left_kernel(RatMatrix.from_rows(rows))
 
 
 class TestCokernel:

@@ -35,8 +35,8 @@ from plumbline import (
 )
 from plumbline import boundary_ring, cli, resonance
 from plumbline.cli import random_arrangement
-from plumbline.exact_linalg import IntMatrix, cokernel, det
-from plumbline.os_algebra import DoubledAlgebra
+from plumbline.exact_linalg import IntMatrix, cokernel, det, left_kernel, rank
+from plumbline.os_algebra import DoubledAlgebra, GradedAlgebra
 from plumbline.plumbing import plumbing_graph, plumbing_matrix
 
 from conftest import ALL_FIXTURES, load_fixture
@@ -337,6 +337,72 @@ class TestWitnessTeeth:
         _same_resonance(arr)
         _same_generic_betti(arr, seeds=[0], trials=[1, 5])
         assert ranked
+
+
+def _block_rank_points(arr, dbl, rng: random.Random) -> list[AomotoPoint]:
+    """Rational points where the witness cannot certify: a = 0, b = 0, and a
+    on the local components of one or two multiple points with random b."""
+    r1, r2 = dbl.base.rank(1), dbl.base.rank(2)
+
+    def rats(m):
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(m)]
+
+    def local(point):
+        lines = [i for i in point if i != 0]
+        a = [Fraction(0)] * r1
+        for i, x in zip(lines, rats(len(lines))):
+            a[i - 1] = x
+        if 0 not in point:
+            a[lines[-1] - 1] -= sum(a[i - 1] for i in lines)
+        return a
+
+    pts = [AomotoPoint.make([0] * r1, rats(r2)), AomotoPoint.make(rats(r1), [0] * r2)]
+    multiple = [p for p in arr.points if len(p) >= 3]
+    for k in (1, 2)[: len(multiple)]:
+        a = [sum(xs) for xs in zip(*(local(p) for p in rng.sample(multiple, k)))]
+        pts.append(AomotoPoint.make(a, rats(r2)))
+    return pts
+
+
+def _block_rank_matches(arr, seed: int, witness: bool):
+    dbl = double(os_algebra(arr))
+    with pytest.MonkeyPatch.context() as mp:
+        if not witness:
+            mp.setattr(resonance, "rank_mod_p", lambda delta: -1)
+        for pt in _block_rank_points(arr, dbl, random.Random(seed)):
+            assert betti_numbers(dbl, pt) == oracles.betti_numbers(dbl, pt), pt
+
+
+class TestBlockRank:
+    """rank d2 = 2 rank Delta(a) + rank(K Phi(b) K^T) against the dense rank,
+    with the witness as it is and with one that never certifies."""
+
+    @pytest.mark.parametrize("witness", [True, False], ids=["witness", "no-witness"])
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_fixtures(self, name, witness):
+        for seed in range(3):
+            _block_rank_matches(load_fixture(name), seed, witness)
+
+    @pytest.mark.parametrize("witness", [True, False], ids=["witness", "no-witness"])
+    @settings(max_examples=40, deadline=None)
+    @given(arr=small_arrangements, seed=st.integers(0, 2**32 - 1))
+    def test_random(self, witness, arr, seed):
+        _block_rank_matches(arr, seed, witness)
+
+    def test_restricted_term_of_a_non_isotropic_algebra(self):
+        # x1 x2 = z1 and x3 x4 = z2 are the only products. At a = x1, Delta(a)
+        # has rank 1 and left kernel <x1, x3, x4>, on which b = z2* pairs x3
+        # with x4: K Phi K^T has rank 2, so rank d2 = 2 + 2 and b1 = 6 - 1 - 4.
+        alg = GradedAlgebra(
+            (("1",), ("x1", "x2", "x3", "x4"), ("z1", "z2")),
+            {("x1", "x2"): {"z1": 1}, ("x3", "x4"): {"z2": 1}},
+        )
+        dbl = double(alg)
+        pt = AomotoPoint.make([1, 0, 0, 0], [0, 1])
+        s, kernel = left_kernel(delta_matrix(alg, pt.a))
+        assert s == 1
+        assert rank(resonance._restricted_phi(phi_matrix(alg, pt.b), kernel)) == 2
+        assert betti_numbers(dbl, pt) == oracles.betti_numbers(dbl, pt) == (0, 1, 1, 0)
 
 
 def _floor_holds(arr, seed: int):
