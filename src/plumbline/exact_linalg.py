@@ -1,18 +1,18 @@
 """Exact dense linear algebra over the integers and the rationals.
 
 Everything in this module is exact: integer matrices hold arbitrary-precision
-Python ints, rational matrices hold ``fractions.Fraction`` values (always in
-lowest terms with positive denominator). No floating point is used anywhere.
-``IntMatrix`` and ``RatMatrix`` share one implementation and differ only in
-how ``from_rows`` coerces an entry.
+Python ints, and rational matrices hold exact rationals, ``int`` or
+``fractions.Fraction``. No floating point is used anywhere. ``IntMatrix`` and
+``RatMatrix`` share one implementation and differ only in how ``from_rows``
+coerces an entry.
 
 The entry points are Smith normal form (``snf``), rank, kernel dimension and
 left kernel over the rationals (``rank``, ``kernel_dim``, ``left_kernel``), a
 lower bound on the rank modulo the prime 2^31 - 1 (``rank_mod_p``), cokernel
 invariants of an integer matrix (``cokernel``) and an exact determinant
 (``det``). Rank, left kernel and determinant come from one fraction-free
-(Bareiss) elimination, run on rows scaled to integers, which keeps
-intermediate entries bounded by minors of the input.
+(Bareiss) elimination, run on rows that ``clear_denominators`` scales to
+integers, which keeps intermediate entries bounded by minors of the input.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence, TypeVar
+from math import lcm
+from typing import Sequence, TypeVar
 
 __all__ = [
     "IntMatrix",
@@ -34,6 +34,7 @@ __all__ = [
     "left_kernel",
     "cokernel",
     "det",
+    "clear_denominators",
 ]
 
 _M = TypeVar("_M", bound="_Matrix")
@@ -124,7 +125,7 @@ class IntMatrix(_Matrix):
 
 
 class RatMatrix(_Matrix):
-    """Immutable dense rational matrix of ``Fraction`` entries."""
+    """Immutable dense matrix of exact rationals, ``int`` or ``Fraction``."""
 
     _coerce = staticmethod(Fraction)
 
@@ -273,14 +274,10 @@ def snf(m: IntMatrix) -> SnfResult:
     )
 
 
-def _scaled_integer_rows(rows: Iterable[Sequence]) -> list[list[int]]:
-    out: list[list[int]] = []
-    for row in rows:
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        out.append([x.numerator * (scale // x.denominator) for x in row])
-    return out
+def clear_denominators(row: Sequence) -> list[int]:
+    """The row of exact rationals times the lcm of their denominators."""
+    den = lcm(*{x.denominator for x in row})
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def _bareiss(rows: list[list[int]], ncols: int) -> tuple[int, int]:
@@ -328,7 +325,7 @@ def _bareiss(rows: list[list[int]], ncols: int) -> tuple[int, int]:
 
 def rank(m: RatMatrix) -> int:
     """Rank of a rational matrix, exactly."""
-    return _bareiss(_scaled_integer_rows(map(m.row, range(m.rows))), m.cols)[0]
+    return _bareiss([clear_denominators(m.row(i)) for i in range(m.rows)], m.cols)[0]
 
 
 def rank_mod_p(m: RatMatrix) -> int:
@@ -339,7 +336,7 @@ def rank_mod_p(m: RatMatrix) -> int:
     result is at most ``rank(m)``.
     """
     p = 2**31 - 1
-    rows = [[x % p for x in row] for row in _scaled_integer_rows(map(m.row, range(m.rows)))]
+    rows = [[x % p for x in clear_denominators(m.row(i))] for i in range(m.rows)]
     r = 0
     for c in range(m.cols):
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
@@ -370,7 +367,7 @@ def left_kernel(m: RatMatrix) -> tuple[int, list[list[int]]]:
     with pivots in m keeps every row [z m | z] with independent z, and past the
     rank z m = 0.
     """
-    rows = _scaled_integer_rows(m.row(i) + (0,) * i + (1,) + (0,) * (m.rows - 1 - i) for i in range(m.rows))
+    rows = [clear_denominators(m.row(i) + (0,) * i + (1,) + (0,) * (m.rows - 1 - i)) for i in range(m.rows)]
     r = _bareiss(rows, m.cols)[0]
     return r, [row[m.cols :] for row in rows[r:]]
 

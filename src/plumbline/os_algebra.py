@@ -103,6 +103,17 @@ class GradedAlgebra:
                 out[lab] = (d, i)
         return out
 
+    @cached_property
+    def _mu(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(i, j, k, c) for each stored degree-one product x_i x_j = ... + c z_k, by basis index."""
+        pos = self._position
+        return tuple(
+            (pos[x][1], pos[y][1], pos[z][1], c)
+            for (x, y), vec in self.products.items()
+            if pos[x][0] == pos[y][0] == 1
+            for z, c in vec.items()
+        )
+
     def degree_of(self, label: str) -> int:
         return self._position[label][0]
 

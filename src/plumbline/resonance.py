@@ -37,8 +37,8 @@ rank d1 = rank d3 = 1 at a nonzero point and 0 at the zero point.
 * The witness. A nonsingular r x r block Delta(a)[I, J] gives the principal
   minor of d2 on I and r1 + J, which is det(Delta(a)[I, J])^2, so
   rank d2 >= 2 rank Delta(a). The rank of an integer matrix modulo a prime
-  is at most its rational rank. So if a != 0 and the rows of Delta(a),
-  scaled to integers, have rank r1 - 1 modulo the prime 2^31 - 1, then
+  is at most its rational rank. So if a != 0 and the integer matrix
+  Delta(a) has rank r1 - 1 modulo the prime 2^31 - 1, then
   rank d2 = 2 (r1 - 1) and the Betti numbers are exactly the floor,
   whatever b is. The chain check proves rank Delta(a) <= r1 - 1 for the
   very Delta(a) that the witness ranks.
@@ -50,6 +50,11 @@ rank d1 = rank d3 = 1 at a nonzero point and 0 at the zero point.
   plus the rank of the lower-right block of P Phi P^T. The last r1 - s rows
   of P span the left kernel of Delta, so that block is congruent to
   K Phi K^T. At a = 0 this is rank Phi(b), and at b = 0 it is 2 s.
+* Scaling. For nonzero rationals x and y, d2 at (x a, y b) is congruent to
+  y d2(a, b) by diag(I, (y/x) I), and x a, y b are zero exactly when a, b
+  are; so no Betti number changes. ``betti_numbers`` therefore clears the
+  denominators of a and of b once and builds, checks and ranks Delta(a) and
+  Phi(b) over the integers. The chain check runs on that integer point.
 
 A point lies in the k-th resonance variety of depth d exactly when the k-th
 Betti number is at least d. For the base algebra alone, a degree-one element
@@ -63,12 +68,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from .arrangement import Arrangement, ArrangementClass, classify, nbc_set
-from .exact_linalg import IntMatrix, RatMatrix, kernel_dim, left_kernel, rank, rank_mod_p
+from .exact_linalg import IntMatrix, RatMatrix, clear_denominators, kernel_dim, left_kernel, rank, rank_mod_p
 from .os_algebra import DoubledAlgebra, GradedAlgebra
 
 __all__ = [
@@ -101,10 +105,11 @@ class ChainConditionViolated(RuntimeError):
 
 @dataclass(frozen=True)
 class AomotoPoint:
-    """A degree-one point of the double: coordinates (a, b), all exact."""
+    """A degree-one point of the double: coordinates (a, b), exact rationals,
+    ``int`` or ``Fraction``; ``make`` converts each to ``Fraction``."""
 
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
+    a: tuple[int | Fraction, ...]
+    b: tuple[int | Fraction, ...]
 
     @staticmethod
     def make(a: Iterable, b: Iterable) -> "AomotoPoint":
@@ -139,47 +144,33 @@ class AomotoComplex:
         return RatMatrix.from_rows(rows)
 
 
-def _mu_rows(alg: GradedAlgebra) -> dict[tuple[int, int], dict[int, int]]:
-    """Structure constants on stored degree-one pairs, by basis index."""
-    deg1 = {lab: i for i, lab in enumerate(alg.basis[1])}
-    deg2 = {lab: k for k, lab in enumerate(alg.basis[2])}
-    out: dict[tuple[int, int], dict[int, int]] = {}
-    for (x, y), vec in alg.products.items():
-        if x in deg1 and y in deg1:
-            out[(deg1[x], deg1[y])] = {deg2[lab]: c for lab, c in vec.items()}
-    return out
-
-
-def _check_length(coords: Sequence[Fraction], want: int, what: str) -> None:
+def _check_coords(coords: Sequence, want: int, what: str) -> None:
     if len(coords) != want:
         raise DimensionMismatch(f"{what} has {len(coords)} coordinates, expected {want}")
+    if any(type(x) not in (int, Fraction) for x in coords):
+        raise TypeError(f"{what} may hold only int and Fraction coordinates")
 
 
-def delta_matrix(alg: GradedAlgebra, a: Sequence[Fraction]) -> RatMatrix:
-    """The r1 x r2 matrix Delta(a)[j, k] = sum_i mu[i, j, k] a_i."""
+def delta_matrix(alg: GradedAlgebra, a: Sequence[int | Fraction]) -> RatMatrix:
+    """The r1 x r2 matrix Delta(a)[j, k] = sum_i mu[i, j, k] a_i; integer a gives integer entries."""
     r1 = alg.rank(1)
     r2 = alg.rank(2)
-    a = tuple(Fraction(x) for x in a)
-    _check_length(a, r1, "a")
-    entries = [Fraction(0)] * (r1 * r2)
-    for (i, j), vec in _mu_rows(alg).items():
-        for k, c in vec.items():
-            entries[j * r2 + k] += c * a[i]
-            entries[i * r2 + k] -= c * a[j]
+    _check_coords(a, r1, "a")
+    entries = [0] * (r1 * r2)
+    for i, j, k, c in alg._mu:
+        entries[j * r2 + k] += c * a[i]
+        entries[i * r2 + k] -= c * a[j]
     return RatMatrix(r1, r2, tuple(entries))
 
 
-def phi_matrix(alg: GradedAlgebra, b: Sequence[Fraction]) -> RatMatrix:
-    """The antisymmetric r1 x r1 matrix Phi(b)[i, j] = sum_k mu[i, j, k] b_k."""
+def phi_matrix(alg: GradedAlgebra, b: Sequence[int | Fraction]) -> RatMatrix:
+    """The antisymmetric r1 x r1 matrix Phi(b)[i, j] = sum_k mu[i, j, k] b_k; integer b gives integer entries."""
     r1 = alg.rank(1)
-    r2 = alg.rank(2)
-    b = tuple(Fraction(x) for x in b)
-    _check_length(b, r2, "b")
-    entries = [Fraction(0)] * (r1 * r1)
-    for (i, j), vec in _mu_rows(alg).items():
-        s = sum((c * b[k] for k, c in vec.items()), Fraction(0))
-        entries[i * r1 + j] = s
-        entries[j * r1 + i] = -s
+    _check_coords(b, alg.rank(2), "b")
+    entries = [0] * (r1 * r1)
+    for i, j, k, c in alg._mu:
+        entries[i * r1 + j] += c * b[k]
+        entries[j * r1 + i] -= c * b[k]
     return RatMatrix(r1, r1, tuple(entries))
 
 
@@ -195,8 +186,8 @@ def aomoto_complex(dbl: DoubledAlgebra, pt: AomotoPoint) -> AomotoComplex:
     phi = phi_matrix(dbl.base, pt.b)
     r1, r2 = delta.rows, delta.cols
     a, b = pt.a, pt.b
-    left = [Fraction(0)] * (r1 + r2)  # (a, b) d2
-    right = [Fraction(0)] * (r1 + r2)  # d2 (a; b)
+    left = [0] * (r1 + r2)  # (a, b) d2
+    right = [0] * (r1 + r2)  # d2 (a; b)
     for idx, x in enumerate(phi.entries):
         if x:
             i, j = divmod(idx, r1)
@@ -223,9 +214,9 @@ def betti_numbers(dbl: DoubledAlgebra, pt: AomotoPoint) -> tuple[int, int, int, 
     dimension (rows of d) - rank d, and the k-th Betti number is
     dim ker d_(k+1) - rank d_k, with the outer differentials zero. The rank
     of d2 is 2 (r1 - 1) when the witness of the module docstring holds, and
-    comes from the block rank otherwise.
+    comes from the block rank otherwise, both at the integer point of Scaling.
     """
-    cx = aomoto_complex(dbl, pt)
+    cx = aomoto_complex(dbl, AomotoPoint(tuple(clear_denominators(pt.a)), tuple(clear_denominators(pt.b))))
     r1, r2 = cx.delta.rows, cx.delta.cols
     if any(pt.a) and rank_mod_p(cx.delta) == r1 - 1:
         rank_d2 = 2 * (r1 - 1)
@@ -239,9 +230,8 @@ def betti_numbers(dbl: DoubledAlgebra, pt: AomotoPoint) -> tuple[int, int, int, 
 
 
 def _restricted_phi(phi: RatMatrix, kernel: list[list[int]]) -> IntMatrix:
-    """-K Phi K^T over the integers, K the rows of ``kernel``, Phi times its lcm denominator."""
-    den = lcm(*(x.denominator for x in phi.entries))
-    rows = [[x.numerator * (den // x.denominator) for x in phi.row(i)] for i in range(phi.rows)]
+    """-K Phi K^T over the integers, K the rows of ``kernel`` and Phi integral."""
+    rows = phi.to_rows()
     k_phi = [[sum(map(mul, row, y)) for row in rows] for y in kernel]  # K Phi^T = -K Phi
     return IntMatrix(len(kernel), len(kernel), tuple(sum(map(mul, t, y)) for t in k_phi for y in kernel))
 
@@ -269,7 +259,7 @@ def is_nonresonant(alg: GradedAlgebra, a: Sequence[Fraction]) -> bool:
     exactness.
     """
     a = tuple(Fraction(x) for x in a)
-    _check_length(a, alg.rank(1), "a")
+    _check_coords(a, alg.rank(1), "a")
     if all(x == 0 for x in a):
         return False
     return rank(delta_matrix(alg, a)) == alg.rank(1) - 1
@@ -293,10 +283,10 @@ def zero_a_identity_check(dbl: DoubledAlgebra, b: Sequence[Fraction]) -> tuple[i
     if r2 == 0:
         raise DimensionMismatch("the degree-two part is trivial; no dual coordinates exist")
     b = tuple(Fraction(x) for x in b)
-    _check_length(b, r2, "b")
+    _check_coords(b, r2, "b")
     if all(x == 0 for x in b):
         raise ValueError("b must be nonzero")
-    lhs = r1 + r2 - 1 - rank(aomoto_complex(dbl, AomotoPoint((Fraction(0),) * r1, b)).d2)
+    lhs = r1 + r2 - 1 - rank(aomoto_complex(dbl, AomotoPoint((0,) * r1, b)).d2)
     rhs = r2 - 1 + kernel_dim(phi_matrix(base, b))
     return lhs, rhs
 
@@ -310,7 +300,7 @@ def sample_point(dbl: DoubledAlgebra, rng: random.Random) -> AomotoPoint:
     """A point with integer coordinates drawn uniformly from [-10, 10]."""
     r1 = dbl.base.rank(1)
     r2 = dbl.base.rank(2)
-    coords = [Fraction(rng.randint(-10, 10)) for _ in range(r1 + r2)]
+    coords = [rng.randint(-10, 10) for _ in range(r1 + r2)]
     return AomotoPoint(tuple(coords[:r1]), tuple(coords[r1:]))
 
 

@@ -5,7 +5,8 @@ a test oracle: the Smith-form cokernel, the stand-alone Bareiss determinant,
 the triple-loop double, the pair-loop cohomology ring (with the label parsing
 it used for Poincare duality), the pair-loop ring verifier (with the label
 map it used), and the resonance complex (as the three dense differentials
-of the ``AomotoComplex`` it returned) with Betti numbers from dense
+of the ``AomotoComplex`` it returned, built in ``Fraction`` arithmetic from
+the label-keyed structure constants) with Betti numbers from dense
 rational ranks and generic Betti numbers as a minimum over every sampled
 point. The property tests in
 ``test_oracles.py`` check that the package's versions give the same results.
@@ -26,8 +27,7 @@ from plumbline.os_algebra import DegreeError, DoubledAlgebra, GradedAlgebra, dua
 from plumbline.resonance import (
     AomotoPoint,
     ChainConditionViolated,
-    _check_length,
-    _mu_rows,
+    DimensionMismatch,
     sample_point,
     trial_seed,
 )
@@ -205,6 +205,22 @@ class AomotoComplex:
     d1: RatMatrix  # 1 x N
     d2: RatMatrix  # N x N
     d3: RatMatrix  # N x 1
+
+
+def _mu_rows(alg: GradedAlgebra) -> dict[tuple[int, int], dict[int, int]]:
+    """Structure constants on stored degree-one pairs, by basis index."""
+    deg1 = {lab: i for i, lab in enumerate(alg.basis[1])}
+    deg2 = {lab: k for k, lab in enumerate(alg.basis[2])}
+    out: dict[tuple[int, int], dict[int, int]] = {}
+    for (x, y), vec in alg.products.items():
+        if x in deg1 and y in deg1:
+            out[(deg1[x], deg1[y])] = {deg2[lab]: c for lab, c in vec.items()}
+    return out
+
+
+def _check_length(coords: Sequence[Fraction], want: int, what: str) -> None:
+    if len(coords) != want:
+        raise DimensionMismatch(f"{what} has {len(coords)} coordinates, expected {want}")
 
 
 def delta_matrix(alg: GradedAlgebra, a: Sequence[Fraction]) -> RatMatrix:

@@ -371,6 +371,27 @@ class TestOncePerOp:
         assert [args[0] for args, _ in ranked if (args[0].rows, args[0].cols) == (n, n)] == []
         assert reads == []
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["report"],
+            ["resonance", "generic"],
+            ["resonance", "eval", "--point", '{"a": [1, 2, 0, -1], "b": [0, 1, 1, 3]}'],
+            ["resonance", "eval", "--point", '{"a": ["1/2", "-2/3", 0, 5], "b": ["3/7", 1, "-1/4", 0]}'],
+            ["resonance", "eval", "--point", '{"a": [0, 0, 0, 0], "b": [1, 0, 2, 0]}'],
+            ["resonance", "eval", "--point", '{"a": [1, -1, 0, 0], "b": [0, 1, 1, 3]}'],
+        ],
+        ids=["report", "generic", "eval-integer", "eval-rational", "eval-zero-a", "eval-multiple-point"],
+    )
+    def test_integer_blocks(self, runner, monkeypatch, command):
+        real = plumbline.aomoto_complex
+        calls = self.count_calls(monkeypatch, "aomoto_complex")
+        assert runner.invoke(main, command + [fixture_path("two_triples")]).exit_code == 0
+        assert calls
+        for args, kwargs in calls:
+            cx = real(*args, **kwargs)  # the same pure call, rebuilt to read its blocks
+            assert {type(x) for x in cx.delta.entries + cx.phi.entries} == {int}
+
     def test_homology_builds_one_plumbing_matrix(self, runner, monkeypatch):
         calls = self.count_calls(monkeypatch, "plumbing_matrix")
         assert runner.invoke(main, ["homology", fixture_path("two_triples")]).exit_code == 0

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from plumbline.exact_linalg import (
     IntMatrix,
     RatMatrix,
+    clear_denominators,
     cokernel,
     det,
     kernel_dim,
@@ -237,6 +238,31 @@ class TestRankModP:
         q = m.to_rational()
         scaled = RatMatrix.from_rows([[x / (i + 2) for x in q.row(i)] for i in range(q.rows)]) if q.rows else q
         assert rank_mod_p(scaled) == rank_mod_p(q) == rank(q)
+
+
+class TestClearDenominators:
+    def test_empty(self):
+        assert clear_denominators([]) == []
+
+    def test_all_zero(self):
+        assert clear_denominators([0, Fraction(0), 0]) == [0, 0, 0]
+
+    def test_int_only_is_unchanged(self):
+        out = clear_denominators((3, -7, 0, 12))
+        assert out == [3, -7, 0, 12]
+        assert all(type(x) is int for x in out)
+
+    def test_negative_and_mixed(self):
+        assert clear_denominators([Fraction(-1, 2), 3, Fraction(5, -6), Fraction(4, 3)]) == [-3, 18, -5, 8]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=50), max_size=8))
+    def test_positive_multiple_of_the_row(self, row):
+        out = clear_denominators(row)
+        assert all(type(x) is int for x in out)
+        scales = {Fraction(y, x) for x, y in zip(row, out) if x}
+        assert len(scales) <= 1 and all(c > 0 for c in scales)
+        assert all(y == 0 for x, y in zip(row, out) if not x)
 
 
 def check_left_kernel(m: RatMatrix) -> None:

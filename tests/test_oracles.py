@@ -405,6 +405,33 @@ class TestBlockRank:
         assert betti_numbers(dbl, pt) == oracles.betti_numbers(dbl, pt) == (0, 1, 1, 0)
 
 
+def _scaling_holds(arr, seed: int, x: Fraction, y: Fraction):
+    dbl = double(os_algebra(arr))
+    rng = random.Random(seed)
+    for pt in _points(arr, dbl, rng) + _block_rank_points(arr, dbl, rng):
+        scaled = AomotoPoint(tuple(x * c for c in pt.a), tuple(y * c for c in pt.b))
+        assert betti_numbers(dbl, scaled) == oracles.betti_numbers(dbl, pt), (pt, x, y)
+
+
+nonzero_rationals = st.fractions(-1000, 1000, max_denominator=1000).filter(bool)
+
+
+class TestScalingLemma:
+    """betti_numbers at (x a, y b) against the dense ranks at (a, b): clearing
+    the denominators of a and of b changes no Betti number."""
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), x=nonzero_rationals, y=nonzero_rationals)
+    def test_fixtures(self, name, seed, x, y):
+        _scaling_holds(load_fixture(name), seed, x, y)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_arrangements, st.integers(0, 2**32 - 1), nonzero_rationals, nonzero_rationals)
+    def test_random(self, arr, seed, x, y):
+        _scaling_holds(arr, seed, x, y)
+
+
 def _floor_holds(arr, seed: int):
     dbl = double(os_algebra(arr))
     floor = resonance._betti_floor(dbl.base)

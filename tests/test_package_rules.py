@@ -17,3 +17,9 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_parses_at_the_declared_python_floor():
+    """pyproject.toml declares requires-python >= 3.10."""
+    for path in sorted(PACKAGE.glob("**/*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -105,6 +105,14 @@ class TestPhiMatrix:
             phi_matrix(alg_two_triples, frac([1, 2, 3]))
 
 
+@pytest.mark.parametrize("build", [delta_matrix, phi_matrix], ids=["delta", "phi"])
+@pytest.mark.parametrize("bad", [0.1, "1/2", True], ids=["float", "str", "bool"])
+def test_inexact_coordinate_raises_type_error(alg_two_triples, build, bad):
+    # Without the check a float would flow into the entries as a float, no longer exact.
+    with pytest.raises(TypeError):
+        build(alg_two_triples, (Fraction(1, 2), bad, 0, 1))
+
+
 class TestAomotoComplex:
     def test_shapes_and_blocks(self, alg_two_triples, dbl_two_triples):
         a = frac([1, 2, 0, -1])
