@@ -21,7 +21,7 @@ from . import arrangement as arrmod
 from .arrangement import Arrangement, ArrangementError, FormatError, beta, incidence_graph, nbc_set, random_arrangement
 from .boundary_ring import intersection_ring, verify_double_isomorphism
 from .os_algebra import DoubledAlgebra, double, os_algebra
-from .plumbing import h1_boundary
+from .plumbing import H1Result, h1_boundary
 from .resonance import (
     AomotoPoint,
     betti_numbers,
@@ -149,8 +149,24 @@ def double_cmd(ctx: click.Context, path: str) -> None:
 def homology(ctx: click.Context, path: str) -> None:
     """First homology of the boundary manifold, with the plumbing matrix."""
     res = h1_boundary(_load_arrangement(path))
-    doc = res.to_json()
-    _emit(ctx, {**doc, "matrix": res.matrix.to_json()}, _kv_table(doc))
+    if ctx.obj["format"] == "table":
+        click.echo(_kv_table(res.to_json()))
+    else:
+        click.echo(_homology_json(res), nl=False)
+
+
+def _homology_json(res: H1Result) -> str:
+    """The homology document with its plumbing matrix, newline included, as
+    ``json.dumps(indent=2, sort_keys=True)`` writes it. With ``indent`` that
+    encoder runs in pure Python, too slow for the V^2 matrix entries, so it
+    writes the rest and the entries are joined into it in one step."""
+    nv = res.graph.n_vertices
+    matrix = {"rows": nv, "cols": nv, "entries": []}
+    before, after = json.dumps({**res.to_json(), "matrix": matrix}, indent=2, sort_keys=True).split('"entries": []')
+    entries = res.entry_strings()
+    entries[0] = before + '"entries": [\n      "' + entries[0]
+    entries[-1] += '"\n    ]' + after + "\n"
+    return '",\n      "'.join(entries)
 
 
 @main.command()

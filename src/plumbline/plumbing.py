@@ -14,10 +14,16 @@ first the matrix is [[D_L, B], [B^T, -I]], eliminating the -I point block
 two lines share exactly one point, and coker J = Z^n. That fact is rechecked
 on every call and a violation raises ``InternalContradiction`` rather than
 returning silently.
+
+The matrix has V^2 entries but at most V + 2E nonzeros (E edges), so a
+result keeps the graph, not the matrix. ``plumbing_matrix`` fills the dense matrix
+that ``cokernel`` takes straight from the weights and edges, and
+``H1Result.entry_strings`` writes the entries for output the same way.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .arrangement import Arrangement, InternalContradiction, incidence_graph
@@ -85,14 +91,21 @@ class H1Result:
     """First homology of a plumbed manifold, split by origin.
 
     ``free_rank`` already includes the b1 of the graph; ``torsion`` lists
-    invariant factors greater than 1 in divisibility order.
+    invariant factors greater than 1 in divisibility order. ``graph`` is the
+    plumbing graph it was computed from: its O(V + E) weights and edges give
+    the V x V matrix that ``homology`` prints, so no dense copy outlives the
+    cokernel.
     """
 
     free_rank: int
     torsion: tuple[int, ...]
     graph_b1: int
     coker_free_rank: int
-    matrix: IntMatrix = field(compare=False, repr=False)  # the plumbing matrix, for output
+    graph: PlumbingGraph = field(compare=False, repr=False)
+
+    def entry_strings(self) -> list[str]:
+        """``str`` of each plumbing-matrix entry, row-major."""
+        return _row_major(self.graph, "0", str, "1")
 
     def to_json(self) -> dict:
         return {
@@ -121,30 +134,33 @@ def plumbing_graph(arr: Arrangement) -> PlumbingGraph:
     return PlumbingGraph(tuple(labels), tuple(weights), edges)
 
 
+def _row_major(g: PlumbingGraph, zero, weight, one) -> list:
+    """The V x V plumbing matrix as a flat row-major list: ``zero`` everywhere,
+    ``weight(w)`` on the diagonal and ``one`` at each edge and its mirror."""
+    nv = g.n_vertices
+    e = [zero] * (nv * nv)
+    e[:: nv + 1] = map(weight, g.weights)
+    for i, j in g.edges:
+        e[i * nv + j] = e[j * nv + i] = one
+    return e
+
+
 def plumbing_matrix(g: PlumbingGraph) -> IntMatrix:
     """Symmetric matrix with vertex weights on the diagonal, 1 on edges."""
-    nv = g.n_vertices
-    rows = [[0] * nv for _ in range(nv)]
-    for i in range(nv):
-        rows[i][i] = g.weights[i]
-    for i, j in g.edges:
-        rows[i][j] = 1
-        rows[j][i] = 1
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(g.n_vertices, g.n_vertices, tuple(_row_major(g, 0, operator.index, 1)))
 
 
 def h1_plumbed(g: PlumbingGraph) -> H1Result:
     """First homology of the 3-manifold plumbed along a connected graph."""
     if not g.is_connected():
         raise ValueError("plumbing graph must be connected")
-    m = plumbing_matrix(g)
-    free, torsion = cokernel(m)
+    free, torsion = cokernel(plumbing_matrix(g))
     return H1Result(
         free_rank=g.b1 + free,
         torsion=torsion,
         graph_b1=g.b1,
         coker_free_rank=free,
-        matrix=m,
+        graph=g,
     )
 
 

@@ -103,17 +103,28 @@ class ChainConditionViolated(RuntimeError):
     """A differential composite is nonzero; the complex is corrupt."""
 
 
+_EXACT_TYPES = frozenset({int, Fraction})  # not bool: True is read as 1, and a float as its binary value
+
+
 @dataclass(frozen=True)
 class AomotoPoint:
     """A degree-one point of the double: coordinates (a, b), exact rationals,
-    ``int`` or ``Fraction``; ``make`` converts each to ``Fraction``."""
+    ``int`` or ``Fraction``; any other type raises ``TypeError``. ``make``
+    converts each to ``Fraction``, reading a string such as "1/2" exactly."""
 
     a: tuple[int | Fraction, ...]
     b: tuple[int | Fraction, ...]
 
+    def __post_init__(self) -> None:
+        _check_types(self.a, "a")
+        _check_types(self.b, "b")
+
     @staticmethod
     def make(a: Iterable, b: Iterable) -> "AomotoPoint":
-        return AomotoPoint(tuple(Fraction(x) for x in a), tuple(Fraction(x) for x in b))
+        def exact(x):  # a float or bool is left as it is, for __post_init__ to refuse
+            return Fraction(x) if type(x) in (int, Fraction, str) else x
+
+        return AomotoPoint(tuple(map(exact, a)), tuple(map(exact, b)))
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.a) and all(x == 0 for x in self.b)
@@ -144,11 +155,15 @@ class AomotoComplex:
         return RatMatrix.from_rows(rows)
 
 
+def _check_types(coords: Sequence, what: str) -> None:
+    if not _EXACT_TYPES.issuperset(map(type, coords)):
+        raise TypeError(f"{what} may hold only int and Fraction coordinates")
+
+
 def _check_coords(coords: Sequence, want: int, what: str) -> None:
     if len(coords) != want:
         raise DimensionMismatch(f"{what} has {len(coords)} coordinates, expected {want}")
-    if any(type(x) not in (int, Fraction) for x in coords):
-        raise TypeError(f"{what} may hold only int and Fraction coordinates")
+    _check_types(coords, what)
 
 
 def delta_matrix(alg: GradedAlgebra, a: Sequence[int | Fraction]) -> RatMatrix:
@@ -251,14 +266,14 @@ def betti(dbl: DoubledAlgebra, pt: AomotoPoint, k: int) -> int:
     return betti_numbers(dbl, pt)[k]
 
 
-def is_nonresonant(alg: GradedAlgebra, a: Sequence[Fraction]) -> bool:
+def is_nonresonant(alg: GradedAlgebra, a: Sequence[int | Fraction]) -> bool:
     """Exactness of (A, a) in degrees 0 and 1.
 
     The rows of Delta(a) are always dependent (a itself is in the kernel),
     so the rank is at most r1 - 1; equality, together with a != 0, is
     exactness.
     """
-    a = tuple(Fraction(x) for x in a)
+    a = tuple(a)
     _check_coords(a, alg.rank(1), "a")
     if all(x == 0 for x in a):
         return False
@@ -270,7 +285,7 @@ def in_resonance(dbl: DoubledAlgebra, pt: AomotoPoint, k: int, d: int) -> bool:
     return betti(dbl, pt, k) >= d
 
 
-def zero_a_identity_check(dbl: DoubledAlgebra, b: Sequence[Fraction]) -> tuple[int, int]:
+def zero_a_identity_check(dbl: DoubledAlgebra, b: Sequence[int | Fraction]) -> tuple[int, int]:
     """First Betti number at (0, b) against r2 - 1 + dim ker Phi(b).
 
     The two sides come by different routes (the rank of the dense d2, not
@@ -282,7 +297,7 @@ def zero_a_identity_check(dbl: DoubledAlgebra, b: Sequence[Fraction]) -> tuple[i
     r2 = base.rank(2)
     if r2 == 0:
         raise DimensionMismatch("the degree-two part is trivial; no dual coordinates exist")
-    b = tuple(Fraction(x) for x in b)
+    b = tuple(b)
     _check_coords(b, r2, "b")
     if all(x == 0 for x in b):
         raise ValueError("b must be nonzero")

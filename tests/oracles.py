@@ -2,9 +2,10 @@
 
 Each function here is the earlier, direct implementation, kept unchanged as
 a test oracle: the Smith-form cokernel, the stand-alone Bareiss determinant,
-the triple-loop double, the pair-loop cohomology ring (with the label parsing
-it used for Poincare duality), the pair-loop ring verifier (with the label
-map it used), and the resonance complex (as the three dense differentials
+the row-list plumbing matrix and the ``homology`` JSON document dumped whole
+with it, the triple-loop double, the pair-loop cohomology ring (with the
+label parsing it used for Poincare duality), the pair-loop ring verifier
+(with the label map it used), and the resonance complex (as the three dense differentials
 of the ``AomotoComplex`` it returned, built in ``Fraction`` arithmetic from
 the label-keyed structure constants) with Betti numbers from dense
 rational ranks and generic Betti numbers as a minimum over every sampled
@@ -15,6 +16,7 @@ Nothing in ``src/`` imports this module.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +26,7 @@ from plumbline.arrangement import Arrangement, nbc_set
 from plumbline.boundary_ring import IsomorphismReport, intersection_ring
 from plumbline.exact_linalg import IntMatrix, RatMatrix, rank, snf
 from plumbline.os_algebra import DegreeError, DoubledAlgebra, GradedAlgebra, dual_label, os_algebra
+from plumbline.plumbing import PlumbingGraph, h1_boundary, plumbing_graph
 from plumbline.resonance import (
     AomotoPoint,
     ChainConditionViolated,
@@ -75,6 +78,25 @@ def det(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = pk
     return sign * a[n - 1][n - 1]
+
+
+def plumbing_matrix(g: PlumbingGraph) -> IntMatrix:
+    """Symmetric matrix with vertex weights on the diagonal, 1 on edges."""
+    nv = g.n_vertices
+    rows = [[0] * nv for _ in range(nv)]
+    for i in range(nv):
+        rows[i][i] = g.weights[i]
+    for i, j in g.edges:
+        rows[i][j] = 1
+        rows[j][i] = 1
+    return IntMatrix.from_rows(rows)
+
+
+def homology_json(arr: Arrangement) -> str:
+    """The ``homology`` command's JSON document, without the closing newline."""
+    doc = h1_boundary(arr).to_json()
+    g = plumbing_graph(arr)
+    return json.dumps({**doc, "matrix": plumbing_matrix(g).to_json()}, indent=2, sort_keys=True)
 
 
 def double(alg: GradedAlgebra) -> DoubledAlgebra:

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 
@@ -111,6 +113,16 @@ class TestQueryCommands:
         assert doc["torsion"] == []
         assert doc["matrix"]["rows"] == 11
         assert doc["matrix"]["entries"][0] == "-2"
+
+    def test_homology_matches_goldens(self, runner):
+        for name in ["two_triples", "pappus_violating"]:
+            result = runner.invoke(main, ["homology", fixture_path(name)])
+            assert result.exit_code == 0
+            assert result.output == (GOLDENS / f"{name}_homology.json").read_text(), name
+
+    def test_homology_table(self, runner):
+        result = runner.invoke(main, ["--format", "table", "homology", fixture_path("two_triples")])
+        assert result.output == "b1_graph: 4\ncoker_free_rank: 4\nfree_rank: 8\ntorsion: []\n"
 
     def test_ring_json(self, runner):
         result = runner.invoke(main, ["ring", fixture_path("two_triples")])
@@ -306,6 +318,37 @@ class TestUsageErrors:
         assert time.perf_counter() - start < 2
         assert result.exit_code == 2
         assert "4300 digits" in all_output(result)
+
+
+# Runs the CLI and then reports the child's own peak RSS (KB on Linux) on stderr.
+MAXRSS_CHILD = """
+import resource, sys
+from plumbline.cli import main
+try:
+    main.main(args=sys.argv[1:], prog_name="plumbline")
+finally:
+    sys.stdout.flush()
+    sys.stderr.write(f"maxrss {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}\\n")
+"""
+
+
+def test_homology_48_lines_stays_small(runner, tmp_path):
+    # A 1176 x 1176 plumbing matrix, 15.2 MB of output. Written from its graph
+    # it peaks near 60 MB; a dense string list dumped by json.dumps(indent=2)
+    # peaked at 234 MB. No timing assertion: host speed swings by 2x.
+    arr = runner.invoke(main, ["--seed", "1", "random", "--lines", "48", "--density", "0"])
+    path = tmp_path / "generic48.json"
+    path.write_text(arr.output)
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", MAXRSS_CHILD, "homology", str(path)],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert len(proc.stdout) == 15_214_123
+    assert proc.stdout.startswith(b'{\n  "b1_graph": 1081,') and proc.stdout.endswith(b'  "torsion": []\n}\n')
+    maxrss_mb = int(proc.stderr.decode().rsplit("maxrss ", 1)[1]) / 1024
+    assert maxrss_mb < 150
 
 
 class TestOncePerOp:

@@ -1,18 +1,23 @@
 """The fast paths against the implementations they replaced.
 
 ``oracles`` holds the earlier code unchanged: the Smith-form cokernel, the
-stand-alone Bareiss determinant, the triple-loop double, the pair-loop
-cohomology ring, the pair-loop ring verifier, and the resonance complex with
+stand-alone Bareiss determinant, the row-list plumbing matrix and the
+``homology`` document dumped whole with it, the triple-loop double, the
+pair-loop cohomology ring, the pair-loop ring verifier, and the resonance complex with
 Betti numbers from dense rational ranks. Each property runs on the shipped
 fixtures and on random arrangements of 3-12 lines (3-10 for resonance) at
 densities 0-1, or on random integer matrices, and requires identical
 results.
 """
 
+import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,11 +38,11 @@ from plumbline import (
     phi_matrix,
     verify_double_isomorphism,
 )
-from plumbline import boundary_ring, cli, resonance
+from plumbline import arrangement, boundary_ring, cli, resonance
 from plumbline.cli import random_arrangement
 from plumbline.exact_linalg import IntMatrix, cokernel, det, left_kernel, rank
 from plumbline.os_algebra import DoubledAlgebra, GradedAlgebra
-from plumbline.plumbing import plumbing_graph, plumbing_matrix
+from plumbline.plumbing import h1_boundary, plumbing_graph, plumbing_matrix
 
 from conftest import ALL_FIXTURES, load_fixture
 
@@ -89,6 +94,22 @@ def _same_plumbing_cokernel(arr):
     assert cokernel(m) == oracles.cokernel(m) == (arr.n, ())
 
 
+def _same_plumbing_matrix(arr):
+    g = plumbing_graph(arr)
+    m = plumbing_matrix(g)
+    assert m == oracles.plumbing_matrix(g)
+    assert h1_boundary(arr).entry_strings() == [str(x) for x in m.entries]
+
+
+def _homology_stdout_is_oracle(arr):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "arrangement.json"
+        path.write_text(json.dumps(arrangement.to_json(arr)))
+        result = CliRunner().invoke(cli.main, ["homology", str(path)])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (oracles.homology_json(arr) + "\n").encode()
+
+
 def _positional_map_is_label_map(arr):
     dbl = double(os_algebra(arr))
     assert boundary_ring._basis_map(cohomology_ring(arr), dbl) == oracles._label_map(arr, dbl)
@@ -98,6 +119,8 @@ test_double_fixture, test_double_random = fixture_and_random(_same_double)
 test_cohomology_ring_fixture, test_cohomology_ring_random = fixture_and_random(_same_cohomology_ring)
 test_verify_fixture, test_verify_random = fixture_and_random(_same_report)
 test_plumbing_cokernel_fixture, test_plumbing_cokernel_random = fixture_and_random(_same_plumbing_cokernel)
+test_plumbing_matrix_fixture, test_plumbing_matrix_random = fixture_and_random(_same_plumbing_matrix)
+test_homology_stdout_fixture, test_homology_stdout_random = fixture_and_random(_homology_stdout_is_oracle)
 test_basis_map_fixture, test_basis_map_random = fixture_and_random(_positional_map_is_label_map)
 
 

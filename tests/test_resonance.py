@@ -113,6 +113,29 @@ def test_inexact_coordinate_raises_type_error(alg_two_triples, build, bad):
         build(alg_two_triples, (Fraction(1, 2), bad, 0, 1))
 
 
+@pytest.mark.parametrize("bad", [0.1, "1/2", True], ids=["float", "str", "bool"])
+def test_nonresonance_and_zero_a_check_refuse_inexact_coordinates(alg_two_triples, dbl_two_triples, bad):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10.
+    with pytest.raises(TypeError):
+        is_nonresonant(alg_two_triples, (1, bad, 0, 0))
+    with pytest.raises(TypeError):
+        zero_a_identity_check(dbl_two_triples, (1, bad, 0, 0))
+
+
+@pytest.mark.parametrize("bad", [0.1, True], ids=["float", "bool"])
+def test_point_refuses_float_and_bool(dbl_two_triples, bad):
+    with pytest.raises(TypeError):
+        AomotoPoint.make([bad, 0, 0, 0], [0, 0, 0, 0])
+    with pytest.raises(TypeError):
+        AomotoPoint.make([0, 0, 0, 0], [bad, 0, 0, 0])
+    with pytest.raises(TypeError):
+        betti_numbers(dbl_two_triples, AomotoPoint((bad, 0, 0, 0), (0, 0, 0, 0)))
+
+
+def test_point_reads_strings_exactly():
+    assert AomotoPoint.make(["0.1", 2], ["1/3"]) == AomotoPoint((Fraction(1, 10), Fraction(2)), (Fraction(1, 3),))
+
+
 class TestAomotoComplex:
     def test_shapes_and_blocks(self, alg_two_triples, dbl_two_triples):
         a = frac([1, 2, 0, -1])
