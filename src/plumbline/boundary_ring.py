@@ -149,7 +149,11 @@ def cohomology_ring(arr: Arrangement) -> GradedAlgebra:
     dual surfaces, rewritten through duality; degree one cups degree two as
     the identity pairing into pt.
     """
-    ring = intersection_ring(arr)
+    return _cohomology_of(intersection_ring(arr))
+
+
+def _cohomology_of(ring: IntersectionRing) -> GradedAlgebra:
+    """``cohomology_ring`` of the arrangement whose intersection ring is ``ring``."""
     # PD(F_i) = ~t_i and PD(tau) = ~g in degree one; PD(t_i) = ~F_i and
     # PD(g) = ~tau in degree two. The H_1 and H_2 bases are in dual order.
     deg1 = tuple("~" + lab for lab in ring.h1_labels)
@@ -222,8 +226,11 @@ def verify_double_isomorphism(arr: Arrangement) -> IsomorphismReport:
     Only stored products can differ, so only they are compared. Mismatches
     come in pair order: degrees 1 x 1, 1 x 2, then 2 x 1, each row-major.
     """
-    coh = cohomology_ring(arr)
-    dbl = double(os_algebra(arr))
+    return _compare(cohomology_ring(arr), double(os_algebra(arr)))
+
+
+def _compare(coh: GradedAlgebra, dbl: DoubledAlgebra) -> IsomorphismReport:
+    """``verify_double_isomorphism`` of an arrangement's cohomology ring and double."""
     phi = _basis_map(coh, dbl)
     back = {v: k for k, v in phi.items()}
 

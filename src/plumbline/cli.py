@@ -13,13 +13,15 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import accumulate
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import click
 
 from . import arrangement as arrmod
 from .arrangement import Arrangement, ArrangementError, FormatError, beta, incidence_graph, nbc_set, random_arrangement
-from .boundary_ring import intersection_ring, verify_double_isomorphism
+from .boundary_ring import _cohomology_of, _compare, intersection_ring, verify_double_isomorphism
 from .os_algebra import DoubledAlgebra, double, os_algebra
 from .plumbing import H1Result, h1_boundary
 from .resonance import (
@@ -60,7 +62,61 @@ def _emit(ctx: click.Context, doc: dict, table: str) -> None:
     if ctx.obj["format"] == "table":
         click.echo(table)
     else:
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
+        click.echo(_json_text(doc), nl=False)
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With ``indent`` set, the stdlib encodes in pure Python through generators;
+    this writes the same text into one list and joins it once. It takes the
+    dicts (``str`` keys), lists, tuples, ``str``, ``int``, ``bool`` and ``None``
+    that plumbline emits, and raises ``TypeError`` on anything else: a float,
+    a ``Fraction`` or a non-``str`` key, which ``json.dumps`` would write
+    differently or not at all.
+    """
+    out: list[str] = []
+    _write(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(o, nl: str, put) -> None:
+    """Put the text of ``o``; ``nl`` is a newline plus the indent of o's line."""
+    if isinstance(o, str):
+        put(_quote(o))
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            put(sep + _quote(key) + ": ")  # TypeError on a key that is not a str
+            _write(o[key], inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in o:
+            put(sep)
+            _write(item, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    else:
+        raise TypeError(f"cannot write {type(o).__name__} as JSON")
 
 
 def _kv_table(doc: dict, prefix: str = "") -> str:
@@ -157,15 +213,15 @@ def homology(ctx: click.Context, path: str) -> None:
 
 def _homology_json(res: H1Result) -> str:
     """The homology document with its plumbing matrix, newline included, as
-    ``json.dumps(indent=2, sort_keys=True)`` writes it. With ``indent`` that
-    encoder runs in pure Python, too slow for the V^2 matrix entries, so it
-    writes the rest and the entries are joined into it in one step."""
+    ``_json_text`` writes it. The V^2 matrix entries are too many to pass
+    through it one by one, so it writes the rest and the entries are joined
+    into it in one step."""
     nv = res.graph.n_vertices
     matrix = {"rows": nv, "cols": nv, "entries": []}
-    before, after = json.dumps({**res.to_json(), "matrix": matrix}, indent=2, sort_keys=True).split('"entries": []')
+    before, after = _json_text({**res.to_json(), "matrix": matrix}).split('"entries": []')
     entries = res.entry_strings()
     entries[0] = before + '"entries": [\n      "' + entries[0]
-    entries[-1] += '"\n    ]' + after + "\n"
+    entries[-1] += '"\n    ]' + after
     return '",\n      "'.join(entries)
 
 
@@ -221,8 +277,11 @@ def report(ctx: click.Context, path: str) -> None:
 
 
 def build_report(arr: Arrangement, seed: int, trials: int) -> dict:
+    """The ``report`` document. Each piece is built once; the isomorphism
+    check still compares the geometric ring with the doubling construction."""
     alg = os_algebra(arr)
     dbl = double(alg)
+    ring = intersection_ring(arr)
     graph = incidence_graph(arr)
     pairs = nbc_set(arr)
     res = _resonance_doc(arr, dbl, seed, trials)
@@ -236,8 +295,8 @@ def build_report(arr: Arrangement, seed: int, trials: int) -> dict:
         "os_algebra": alg.to_json(),
         "double": dbl.to_json(),
         "homology": h1_boundary(arr).to_json(),
-        "intersection_ring": intersection_ring(arr).to_json(),
-        "isomorphism": verify_double_isomorphism(arr).to_json(),
+        "intersection_ring": ring.to_json(),
+        "isomorphism": _compare(_cohomology_of(ring), dbl).to_json(),
         "resonance": res,
     }
 
@@ -265,23 +324,31 @@ def resonance() -> None:
     """Resonance varieties of the doubled algebra."""
 
 
-def _too_many_digits(v: str) -> bool:
-    """Whether Fraction(v) may build a numerator or denominator of over MAX_DIGITS
-    digits: neither has more than the digits and point v writes plus its exponent."""
+def _digits(v: int | str) -> int:
+    """An int's decimal length, or for a string the most digits that the
+    numerator or denominator of Fraction(v) can have: the digits and point v
+    writes plus its exponent, read before Fraction builds anything."""
+    if type(v) is int:
+        return len(str(abs(v)))
     mantissa, _, exp = v.lower().partition("e")
     exp = "".join(filter(str.isdecimal, exp)).lstrip("0")
-    return len(exp) > 4 or sum(c.isdecimal() or c == "." for c in mantissa) + int(exp or 0) > MAX_DIGITS
+    if len(exp) > 4:
+        return MAX_DIGITS + 1
+    return sum(c.isdecimal() or c == "." for c in mantissa) + int(exp or 0)
 
 
-def _parse_coords(values: list, what: str) -> tuple[Fraction, ...]:
-    if not all(type(v) in (int, str) for v in values):
-        _fail(EXIT_IO, f'bad {what} coordinate: write an integer or a string such as "1/3" or "0.1"')
-    if any(type(v) is str and _too_many_digits(v) for v in values):
-        _fail(EXIT_IO, f"bad {what} coordinate: more than {MAX_DIGITS} digits")
+def _parse_point(doc: dict) -> AomotoPoint:
+    """The point of a --point document, which must hold at most MAX_DIGITS
+    digits in all: the lcm of every denominator scales the whole point."""
+    for what in "ab":
+        if not all(type(v) in (int, str) for v in doc[what]):
+            _fail(EXIT_IO, f'bad {what} coordinate: write an integer or a string such as "1/3" or "0.1"')
+    if any(total > MAX_DIGITS for total in accumulate(map(_digits, doc["a"] + doc["b"]))):
+        _fail(EXIT_IO, f"--point: more than {MAX_DIGITS} digits in all")
     try:
-        return tuple(Fraction(v) for v in values)
+        return AomotoPoint(tuple(map(Fraction, doc["a"])), tuple(map(Fraction, doc["b"])))
     except (ValueError, ZeroDivisionError) as exc:
-        _fail(EXIT_IO, f"bad {what} coordinate: {exc}")
+        _fail(EXIT_IO, f"bad coordinate: {exc}")
 
 
 @resonance.command("eval")
@@ -298,7 +365,7 @@ def resonance_eval(ctx: click.Context, path: str, point_json: str) -> None:
         _fail(EXIT_IO, f"--point: invalid JSON: {exc}")
     if not isinstance(doc, dict) or not all(isinstance(doc.get(k), list) for k in "ab"):
         _fail(EXIT_IO, '--point must be an object with "a" and "b" arrays')
-    pt = AomotoPoint(_parse_coords(doc["a"], "a"), _parse_coords(doc["b"], "b"))
+    pt = _parse_point(doc)
     try:
         numbers = betti_numbers(dbl, pt)
     except ValueError as exc:

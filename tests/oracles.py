@@ -3,14 +3,15 @@
 Each function here is the earlier, direct implementation, kept unchanged as
 a test oracle: the Smith-form cokernel, the stand-alone Bareiss determinant,
 the row-list plumbing matrix and the ``homology`` JSON document dumped whole
-with it, the triple-loop double, the pair-loop cohomology ring (with the
-label parsing it used for Poincare duality), the pair-loop ring verifier
-(with the label map it used), and the resonance complex (as the three dense differentials
-of the ``AomotoComplex`` it returned, built in ``Fraction`` arithmetic from
-the label-keyed structure constants) with Betti numbers from dense
-rational ranks and generic Betti numbers as a minimum over every sampled
-point. The property tests in
-``test_oracles.py`` check that the package's versions give the same results.
+with it, the ``json.dumps`` call that every command's JSON went through,
+the triple-loop double, the pair-loop cohomology ring (with the label
+parsing it used for Poincare duality), the pair-loop ring verifier (with
+the label map it used), and the resonance complex (as the three dense
+differentials of the ``AomotoComplex`` it returned, built in ``Fraction``
+arithmetic from the label-keyed structure constants) with Betti numbers
+from dense rational ranks and generic Betti numbers as a minimum over every
+sampled point. The property tests in ``test_oracles.py`` check that the
+package's versions give the same results.
 Nothing in ``src/`` imports this module.
 """
 
@@ -97,6 +98,12 @@ def homology_json(arr: Arrangement) -> str:
     doc = h1_boundary(arr).to_json()
     g = plumbing_graph(arr)
     return json.dumps({**doc, "matrix": plumbing_matrix(g).to_json()}, indent=2, sort_keys=True)
+
+
+def emit_json(doc) -> str:
+    """A command's JSON document as ``_emit`` wrote it, before ``click.echo``
+    added the closing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def double(alg: GradedAlgebra) -> DoubledAlgebra:

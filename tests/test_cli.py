@@ -17,6 +17,12 @@ from plumbline.cli import build_report, main, random_arrangement
 from conftest import FIXTURES, load_fixture
 
 GOLDENS = FIXTURES / "goldens"
+# The points of the resonance_eval goldens.
+GOLDEN_POINTS = {
+    "two_triples": '{"a": [1, "1/2", 0, -1], "b": [0, 1, 0, 2]}',
+    "pappus_violating": '{"a": [1, -2, "3/4", 0, 5, -1, 2, "1/3"], '
+    '"b": [0, 1, -1, 2, 0, "5/2", 1, 0, 3, -3, 0, 1, "-1/7", 2, 0, 0, 4, 1, -2, 0]}',
+}
 
 
 @pytest.fixture
@@ -120,6 +126,28 @@ class TestQueryCommands:
             assert result.exit_code == 0
             assert result.output == (GOLDENS / f"{name}_homology.json").read_text(), name
 
+    @pytest.mark.parametrize("name", ["two_triples", "pappus_violating"])
+    @pytest.mark.parametrize(
+        "golden, args",
+        [
+            ("validate", ["validate"]),
+            ("nbc", ["nbc"]),
+            ("os", ["os"]),
+            ("double", ["double"]),
+            ("ring", ["ring"]),
+            ("verify", ["verify"]),
+            ("resonance_generic", ["--seed", "2026", "resonance", "generic"]),
+            ("resonance_classify", ["resonance", "classify"]),
+            ("resonance_eval", ["resonance", "eval", "--point"]),
+        ],
+    )
+    def test_matches_goldens(self, runner, name, golden, args):
+        if golden == "resonance_eval":
+            args = args + [GOLDEN_POINTS[name]]
+        result = runner.invoke(main, args + [fixture_path(name)])
+        assert result.exit_code == 0
+        assert result.output == (GOLDENS / f"{name}_{golden}.json").read_text()
+
     def test_homology_table(self, runner):
         result = runner.invoke(main, ["--format", "table", "homology", fixture_path("two_triples")])
         assert result.output == "b1_graph: 4\ncoker_free_rank: 4\nfree_rank: 8\ntorsion: []\n"
@@ -198,8 +226,7 @@ class TestReportCommand:
 
     def test_matches_golden(self, runner):
         result = runner.invoke(main, ["--seed", "2026", "report", fixture_path("two_triples")])
-        golden = (GOLDENS / "two_triples_report.json").read_text()
-        assert json.loads(result.output) == json.loads(golden)
+        assert result.output == (GOLDENS / "two_triples_report.json").read_text()
 
     def test_build_report_deterministic(self, two_triples):
         assert build_report(two_triples, seed=9, trials=3) == build_report(two_triples, seed=9, trials=3)
@@ -318,6 +345,33 @@ class TestUsageErrors:
         assert time.perf_counter() - start < 2
         assert result.exit_code == 2
         assert "4300 digits" in all_output(result)
+
+    def test_point_digits_are_capped_in_all(self, runner, tmp_path, monkeypatch):
+        # r1 = 15, r2 = 85. A zero-a point whose b coordinates each pass the
+        # per-number limit ran for minutes in betti_numbers: every entry of
+        # Phi(b) is scaled by the lcm of all 85 denominators.
+        monkeypatch.setattr("plumbline.cli.betti_numbers", lambda dbl, pt: pytest.fail("point was evaluated"))
+        arr = runner.invoke(main, ["--seed", "1", "random", "--lines", "16", "--density", "0.3"])
+        path = tmp_path / "mixed16.json"
+        path.write_text(arr.output)
+        b = [f'"1/{random.Random(i).randrange(10**399, 10**400)}"' for i in range(85)]
+        point = '{"a": [' + ", ".join(["0"] * 15) + '], "b": [' + ", ".join(b) + "]}"
+        start = time.perf_counter()
+        result = runner.invoke(main, ["resonance", "eval", str(path), "--point", point])
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 2
+        assert "more than 4300 digits in all" in all_output(result)
+
+    def test_point_of_4300_digits_evaluates(self, runner):
+        # Two 1074-digit ints, two strings of 1074 digits each and four zeros.
+        big, den = "9" * 1074, "7" * 1073
+        point = '{"a": [' + big + ', "1/' + den + '", 0, 0], "b": [-' + big + ', "3/' + den + '", 0, 0]}'
+        result = runner.invoke(main, ["resonance", "eval", fixture_path("two_triples"), "--point", point])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["betti"][0] == 0
+        over = point.replace('"3/', '"30/')
+        result = runner.invoke(main, ["resonance", "eval", fixture_path("two_triples"), "--point", over])
+        assert result.exit_code == 2
 
 
 # Runs the CLI and then reports the child's own peak RSS (KB on Linux) on stderr.
@@ -439,6 +493,22 @@ class TestOncePerOp:
         calls = self.count_calls(monkeypatch, "plumbing_matrix")
         assert runner.invoke(main, ["homology", fixture_path("two_triples")]).exit_code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["os_algebra", "double", "intersection_ring"])
+    def test_report_builds_each_piece_once(self, runner, monkeypatch, name):
+        calls = self.count_calls(monkeypatch, name)
+        assert runner.invoke(main, ["report", fixture_path("two_triples")]).exit_code == 0
+        assert len(calls) == 1
+
+    def test_report_still_compares_two_constructions(self, runner, monkeypatch, two_triples):
+        # Flip one sign in the geometric table that report builds; its check must notice.
+        real = plumbline.intersection_ring(two_triples)
+        products = {**real.products, ("F1", "F2"): {lab: -c for lab, c in real.products[("F1", "F2")].items()}}
+        fake = plumbline.IntersectionRing(real.h1_labels, real.h2_labels, products)
+        monkeypatch.setattr("plumbline.cli.intersection_ring", lambda arr: fake)
+        result = runner.invoke(main, ["report", fixture_path("two_triples")])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["isomorphism"]["ok"] is False
 
     def test_verify_lists_nbc_pairs_twice(self, runner, monkeypatch):
         calls = self.count_calls(monkeypatch, "nbc_set")

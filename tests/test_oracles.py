@@ -34,6 +34,7 @@ from plumbline import (
     double,
     from_json,
     generic_betti,
+    intersection_ring,
     os_algebra,
     phi_matrix,
     verify_double_isomorphism,
@@ -532,3 +533,89 @@ class TestOneGenericWalk:
     @given(small_arrangements, st.integers(0, 3), st.integers(1, 5))
     def test_random(self, arr, seed, trials):
         _one_walk_matches(arr, seeds=[seed], trials=[trials])
+
+
+# The indent-2 JSON writer against the json.dumps call it replaced.
+
+json_text = st.text() | st.text(alphabet='"\\/\x00\x08\x1f\x7fé \U0001f600 ab')
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**4300 - 1), 10**4300 - 1) | json_text,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(json_text, inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=500, deadline=None)
+    @given(json_trees)
+    def test_random_trees(self, doc):
+        assert cli._json_text(doc) == oracles.emit_json(doc) + "\n"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {}, [], (), "", 0,
+            {"a": {}, "b": [[], (), [{}]], "c": ({"d": []},)},
+            {"ok": True, "off": False, "none": None, "one": 1, "zero": 0},
+            [True, 1, False, 0, None],
+            {'"\\\x00\x1fé\U0001f600': 'q"\\\n\t '},
+            [10**4300 - 1, -(10**4299)],
+        ],
+    )
+    def test_examples(self, doc):
+        assert cli._json_text(doc) == oracles.emit_json(doc) + "\n"
+
+    def test_bool_is_not_int(self):
+        assert cli._json_text({"ok": True, "n": [1, False]}) == '{\n  "n": [\n    1,\n    false\n  ],\n  "ok": true\n}\n'
+
+    @pytest.mark.parametrize(
+        "doc",
+        [1.5, [0.0], {"x": float("nan")}, Fraction(1, 2), [Fraction(3)], {1: 2}, {None: 1}, {True: 1},
+         {(1, 2): 3}, {"x": {2.5: 1}}, {1, 2}, b"x"],
+    )
+    def test_refuses(self, doc):
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
+
+
+def _stdout_is_oracle(arr):
+    """Every command prints what it printed through ``json.dumps`` and ``click.echo``,
+    and ``report`` builds the same pieces as the public functions do."""
+    alg = os_algebra(arr)
+    point = json.dumps({
+        "a": [(i % 5) - 2 for i in range(alg.rank(1))],
+        "b": ["1/2" if i % 3 else i for i in range(alg.rank(2))],
+    })
+    commands = [
+        ["validate"], ["nbc"], ["os"], ["double"], ["homology"], ["ring"], ["verify"], ["report"],
+        ["resonance", "generic"], ["resonance", "classify"], ["resonance", "eval", "--point", point],
+    ]
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "arrangement.json"
+        path.write_text(json.dumps(arrangement.to_json(arr)))
+        for command in commands:
+            new = runner.invoke(cli.main, command + [str(path)])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "_json_text", lambda doc: oracles.emit_json(doc) + "\n")
+                old = runner.invoke(cli.main, command + [str(path)])
+            assert new.exit_code == old.exit_code == 0, command
+            assert new.stdout_bytes == old.stdout_bytes, command
+    doc = cli.build_report(arr, seed=0, trials=5)
+    assert doc["isomorphism"] == verify_double_isomorphism(arr).to_json()
+    assert doc["intersection_ring"] == intersection_ring(arr).to_json()
+
+
+class TestStdoutMatchesOracle:
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_fixtures(self, name):
+        _stdout_is_oracle(load_fixture(name))
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_arrangements)
+    def test_random(self, arr):
+        _stdout_is_oracle(arr)
