@@ -45,6 +45,7 @@ from .exact_linalg import (
     IntMatrix,
     RatMatrix,
     SnfResult,
+    SparseIntMatrix,
     cokernel,
     det,
     kernel_dim,

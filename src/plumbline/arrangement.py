@@ -99,10 +99,6 @@ class Arrangement:
         except KeyError:
             raise IndexOutOfRange(f"no point contains lines {j} and {k}") from None
 
-    def points_through(self, line: int) -> tuple[int, ...]:
-        """Indices of the points containing the given line."""
-        return tuple(idx for idx, pt in enumerate(self.points) if line in pt)
-
 
 def validate(raw_points: Iterable[Sequence[int]], n_lines: int) -> Arrangement:
     """Check the incidence axioms and complete the point family.

@@ -1,10 +1,12 @@
-"""Exact dense linear algebra over the integers and the rationals.
+"""Exact linear algebra over the integers and the rationals.
 
 Everything in this module is exact: integer matrices hold arbitrary-precision
 Python ints, and rational matrices hold exact rationals, ``int`` or
-``fractions.Fraction``. No floating point is used anywhere. ``IntMatrix`` and
-``RatMatrix`` share one implementation and differ only in how ``from_rows``
-coerces an entry.
+``fractions.Fraction``. No floating point is used anywhere. The dense
+``IntMatrix`` and ``RatMatrix`` share one implementation and differ only in
+how ``from_rows`` coerces an entry and which entry types they accept.
+``SparseIntMatrix`` keeps only the nonzeros of each row; ``cokernel`` takes
+it without a dense copy.
 
 The entry points are Smith normal form (``snf``), rank, kernel dimension and
 left kernel over the rationals (``rank``, ``kernel_dim``, ``left_kernel``), a
@@ -26,6 +28,7 @@ from typing import Sequence, TypeVar
 __all__ = [
     "IntMatrix",
     "RatMatrix",
+    "SparseIntMatrix",
     "SnfResult",
     "snf",
     "rank",
@@ -44,8 +47,9 @@ _M = TypeVar("_M", bound="_Matrix")
 class _Matrix:
     """Immutable dense matrix, row-major.
 
-    A subclass sets ``_coerce``, which ``from_rows`` applies to every entry.
-    Matrices of different subclasses never compare equal.
+    A subclass sets ``_coerce``, which ``from_rows`` applies to every entry,
+    and ``_types``, the exact entry types it accepts (``bool`` is not
+    ``int``). Matrices of different subclasses never compare equal.
     """
 
     rows: int
@@ -57,6 +61,9 @@ class _Matrix:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match shape")
+        bad = set(map(type, self.entries)) - self._types
+        if bad:
+            raise TypeError(f"{type(self).__name__} cannot hold {', '.join(sorted(t.__name__ for t in bad))}")
 
     @classmethod
     def from_rows(cls: type[_M], data: Sequence[Sequence]) -> _M:
@@ -115,6 +122,7 @@ class IntMatrix(_Matrix):
     """Immutable dense integer matrix; ``from_rows`` rejects non-integers."""
 
     _coerce = staticmethod(operator.index)
+    _types = frozenset({int})
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -128,6 +136,42 @@ class RatMatrix(_Matrix):
     """Immutable dense matrix of exact rationals, ``int`` or ``Fraction``."""
 
     _coerce = staticmethod(Fraction)
+    _types = frozenset({int, Fraction})
+
+
+@dataclass(frozen=True)
+class SparseIntMatrix:
+    """Immutable sparse integer matrix: ``nonzeros[i]`` holds row i's nonzero
+    entries as ``(column, value)`` pairs in increasing column order.
+
+    That form is checked on construction, so it is unique: two equal
+    matrices compare equal, and ``cokernel`` copies the rows as they are.
+    """
+
+    rows: int
+    cols: int
+    nonzeros: tuple[tuple[tuple[int, int], ...], ...]
+
+    def __post_init__(self) -> None:
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        if len(self.nonzeros) != self.rows:
+            raise ValueError("one tuple of nonzeros per row required")
+        for row in self.nonzeros:
+            if not row:
+                continue
+            js, xs = zip(*row)
+            if set(map(type, js + xs)) != {int}:
+                raise TypeError("sparse entries must be (column, value) pairs of int")
+            if 0 in xs or not (0 <= js[0] and js[-1] < self.cols and all(map(operator.lt, js, js[1:]))):
+                raise ValueError("sparse values must be nonzero, columns increasing and within range")
+
+    def to_dense(self) -> IntMatrix:
+        entries = [0] * (self.rows * self.cols)
+        for i, row in enumerate(self.nonzeros):
+            for j, x in row:
+                entries[i * self.cols + j] = x
+        return IntMatrix(self.rows, self.cols, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -372,11 +416,12 @@ def left_kernel(m: RatMatrix) -> tuple[int, list[list[int]]]:
     return r, [row[m.cols :] for row in rows[r:]]
 
 
-def cokernel(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
+def cokernel(m: IntMatrix | SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
     """Invariants of coker(m : Z^cols -> Z^rows) = Z^rows / im(m).
 
     Returns (free_rank, torsion) where torsion lists the invariant factors
-    greater than 1 in divisibility order.
+    greater than 1 in divisibility order. A ``SparseIntMatrix`` is read by
+    its nonzeros only, so the cost follows them and not rows x cols.
 
     Unit entries (+-1) are eliminated first on a sparse copy, least Markowitz
     cost (row nnz - 1) * (column nnz - 1) first (Kannan-Bachem 1979). Each
@@ -386,11 +431,13 @@ def cokernel(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """
     from heapq import heapify, heappop, heappush  # imported on use: most commands never get here
 
-    rows: dict[int, dict[int, int]] = {}
+    rows: dict[int, dict[int, int]]
+    if isinstance(m, SparseIntMatrix):
+        rows = dict(enumerate(map(dict, m.nonzeros)))
+    else:
+        rows = {i: {j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)}
     cols: dict[int, set[int]] = {j: set() for j in range(m.cols)}
-    for i in range(m.rows):
-        row = {j: x for j, x in enumerate(m.row(i)) if x}
-        rows[i] = row
+    for i, row in rows.items():
         for j in row:
             cols[j].add(i)
 

@@ -15,19 +15,22 @@ two lines share exactly one point, and coker J = Z^n. That fact is rechecked
 on every call and a violation raises ``InternalContradiction`` rather than
 returning silently.
 
-The matrix has V^2 entries but at most V + 2E nonzeros (E edges), so a
-result keeps the graph, not the matrix. ``plumbing_matrix`` fills the dense matrix
-that ``cokernel`` takes straight from the weights and edges, and
-``H1Result.entry_strings`` writes the entries for output the same way.
+The matrix has V^2 entries but at most V + 2E nonzeros (E edges), so
+nothing on the way from graph to Smith form is V x V: ``plumbing_matrix``
+returns the nonzeros as a ``SparseIntMatrix``, which ``cokernel`` takes as
+it is, and a result keeps the graph, not the matrix.
+``H1Result.entry_strings`` writes the V^2 entries for ``homology``'s output
+straight from the weights and edges.
 """
 
 from __future__ import annotations
 
-import operator
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .arrangement import Arrangement, InternalContradiction, incidence_graph
-from .exact_linalg import IntMatrix, cokernel
+from .exact_linalg import SparseIntMatrix, cokernel
 
 __all__ = [
     "InternalContradiction",
@@ -93,8 +96,7 @@ class H1Result:
     ``free_rank`` already includes the b1 of the graph; ``torsion`` lists
     invariant factors greater than 1 in divisibility order. ``graph`` is the
     plumbing graph it was computed from: its O(V + E) weights and edges give
-    the V x V matrix that ``homology`` prints, so no dense copy outlives the
-    cokernel.
+    the V x V matrix that ``homology`` prints.
     """
 
     free_rank: int
@@ -105,7 +107,13 @@ class H1Result:
 
     def entry_strings(self) -> list[str]:
         """``str`` of each plumbing-matrix entry, row-major."""
-        return _row_major(self.graph, "0", str, "1")
+        g = self.graph
+        nv = g.n_vertices
+        e = ["0"] * (nv * nv)
+        e[:: nv + 1] = map(str, g.weights)
+        for i, j in g.edges:
+            e[i * nv + j] = e[j * nv + i] = "1"
+        return e
 
     def to_json(self) -> dict:
         return {
@@ -123,10 +131,9 @@ def plumbing_graph(arr: Arrangement) -> PlumbingGraph:
     the row order of ``plumbing_matrix``.
     """
     graph = incidence_graph(arr)
+    through = Counter(chain.from_iterable(arr.points))
     labels = [f"L{i}" for i in range(arr.n_lines)]
-    weights = [0] * arr.n_lines
-    for i in range(arr.n_lines):
-        weights[i] = 1 - len(arr.points_through(i))
+    weights = [1 - through[i] for i in range(arr.n_lines)]
     for pt in arr.points:
         labels.append("P(" + ",".join(str(x) for x in pt) + ")")
         weights.append(-1)
@@ -134,20 +141,17 @@ def plumbing_graph(arr: Arrangement) -> PlumbingGraph:
     return PlumbingGraph(tuple(labels), tuple(weights), edges)
 
 
-def _row_major(g: PlumbingGraph, zero, weight, one) -> list:
-    """The V x V plumbing matrix as a flat row-major list: ``zero`` everywhere,
-    ``weight(w)`` on the diagonal and ``one`` at each edge and its mirror."""
-    nv = g.n_vertices
-    e = [zero] * (nv * nv)
-    e[:: nv + 1] = map(weight, g.weights)
+def plumbing_matrix(g: PlumbingGraph) -> SparseIntMatrix:
+    """Symmetric matrix with vertex weights on the diagonal, 1 on edges,
+    kept as its V + 2E nonzeros."""
+    rows = [[(i, w)] if w else [] for i, w in enumerate(g.weights)]
     for i, j in g.edges:
-        e[i * nv + j] = e[j * nv + i] = one
-    return e
-
-
-def plumbing_matrix(g: PlumbingGraph) -> IntMatrix:
-    """Symmetric matrix with vertex weights on the diagonal, 1 on edges."""
-    return IntMatrix(g.n_vertices, g.n_vertices, tuple(_row_major(g, 0, operator.index, 1)))
+        rows[i].append((j, 1))
+        rows[j].append((i, 1))
+    for row in rows:
+        row.sort()
+    nv = g.n_vertices
+    return SparseIntMatrix(nv, nv, tuple(map(tuple, rows)))
 
 
 def h1_plumbed(g: PlumbingGraph) -> H1Result:

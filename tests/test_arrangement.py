@@ -86,10 +86,6 @@ class TestArrangementQueries:
         with pytest.raises(ValueError):
             two_triples.point_of(2, 2)
 
-    def test_points_through(self, two_triples):
-        through_4 = [two_triples.points[i] for i in two_triples.points_through(4)]
-        assert through_4 == [(0, 3, 4), (1, 4), (2, 4)]
-
     def test_n(self, two_triples):
         assert two_triples.n == 4
         assert two_triples.n_lines == 5

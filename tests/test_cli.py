@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import plumbline
-from plumbline import beta, from_json, verify_double_isomorphism
+from plumbline import beta, exact_linalg, from_json, verify_double_isomorphism
 from plumbline.cli import build_report, main, random_arrangement
 
 from conftest import FIXTURES, load_fixture
@@ -403,6 +403,29 @@ def test_homology_48_lines_stays_small(runner, tmp_path):
     assert proc.stdout.startswith(b'{\n  "b1_graph": 1081,') and proc.stdout.endswith(b'  "torsion": []\n}\n')
     maxrss_mb = int(proc.stderr.decode().rsplit("maxrss ", 1)[1]) / 1024
     assert maxrss_mb < 150
+
+
+def test_no_plumbing_sized_matrix(runner, monkeypatch, tmp_path):
+    # The plumbing matrix of 40 generic lines is V x V with V = 820, but
+    # its nonzeros number V + 2E; no dense matrix of V^2 entries is built on
+    # the way to its Smith form, nor anywhere else in h1_boundary, verify or
+    # report.
+    arr = random_arrangement(random.Random(1), 40, 0.0)
+    nv = arr.n_lines + len(arr.points)
+    path = tmp_path / "generic40.json"
+    path.write_text(json.dumps(plumbline.to_json(arr)))
+    sizes = []
+    real = exact_linalg._Matrix.__post_init__
+
+    def spy(self):
+        sizes.append(self.rows * self.cols)
+        real(self)
+
+    monkeypatch.setattr(exact_linalg._Matrix, "__post_init__", spy)
+    plumbline.h1_boundary(arr)
+    for command in ("verify", "report"):
+        assert runner.invoke(main, [command, str(path)]).exit_code == 0
+    assert sizes and max(sizes) < nv * nv
 
 
 class TestOncePerOp:

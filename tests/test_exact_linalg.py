@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from plumbline.exact_linalg import (
     IntMatrix,
     RatMatrix,
+    SparseIntMatrix,
+    _bareiss,
     clear_denominators,
     cokernel,
     det,
@@ -332,9 +334,9 @@ class TestDet:
     def test_non_exact_division_raises(self):
         # Bareiss divisions are exact on integer input; a non-integer entry
         # breaks that, and the quotient must not be floored silently.
-        m = IntMatrix(2, 2, (Fraction(1, 2), 1, 1, 1))
+        # IntMatrix rejects such an entry, so the row goes in directly.
         with pytest.raises(ArithmeticError, match="non-exact"):
-            det(m)
+            _bareiss([[Fraction(1, 2), 1], [1, 1]], 2)
 
     @settings(max_examples=100, deadline=None)
     @given(int_matrices(max_dim=4, max_abs=9))
@@ -360,6 +362,18 @@ class TestMatrixBasics:
         with pytest.raises(TypeError):
             IntMatrix.from_rows([[entry, 2]])
 
+    @pytest.mark.parametrize("entries", [("x", 1.5), (True, 1), (Fraction(1, 2), 1)])
+    def test_int_matrix_rejects_other_entry_types(self, entries):
+        with pytest.raises(TypeError):
+            IntMatrix(1, 2, entries)
+
+    def test_rat_matrix_rejects_other_entry_types(self):
+        with pytest.raises(TypeError):
+            rank(RatMatrix(1, 2, (0.5, 1)))
+        with pytest.raises(TypeError):
+            RatMatrix(1, 2, (False, 1))
+        assert rank(RatMatrix(1, 2, (Fraction(1, 2), 1))) == 1
+
     def test_matmul(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         b = IntMatrix.from_rows([[0, 1], [1, 0]])
@@ -378,3 +392,39 @@ class TestMatrixBasics:
         assert a.to_json() == {"rows": 1, "cols": 2, "entries": ["1", "-2"]}
         q = RatMatrix.from_rows([[Fraction(1, 2), 3]])
         assert q.to_json() == {"rows": 1, "cols": 2, "entries": ["1/2", "3"]}
+
+
+class TestSparseIntMatrix:
+    def test_to_dense(self):
+        m = SparseIntMatrix(2, 3, (((0, 2), (2, -1)), ()))
+        assert m.to_dense() == IntMatrix.from_rows([[2, 0, -1], [0, 0, 0]])
+        assert SparseIntMatrix(0, 4, ()).to_dense() == IntMatrix.zeros(0, 4)
+
+    @pytest.mark.parametrize(
+        "shape, nonzeros",
+        [
+            ((2, 2), (((0, 1),),)),  # one row short
+            ((1, 2), (((1, 1), (0, 1)),)),  # columns out of order
+            ((1, 2), (((0, 1), (0, 2)),)),  # a column twice
+            ((1, 2), (((2, 1),),)),  # column out of range
+            ((1, 2), (((-1, 1),),)),
+            ((1, 2), (((0, 0),),)),  # a stored zero
+        ],
+    )
+    def test_rejects_malformed_rows(self, shape, nonzeros):
+        with pytest.raises(ValueError):
+            SparseIntMatrix(*shape, nonzeros)
+
+    @pytest.mark.parametrize("pair", [(0, 1.5), (0, True), (0, Fraction(1, 2)), (0.0, 1)])
+    def test_rejects_non_int_entries(self, pair):
+        with pytest.raises(TypeError):
+            SparseIntMatrix(1, 2, ((pair,),))
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices(max_dim=6, max_abs=4))
+    def test_cokernel_same_as_dense(self, m):
+        sparse = SparseIntMatrix(
+            m.rows, m.cols, tuple(tuple((j, x) for j, x in enumerate(m.row(i)) if x) for i in range(m.rows))
+        )
+        assert sparse.to_dense() == m
+        assert cokernel(sparse) == cokernel(m)
