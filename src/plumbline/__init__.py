@@ -55,7 +55,6 @@ from .exact_linalg import (
 from .os_algebra import (
     DegreeError,
     DoubledAlgebra,
-    Element,
     GradedAlgebra,
     double,
     dual_label,

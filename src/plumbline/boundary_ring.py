@@ -24,6 +24,13 @@ Orlik-Solomon algebra under the basis correspondence
     PD(F_i) -> e_i,   PD(tau_(j,k)) -> dual f_(j,k),
     PD(t_i) -> dual e_i,   PD(g_(j,k)) -> f_(j,k).
 
+It compares the canonical products only: degree 1 x 1 with the lower basis
+index first, and degree 1 x 2. Both rings store just these and answer every
+other order through graded commutativity, y x = (-1)^(deg x * deg y) x y,
+and the correspondence keeps the position of each degree-one class, so the
+reverse orders agree whenever the canonical ones do. The products are
+compared as two dicts, once.
+
 The two sides are computed by independent routes (geometric tables versus
 the doubling construction), so agreement here is a genuine cross-check, not
 a tautology.
@@ -102,40 +109,44 @@ class IntersectionRing:
 def intersection_ring(arr: Arrangement) -> IntersectionRing:
     """The intersection ring of the boundary manifold, from the closed tables."""
     n = arr.n
+    points = arr.points
     pairs = nbc_set(arr)
-    t = [f"t{i}" for i in range(1, n + 1)]
+    t = [f"t{i}" for i in range(n + 1)]  # t[i] and F[i] belong to line i; index 0 is unused
+    f_surf = [f"F{i}" for i in range(n + 1)]
     g = {(p.j, p.k): f"g({p.j},{p.k})" for p in pairs}
-    f_surf = [f"F{i}" for i in range(1, n + 1)]
-    tau = {(p.j, p.k): f"tau({p.j},{p.k})" for p in pairs}
+    tau = [f"tau({p.j},{p.k})" for p in pairs]
 
     products: dict[tuple[str, str], dict[str, int]] = {}
 
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
-            pt = arr.points[arr.point_of(a, b)]
-            k = pt[0]
+            k = points[arr.point_of(a, b)][0]
             if k == 0:
                 continue
             if k == a:
                 vec = {g[(a, b)]: 1}
             else:
                 vec = {g[(k, b)]: 1, g[(k, a)]: -1}
-            products[(f"F{a}", f"F{b}")] = vec
+            products[(f_surf[a], f_surf[b])] = vec
 
+    # F_i . tau is zero unless line i lies in the pair's point: list, for
+    # each line, the pairs whose point contains it, in nbc order.
+    through: list[list[int]] = [[] for _ in range(n + 1)]
+    for idx, p in enumerate(pairs):
+        for m in points[p.point]:
+            through[m].append(idx)
     for i in range(1, n + 1):
-        for p in pairs:
-            pt = arr.points[p.point]
-            if i == p.k:
-                vec = {f"t{m}": 1 for m in pt if m != i}
-            elif i in pt:
-                vec = {f"t{p.k}": -1}
+        for idx in through[i]:
+            k = pairs[idx].k
+            if i == k:
+                vec = {t[m]: 1 for m in points[pairs[idx].point] if m != i}
             else:
-                continue
-            products[(f"F{i}", tau[(p.j, p.k)])] = vec
+                vec = {t[k]: -1}
+            products[(f_surf[i], tau[idx])] = vec
 
     # Position i of h1 is dual to position i of h2: t_i <-> F_i, g <-> tau.
-    h2 = tuple(f_surf) + tuple(tau[(p.j, p.k)] for p in pairs)
-    h1 = tuple(t) + tuple(g[(p.j, p.k)] for p in pairs)
+    h2 = tuple(f_surf[1:]) + tuple(tau)
+    h1 = tuple(t[1:]) + tuple(g.values())
     return IntersectionRing(h1, h2, products)
 
 
@@ -199,32 +210,36 @@ def _basis_map(coh: GradedAlgebra, dbl: DoubledAlgebra) -> dict[str, str]:
     return dict(zip(sum(coh.basis, ()), unit + deg1 + deg2[r2:] + deg2[:r2] + top, strict=True))
 
 
-def _ordered_products(alg: GradedAlgebra) -> dict[tuple[str, str], dict[str, int]]:
-    """``basis_product`` on degree 1 x 1 and 1 x 2 pairs, both orders, read
-    off the stored products of a ring of top degree 3; other pairs are zero."""
-    pos = alg._position
-    out: dict[tuple[str, str], dict[str, int]] = {}
-    for (x, y), vec in alg.products.items():
-        (dx, ix), (dy, iy) = pos[x], pos[y]
-        if dx != 1 or dy not in (1, 2) or (dx, ix) >= (dy, iy):
-            continue
-        out[(x, y)] = vec
-        out[(y, x)] = {lab: -c for lab, c in vec.items()} if dy == 1 else vec
-    return out
+def _canonical_products(alg: GradedAlgebra) -> dict[tuple[str, str], dict[str, int]]:
+    """The nonzero stored products of a ring of top degree 3 on degree 1 x 1
+    pairs (lower basis index first) and degree 1 x 2 pairs. Every other
+    product on degrees 1 x 1, 1 x 2 and 2 x 1 follows from these by graded
+    commutativity; the rest are zero."""
+    deg1 = {lab: i for i, lab in enumerate(alg.basis[1])}
+    deg2 = set(alg.basis[2])
+    return {
+        (x, y): vec
+        for (x, y), vec in alg.products.items()
+        if vec and x in deg1 and (y in deg2 or deg1.get(y, -1) > deg1[x])
+    }
 
 
 def verify_double_isomorphism(arr: Arrangement) -> IsomorphismReport:
-    """Compare all ordered structure constants of the two rings.
+    """Compare the structure constants of the two rings on degrees 1 x 1, 1 x 2 and 2 x 1.
 
     Builds the cohomology ring from the geometric product tables and the
     double of the Orlik-Solomon algebra from the doubling construction, maps
-    the cohomology basis onto the double's basis, and compares the products
-    of every ordered basis pair in degrees one times one and one times two
-    (both orders). Returns a report rather than raising, so callers can
-    surface the exact mismatching pairs.
+    the cohomology basis onto the double's basis, and compares the canonical
+    products: degree 1 x 1 with the lower index first, and degree 1 x 2.
+    Both rings derive every other order from these by the same rule,
+    y x = (-1)^(deg x * deg y) x y, and the map keeps degree-one positions,
+    so two rings that agree on canonical products agree on every ordered
+    pair. Returns a report rather than raising, so callers can surface the
+    exact mismatching pairs.
 
-    Only stored products can differ, so only they are compared. Mismatches
-    come in pair order: degrees 1 x 1, 1 x 2, then 2 x 1, each row-major.
+    A mismatch is listed for both orders of its pair, the reverse with the
+    sign of that rule. Mismatches come in pair order: degrees 1 x 1, 1 x 2,
+    then 2 x 1, each row-major.
     """
     return _compare(cohomology_ring(arr), double(os_algebra(arr)))
 
@@ -232,19 +247,24 @@ def verify_double_isomorphism(arr: Arrangement) -> IsomorphismReport:
 def _compare(coh: GradedAlgebra, dbl: DoubledAlgebra) -> IsomorphismReport:
     """``verify_double_isomorphism`` of an arrangement's cohomology ring and double."""
     phi = _basis_map(coh, dbl)
-    back = {v: k for k, v in phi.items()}
-
-    lhs_table = {
+    lhs = {
         (phi[x], phi[y]): {phi[lab]: c for lab, c in vec.items()}
-        for (x, y), vec in _ordered_products(coh).items()
+        for (x, y), vec in _canonical_products(coh).items()
     }
-    rhs_table = _ordered_products(dbl)
-    mismatches = []
-    for x, y in lhs_table.keys() | rhs_table.keys():
-        lhs = lhs_table.get((x, y), {})
-        rhs = rhs_table.get((x, y), {})
-        if lhs != rhs:
-            mismatches.append((back[x], back[y], lhs, dict(rhs)))
+    rhs = _canonical_products(dbl)
+    if lhs == rhs:
+        return IsomorphismReport(ok=True, mismatches=())
+
+    back = {v: k for k, v in phi.items()}
     pos = coh._position
+    mismatches = []
+    for key in lhs.keys() | rhs.keys():
+        left, right = lhs.get(key, {}), rhs.get(key, {})
+        if left != right:
+            x, y = back[key[0]], back[key[1]]
+            sign = -1 if pos[y][0] == 1 else 1
+            mismatches.append((x, y, left, dict(right)))
+            mismatches.append((y, x, {lab: sign * c for lab, c in left.items()},
+                               {lab: sign * c for lab, c in right.items()}))
     mismatches.sort(key=lambda m: (pos[m[0]][0], pos[m[1]][0], pos[m[0]][1], pos[m[1]][1]))
-    return IsomorphismReport(ok=not mismatches, mismatches=tuple(mismatches))
+    return IsomorphismReport(ok=False, mismatches=tuple(mismatches))

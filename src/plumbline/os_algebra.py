@@ -33,7 +33,6 @@ from .arrangement import Arrangement, nbc_set
 
 __all__ = [
     "DegreeError",
-    "Element",
     "GradedAlgebra",
     "DoubledAlgebra",
     "os_algebra",
@@ -49,24 +48,6 @@ class DegreeError(ValueError):
 def dual_label(label: str) -> str:
     """Label of the dual basis vector; a tilde marks dualized generators."""
     return "~" + label
-
-
-@dataclass(frozen=True)
-class Element:
-    """A homogeneous element: a degree and a sparse integer coordinate vector.
-
-    Zero coefficients are dropped on construction, so equality of elements
-    is equality of dataclass fields.
-    """
-
-    degree: int
-    coeffs: dict[str, int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", {k: v for k, v in self.coeffs.items() if v})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
 
 @dataclass(frozen=True, eq=True)
@@ -117,9 +98,6 @@ class GradedAlgebra:
     def degree_of(self, label: str) -> int:
         return self._position[label][0]
 
-    def element(self, label: str) -> Element:
-        return Element(self.degree_of(label), {label: 1})
-
     def basis_product(self, x: str, y: str) -> dict[str, int]:
         """Structure constants of x y as a sparse vector, sign included."""
         dx, ix = self._position[x]
@@ -138,19 +116,6 @@ class GradedAlgebra:
             return dict(self.products.get((x, y), {}))
         sign = -1 if (dx * dy) % 2 else 1
         return {lab: sign * c for lab, c in self.products.get((y, x), {}).items()}
-
-    def multiply(self, x: Element, y: Element) -> Element:
-        """Bilinear extension of ``basis_product`` to homogeneous elements."""
-        if x.degree + y.degree > self.top_degree:
-            raise DegreeError(
-                f"degree {x.degree} + {y.degree} exceeds top degree {self.top_degree}"
-            )
-        out: dict[str, int] = {}
-        for lx, cx in x.coeffs.items():
-            for ly, cy in y.coeffs.items():
-                for lab, c in self.basis_product(lx, ly).items():
-                    out[lab] = out.get(lab, 0) + cx * cy * c
-        return Element(x.degree + y.degree, out)
 
     def _product_items(self) -> list[tuple[tuple[str, str], dict[str, int]]]:
         pos = self._position
@@ -176,22 +141,22 @@ class DoubledAlgebra(GradedAlgebra):
 def os_algebra(arr: Arrangement) -> GradedAlgebra:
     """The Orlik-Solomon algebra of an arrangement, degrees 0..2."""
     n = arr.n
-    e_labels = tuple(f"e{i}" for i in range(1, n + 1))
+    points = arr.points
+    e = [f"e{i}" for i in range(n + 1)]  # e[i] is the generator of line i; e[0] is unused
     pairs = nbc_set(arr)
     f_label = {(p.j, p.k): f"f({p.j},{p.k})" for p in pairs}
     products: dict[tuple[str, str], dict[str, int]] = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            pt = arr.points[arr.point_of(i, j)]
-            k = pt[0]
+            k = points[arr.point_of(i, j)][0]
             if k == 0:
                 continue
             if k == i:
                 vec = {f_label[(i, j)]: 1}
             else:
                 vec = {f_label[(k, j)]: 1, f_label[(k, i)]: -1}
-            products[(f"e{i}", f"e{j}")] = vec
-    basis = (("1",), e_labels, tuple(f_label[(p.j, p.k)] for p in pairs))
+            products[(e[i], e[j])] = vec
+    basis = (("1",), tuple(e[1:]), tuple(f_label.values()))
     return GradedAlgebra(basis, products)
 
 
@@ -213,9 +178,10 @@ def double(alg: GradedAlgebra) -> DoubledAlgebra:
         raise DegreeError("doubling requires a graded algebra with top degree 2")
     a_labels = alg.basis[1]
     b_labels = alg.basis[2]
+    dual = {lab: dual_label(lab) for lab in a_labels + b_labels}
     top = dual_label(alg.unit)
-    deg1 = a_labels + tuple(dual_label(b) for b in b_labels)
-    deg2 = b_labels + tuple(dual_label(a) for a in a_labels)
+    deg1 = a_labels + tuple(dual[b] for b in b_labels)
+    deg2 = b_labels + tuple(dual[a] for a in a_labels)
     pos = alg._position
 
     products: dict[tuple[str, str], dict[str, int]] = {}
@@ -228,13 +194,13 @@ def double(alg: GradedAlgebra) -> DoubledAlgebra:
             continue  # never read by basis_product
         for f, c in vec.items():
             if c:
-                products.setdefault((y, dual_label(f)), {})[dual_label(x)] = c
-                products.setdefault((x, dual_label(f)), {})[dual_label(y)] = -c
+                products.setdefault((y, dual[f]), {})[dual[x]] = c
+                products.setdefault((x, dual[f]), {})[dual[y]] = -c
     # Complementary degrees pair as the identity on dual bases.
     for ai in a_labels:
-        products[(ai, dual_label(ai))] = {top: 1}
+        products[(ai, dual[ai])] = {top: 1}
     for bk in b_labels:
-        products[(dual_label(bk), bk)] = {top: 1}
+        products[(dual[bk], bk)] = {top: 1}
 
     basis = ((alg.unit,), deg1, deg2, (top,))
     return DoubledAlgebra(basis=basis, products=products, base=alg)

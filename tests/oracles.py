@@ -4,9 +4,13 @@ Each function here is the earlier, direct implementation, kept unchanged as
 a test oracle: the Smith-form cokernel, the stand-alone Bareiss determinant,
 the row-list plumbing matrix and the ``homology`` JSON document dumped whole
 with it, the ``json.dumps`` call that every command's JSON went through,
-the triple-loop double, the pair-loop cohomology ring (with the label
+the triple-loop double and the one-pass double that followed it (with a
+label call per product), the Orlik-Solomon algebra and the intersection
+ring that formatted each label per product (the ring scanning every line
+against every nbc pair), the pair-loop cohomology ring (with the label
 parsing it used for Poincare duality), the pair-loop ring verifier (with
-the label map it used), and the resonance complex (as the three dense
+the label map it used) and the verifier that compared both orders of every
+stored product, and the resonance complex (as the three dense
 differentials of the ``AomotoComplex`` it returned, built in ``Fraction``
 arithmetic from the label-keyed structure constants) with Betti numbers
 from dense rational ranks and generic Betti numbers as a minimum over every
@@ -24,9 +28,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from plumbline.arrangement import Arrangement, nbc_set
-from plumbline.boundary_ring import IsomorphismReport, intersection_ring
+from plumbline.boundary_ring import IsomorphismReport, IntersectionRing, _basis_map
 from plumbline.exact_linalg import IntMatrix, RatMatrix, rank, snf
-from plumbline.os_algebra import DegreeError, DoubledAlgebra, GradedAlgebra, dual_label, os_algebra
+from plumbline.os_algebra import DegreeError, DoubledAlgebra, GradedAlgebra, dual_label
 from plumbline.plumbing import PlumbingGraph, h1_boundary, plumbing_graph
 from plumbline.resonance import (
     AomotoPoint,
@@ -147,6 +151,113 @@ def double(alg: GradedAlgebra) -> DoubledAlgebra:
     return DoubledAlgebra(basis=basis, products=products, base=alg)
 
 
+def os_algebra(arr: Arrangement) -> GradedAlgebra:
+    """The Orlik-Solomon algebra of an arrangement, degrees 0..2."""
+    n = arr.n
+    e_labels = tuple(f"e{i}" for i in range(1, n + 1))
+    pairs = nbc_set(arr)
+    f_label = {(p.j, p.k): f"f({p.j},{p.k})" for p in pairs}
+    products: dict[tuple[str, str], dict[str, int]] = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            pt = arr.points[arr.point_of(i, j)]
+            k = pt[0]
+            if k == 0:
+                continue
+            if k == i:
+                vec = {f_label[(i, j)]: 1}
+            else:
+                vec = {f_label[(k, j)]: 1, f_label[(k, i)]: -1}
+            products[(f"e{i}", f"e{j}")] = vec
+    basis = (("1",), e_labels, tuple(f_label[(p.j, p.k)] for p in pairs))
+    return GradedAlgebra(basis, products)
+
+
+def double_one_pass(alg: GradedAlgebra) -> DoubledAlgebra:
+    """The double of a graded algebra with top degree two.
+
+    Degree 1 is the degree-one basis of ``alg`` followed by the duals of its
+    degree-two basis; degree 2 is the degree-two basis followed by the duals
+    of the degree-one basis; degree 3 is the dual of the unit. Both middle
+    degrees have rank (rank A1 + rank A2).
+
+    The a_j ~f_k block is read off the stored degree-one products in one
+    pass: x y = c f gives y ~f -> c ~x and x ~f -> -c ~y. The intersection
+    ring's F_a . F_b table copies the Orlik-Solomon case split of
+    ``os_algebra``, so on that block ``verify_double_isomorphism`` compares
+    two transcriptions of one rule.
+    """
+    if alg.top_degree != 2:
+        raise DegreeError("doubling requires a graded algebra with top degree 2")
+    a_labels = alg.basis[1]
+    b_labels = alg.basis[2]
+    top = dual_label(alg.unit)
+    deg1 = a_labels + tuple(dual_label(b) for b in b_labels)
+    deg2 = b_labels + tuple(dual_label(a) for a in a_labels)
+    pos = alg._position
+
+    products: dict[tuple[str, str], dict[str, int]] = {}
+    for (x, y), vec in alg.products.items():
+        (dx, ix), (dy, iy) = pos[x], pos[y]
+        if dx != 1 or dy != 1:
+            continue
+        products[(x, y)] = dict(vec)
+        if ix >= iy:
+            continue  # never read by basis_product
+        for f, c in vec.items():
+            if c:
+                products.setdefault((y, dual_label(f)), {})[dual_label(x)] = c
+                products.setdefault((x, dual_label(f)), {})[dual_label(y)] = -c
+    # Complementary degrees pair as the identity on dual bases.
+    for ai in a_labels:
+        products[(ai, dual_label(ai))] = {top: 1}
+    for bk in b_labels:
+        products[(dual_label(bk), bk)] = {top: 1}
+
+    basis = ((alg.unit,), deg1, deg2, (top,))
+    return DoubledAlgebra(basis=basis, products=products, base=alg)
+
+
+def intersection_ring(arr: Arrangement) -> IntersectionRing:
+    """The intersection ring of the boundary manifold, from the closed tables."""
+    n = arr.n
+    pairs = nbc_set(arr)
+    t = [f"t{i}" for i in range(1, n + 1)]
+    g = {(p.j, p.k): f"g({p.j},{p.k})" for p in pairs}
+    f_surf = [f"F{i}" for i in range(1, n + 1)]
+    tau = {(p.j, p.k): f"tau({p.j},{p.k})" for p in pairs}
+
+    products: dict[tuple[str, str], dict[str, int]] = {}
+
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            pt = arr.points[arr.point_of(a, b)]
+            k = pt[0]
+            if k == 0:
+                continue
+            if k == a:
+                vec = {g[(a, b)]: 1}
+            else:
+                vec = {g[(k, b)]: 1, g[(k, a)]: -1}
+            products[(f"F{a}", f"F{b}")] = vec
+
+    for i in range(1, n + 1):
+        for p in pairs:
+            pt = arr.points[p.point]
+            if i == p.k:
+                vec = {f"t{m}": 1 for m in pt if m != i}
+            elif i in pt:
+                vec = {f"t{p.k}": -1}
+            else:
+                continue
+            products[(f"F{i}", tau[(p.j, p.k)])] = vec
+
+    # Position i of h1 is dual to position i of h2: t_i <-> F_i, g <-> tau.
+    h2 = tuple(f_surf) + tuple(tau[(p.j, p.k)] for p in pairs)
+    h1 = tuple(t) + tuple(g[(p.j, p.k)] for p in pairs)
+    return IntersectionRing(h1, h2, products)
+
+
 def _dual_surface(h1_label: str) -> str:
     # t3 <-> F3, g(1,2) <-> tau(1,2)
     if h1_label.startswith("t"):
@@ -224,6 +335,41 @@ def verify_double_isomorphism(arr: Arrangement) -> IsomorphismReport:
         rhs = dbl.basis_product(phi[x], phi[y])
         if lhs != rhs:
             mismatches.append((x, y, lhs, rhs))
+    return IsomorphismReport(ok=not mismatches, mismatches=tuple(mismatches))
+
+
+def _ordered_products(alg: GradedAlgebra) -> dict[tuple[str, str], dict[str, int]]:
+    """``basis_product`` on degree 1 x 1 and 1 x 2 pairs, both orders, read
+    off the stored products of a ring of top degree 3; other pairs are zero."""
+    pos = alg._position
+    out: dict[tuple[str, str], dict[str, int]] = {}
+    for (x, y), vec in alg.products.items():
+        (dx, ix), (dy, iy) = pos[x], pos[y]
+        if dx != 1 or dy not in (1, 2) or (dx, ix) >= (dy, iy):
+            continue
+        out[(x, y)] = vec
+        out[(y, x)] = {lab: -c for lab, c in vec.items()} if dy == 1 else vec
+    return out
+
+
+def compare(coh: GradedAlgebra, dbl: DoubledAlgebra) -> IsomorphismReport:
+    """``verify_double_isomorphism`` of an arrangement's cohomology ring and double."""
+    phi = _basis_map(coh, dbl)
+    back = {v: k for k, v in phi.items()}
+
+    lhs_table = {
+        (phi[x], phi[y]): {phi[lab]: c for lab, c in vec.items()}
+        for (x, y), vec in _ordered_products(coh).items()
+    }
+    rhs_table = _ordered_products(dbl)
+    mismatches = []
+    for x, y in lhs_table.keys() | rhs_table.keys():
+        lhs = lhs_table.get((x, y), {})
+        rhs = rhs_table.get((x, y), {})
+        if lhs != rhs:
+            mismatches.append((back[x], back[y], lhs, dict(rhs)))
+    pos = coh._position
+    mismatches.sort(key=lambda m: (pos[m[0]][0], pos[m[1]][0], pos[m[0]][1], pos[m[1]][1]))
     return IsomorphismReport(ok=not mismatches, mismatches=tuple(mismatches))
 
 

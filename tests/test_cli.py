@@ -10,6 +10,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+import oracles
 import plumbline
 from plumbline import beta, exact_linalg, from_json, verify_double_isomorphism
 from plumbline.cli import build_report, main, random_arrangement
@@ -532,6 +533,25 @@ class TestOncePerOp:
         result = runner.invoke(main, ["report", fixture_path("two_triples")])
         assert result.exit_code == 1
         assert json.loads(result.output)["isomorphism"]["ok"] is False
+
+    def test_tampered_ring_lists_the_oracle_mismatches(self, runner, monkeypatch, two_triples):
+        # A flipped sign and a dropped product: verify and report exit 1 and
+        # list the mismatches that the both-orders verifier lists.
+        real = plumbline.intersection_ring(two_triples)
+        products = {**real.products, ("F1", "F2"): {lab: -c for lab, c in real.products[("F1", "F2")].items()}}
+        del products[("F2", "tau(1,2)")]
+        fake = plumbline.IntersectionRing(real.h1_labels, real.h2_labels, products)
+        dbl = plumbline.double(plumbline.os_algebra(two_triples))
+        want = oracles.compare(plumbline.boundary_ring._cohomology_of(fake), dbl).to_json()
+        assert len(want["mismatches"]) == 4
+        monkeypatch.setattr("plumbline.boundary_ring.intersection_ring", lambda arr: fake)
+        monkeypatch.setattr("plumbline.cli.intersection_ring", lambda arr: fake)
+        result = runner.invoke(main, ["verify", fixture_path("two_triples")])
+        assert result.exit_code == 1
+        assert json.loads(result.output) == want
+        result = runner.invoke(main, ["report", fixture_path("two_triples")])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["isomorphism"] == want
 
     def test_verify_lists_nbc_pairs_twice(self, runner, monkeypatch):
         calls = self.count_calls(monkeypatch, "nbc_set")

@@ -2,15 +2,20 @@
 
 ``oracles`` holds the earlier code unchanged: the Smith-form cokernel, the
 stand-alone Bareiss determinant, the row-list plumbing matrix and the
-``homology`` document dumped whole with it, the triple-loop double, the
-pair-loop cohomology ring, the pair-loop ring verifier, and the resonance complex with
+``homology`` document dumped whole with it, the triple-loop and one-pass
+doubles, the Orlik-Solomon algebra and intersection ring with per-product
+labels, the pair-loop cohomology ring, the pair-loop ring verifier and the
+both-orders verifier, and the resonance complex with
 Betti numbers from dense rational ranks. Each property runs on the shipped
 fixtures and on random arrangements of 3-12 lines (3-10 for resonance) at
 densities 0-1, or on random integer matrices or weighted graphs, and
 requires identical results. The plumbing matrix is compared through its
 dense view, and ``cokernel`` must agree on the sparse and the dense matrix.
+Rings and algebras must also store their products in the same order, which
+``to_json`` and the resonance table ``_mu`` read. The verifier is also run
+on rings with one product dropped, changed or added; ``test_census.py``
+runs it on every arrangement of 3-6 lines.
 """
-
 import json
 import random
 import tempfile
@@ -78,6 +83,26 @@ def _same_double(arr):
     assert new.to_json() == old.to_json()
 
 
+def _same_product_order(arr):
+    # _mu and every to_json read the stored products in insertion order.
+    alg, old_alg = os_algebra(arr), oracles.os_algebra(arr)
+    assert alg == old_alg
+    assert list(alg.products.items()) == list(old_alg.products.items())
+    dbl, old_dbl = double(alg), oracles.double_one_pass(alg)
+    assert dbl == old_dbl
+    assert list(dbl.products.items()) == list(old_dbl.products.items())
+    ring, old_ring = intersection_ring(arr), oracles.intersection_ring(arr)
+    assert ring == old_ring
+    assert list(ring.products.items()) == list(old_ring.products.items())
+
+
+def _same_compare(arr):
+    coh, dbl = cohomology_ring(arr), double(os_algebra(arr))
+    new, old = boundary_ring._compare(coh, dbl), oracles.compare(coh, dbl)
+    assert new == old
+    assert new.ok
+
+
 def _same_cohomology_ring(arr):
     new, old = cohomology_ring(arr), oracles.cohomology_ring(arr)
     assert new == old
@@ -125,6 +150,67 @@ test_plumbing_cokernel_fixture, test_plumbing_cokernel_random = fixture_and_rand
 test_plumbing_matrix_fixture, test_plumbing_matrix_random = fixture_and_random(_same_plumbing_matrix)
 test_homology_stdout_fixture, test_homology_stdout_random = fixture_and_random(_homology_stdout_is_oracle)
 test_basis_map_fixture, test_basis_map_random = fixture_and_random(_positional_map_is_label_map)
+test_product_order_fixture, test_product_order_random = fixture_and_random(_same_product_order)
+test_compare_fixture, test_compare_random = fixture_and_random(_same_compare)
+
+
+@st.composite
+def tampered_rings(draw):
+    """An arrangement's cohomology ring and double, with one stored product
+    on one side dropped, changed or added. Added keys and vector labels are
+    drawn from the whole basis as well as from degree one, so that empty,
+    zero-coefficient, non-canonical and out-of-degree entries all occur."""
+    arr = draw(arrangements)
+    coh, dbl = cohomology_ring(arr), double(os_algebra(arr))
+    side = draw(st.sampled_from(["cohomology", "double"]))
+    alg = coh if side == "cohomology" else dbl
+    labels = st.sampled_from(sum(alg.basis, ()))
+    deg1 = st.sampled_from(alg.basis[1])
+    products = dict(alg.products)
+    action = draw(st.sampled_from(["drop", "change", "add"]))
+    if action == "add":
+        key = (draw(deg1 | labels), draw(deg1 | labels))
+        products[key] = draw(st.dictionaries(labels, st.integers(-2, 2), max_size=3))
+    else:
+        key = draw(st.sampled_from(sorted(products)))
+        if action == "drop":
+            del products[key]
+        else:
+            products[key] = {**products[key], draw(labels): draw(st.integers(-2, 2))}
+    if side == "cohomology":
+        coh = GradedAlgebra(coh.basis, products)
+    else:
+        dbl = DoubledAlgebra(basis=dbl.basis, products=products, base=dbl.base)
+    return coh, dbl
+
+
+@settings(max_examples=300, deadline=None)
+@given(tampered_rings())
+def test_compare_tampered(rings):
+    coh, dbl = rings
+    new, old = boundary_ring._compare(coh, dbl), oracles.compare(coh, dbl)
+    assert new.ok == old.ok
+    assert new.mismatches == old.mismatches  # order included
+    assert new.to_json() == old.to_json()
+
+
+def test_compare_tampered_examples(two_triples):
+    # One product dropped, one sign flipped and one product added on the
+    # cohomology side: each mismatch is listed in both orders.
+    coh, dbl = cohomology_ring(two_triples), double(os_algebra(two_triples))
+    products = dict(coh.products)
+    del products[("~t1", "~t2")]
+    products[("~t2", "~g(1,2)")] = {"~F1": -1, "~F3": 1}
+    products[("~t3", "~F1")] = {"pt": 2}
+    new = boundary_ring._compare(GradedAlgebra(coh.basis, products), dbl)
+    assert new == oracles.compare(GradedAlgebra(coh.basis, products), dbl)
+    assert [(x, y) for x, y, _, _ in new.mismatches] == [
+        ("~t1", "~t2"), ("~t2", "~t1"), ("~t2", "~g(1,2)"), ("~g(1,2)", "~t2"),
+        ("~t3", "~F1"), ("~F1", "~t3"),
+    ]
+    assert new.mismatches[1][2:] == ({}, {"f(1,2)": -1})
+    assert new.mismatches[3][2:] == ({"~e1": 1, "~e3": -1}, {"~e1": -1, "~e3": -1})
+    assert new.mismatches[5][2:] == ({"~1": 2}, {})
 
 
 @st.composite
