@@ -19,7 +19,6 @@ from .arrangement import (
     ArrangementClass,
     ArrangementError,
     FormatError,
-    IncidenceGraph,
     IndexOutOfRange,
     NbcPair,
     PairCoveredTwice,
@@ -27,10 +26,8 @@ from .arrangement import (
     beta,
     classify,
     from_json,
-    incidence_graph,
     nbc_set,
     random_arrangement,
-    spanning_tree,
     to_json,
     validate,
 )
@@ -66,7 +63,7 @@ from .plumbing import (
     PlumbingGraph,
     h1_boundary,
     h1_plumbed,
-    plumbing_graph,
+    incidence_graph,
     plumbing_matrix,
 )
 from .resonance import (

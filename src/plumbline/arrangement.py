@@ -134,40 +134,16 @@ def validate(raw_points: Iterable[Sequence[int]], n_lines: int) -> Arrangement:
     return Arrangement(n_lines, tuple(full))
 
 
-@dataclass(frozen=True)
-class IncidenceGraph:
-    """Bipartite line/point incidence graph of an arrangement.
-
-    Edges are (line, point index) pairs. The graph is connected for every
-    valid arrangement, so its first Betti number is E - V + 1.
-    """
-
-    n_lines: int
-    n_points: int
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def n_vertices(self) -> int:
-        return self.n_lines + self.n_points
-
-    @property
-    def b1(self) -> int:
-        return len(self.edges) - self.n_vertices + 1
-
-
-def incidence_graph(arr: Arrangement) -> IncidenceGraph:
-    edges = tuple(
-        (line, idx) for idx, pt in enumerate(arr.points) for line in pt
-    )
-    return IncidenceGraph(arr.n_lines, len(arr.points), edges)
-
-
 class NbcPair(NamedTuple):
     """A pair (j, k) with j < k whose point avoids line 0 and has minimum j.
 
     ``point`` is the index of the containing point. These pairs index the
     degree-two basis everywhere downstream, and they are in bijection with
-    the independent cycles of the incidence graph.
+    the independent cycles of the incidence graph. The spanning tree that
+    keeps every edge at a point through line 0, and the edge to the minimal
+    line at every other point, leaves out the edges (line k, point P) with
+    0 not in P and k > min P; these correspond one-to-one to the nbc pairs
+    via (min P, k).
     """
 
     j: int
@@ -185,23 +161,6 @@ def nbc_set(arr: Arrangement) -> tuple[NbcPair, ...]:
             out.append(NbcPair(j, k, idx))
     out.sort()
     return tuple(out)
-
-
-def spanning_tree(arr: Arrangement) -> tuple[tuple[int, int], ...]:
-    """A canonical spanning tree of the incidence graph.
-
-    Keeps every edge at a point through line 0, and the edge to the minimal
-    line at every other point. The complement edges (line j at a point P
-    with 0 not in P and j > min P) correspond one-to-one to the pairs of
-    ``nbc_set`` via (min P, j). Edges are (line, point index) pairs.
-    """
-    edges: list[tuple[int, int]] = []
-    for idx, pt in enumerate(arr.points):
-        if pt[0] == 0:
-            edges.extend((line, idx) for line in pt)
-        else:
-            edges.append((pt[0], idx))
-    return tuple(sorted(edges))
 
 
 def beta(arr: Arrangement) -> int:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .arrangement import Arrangement, nbc_set
-from .os_algebra import DoubledAlgebra, GradedAlgebra, double, os_algebra
+from .os_algebra import DoubledAlgebra, GradedAlgebra, double, dual_label, os_algebra
 
 __all__ = [
     "IntersectionRing",
@@ -167,8 +167,8 @@ def _cohomology_of(ring: IntersectionRing) -> GradedAlgebra:
     """``cohomology_ring`` of the arrangement whose intersection ring is ``ring``."""
     # PD(F_i) = ~t_i and PD(tau) = ~g in degree one; PD(t_i) = ~F_i and
     # PD(g) = ~tau in degree two. The H_1 and H_2 bases are in dual order.
-    deg1 = tuple("~" + lab for lab in ring.h1_labels)
-    deg2 = tuple("~" + lab for lab in ring.h2_labels)
+    deg1 = tuple(map(dual_label, ring.h1_labels))
+    deg2 = tuple(map(dual_label, ring.h2_labels))
     pd1 = dict(zip(ring.h2_labels, deg1))  # H_2 class -> its PD in degree 1
     pd2 = dict(zip(ring.h1_labels, deg2))  # H_1 class -> its PD in degree 2
 

@@ -20,10 +20,10 @@ from pathlib import Path
 import click
 
 from . import arrangement as arrmod
-from .arrangement import Arrangement, ArrangementError, FormatError, beta, incidence_graph, nbc_set, random_arrangement
+from .arrangement import Arrangement, ArrangementError, FormatError, beta, nbc_set, random_arrangement
 from .boundary_ring import _cohomology_of, _compare, intersection_ring, verify_double_isomorphism
 from .os_algebra import DoubledAlgebra, double, os_algebra
-from .plumbing import H1Result, h1_boundary
+from .plumbing import H1Result, h1_boundary, incidence_graph
 from .resonance import (
     AomotoPoint,
     betti_numbers,
@@ -282,7 +282,7 @@ def build_report(arr: Arrangement, seed: int, trials: int) -> dict:
     alg = os_algebra(arr)
     dbl = double(alg)
     ring = intersection_ring(arr)
-    graph = incidence_graph(arr)
+    h1 = h1_boundary(arr)
     pairs = nbc_set(arr)
     res = _resonance_doc(arr, dbl, seed, trials)
     res["betti_generic"] = res.pop("betti")
@@ -291,10 +291,10 @@ def build_report(arr: Arrangement, seed: int, trials: int) -> dict:
         "class": res["class"],
         "beta": res["beta"],
         "nbc": [[p.j, p.k] for p in pairs],
-        "incidence": {"vertices": graph.n_vertices, "edges": len(graph.edges), "b1": graph.b1},
+        "incidence": {"vertices": h1.graph.n_vertices, "edges": len(h1.graph.edges), "b1": h1.graph.b1},
         "os_algebra": alg.to_json(),
         "double": dbl.to_json(),
-        "homology": h1_boundary(arr).to_json(),
+        "homology": h1.to_json(),
         "intersection_ring": ring.to_json(),
         "isomorphism": _compare(_cohomology_of(ring), dbl).to_json(),
         "resonance": res,

@@ -1,11 +1,13 @@
 """Plumbing graphs and the first homology of plumbed 3-manifolds.
 
 The boundary 3-manifold of an arrangement is encoded by a plumbing graph:
-the incidence graph of the arrangement with an Euler-number weight on every
-vertex. A line lying in p points gets weight 1 - p; every point vertex gets
-weight -1. For a weighted graph G the associated symmetric matrix has the
-weights on the diagonal and a 1 for every edge, and the first homology of
-the plumbed manifold is Z^b1(G) plus the cokernel of that matrix.
+the line/point incidence graph of the arrangement with an Euler-number
+weight on every vertex. ``incidence_graph`` builds it, with lines 0..n as
+vertices 0..n and the points after them; a line lying in p points gets
+weight 1 - p, and every point vertex gets weight -1. For a weighted graph G
+the associated symmetric matrix has the weights on the diagonal and a 1 for
+every edge, and the first homology of the plumbed manifold is Z^b1(G) plus
+the cokernel of that matrix.
 
 For graphs coming from an arrangement the cokernel is free of rank n (lines
 are 0..n), so the total first homology is free of rank b1(G) + n: with lines
@@ -25,18 +27,16 @@ straight from the weights and edges.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 
-from .arrangement import Arrangement, InternalContradiction, incidence_graph
+from .arrangement import Arrangement, InternalContradiction
 from .exact_linalg import SparseIntMatrix, cokernel
 
 __all__ = [
     "InternalContradiction",
     "PlumbingGraph",
     "H1Result",
-    "plumbing_graph",
+    "incidence_graph",
     "plumbing_matrix",
     "h1_plumbed",
     "h1_boundary",
@@ -45,16 +45,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlumbingGraph:
-    """A vertex-weighted simple graph; edges are index pairs (i, j), i < j."""
+    """A vertex-weighted simple graph on vertices 0..len(weights) - 1; edges
+    are index pairs (i, j), i < j."""
 
-    labels: tuple[str, ...]
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        nv = len(self.labels)
-        if len(self.weights) != nv:
-            raise ValueError("one weight per vertex required")
+        nv = len(self.weights)
         seen = set()
         for i, j in self.edges:
             if not (0 <= i < j < nv):
@@ -65,7 +63,7 @@ class PlumbingGraph:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.labels)
+        return len(self.weights)
 
     def is_connected(self) -> bool:
         nv = self.n_vertices
@@ -124,21 +122,21 @@ class H1Result:
         }
 
 
-def plumbing_graph(arr: Arrangement) -> PlumbingGraph:
-    """The weighted incidence graph of an arrangement.
+def incidence_graph(arr: Arrangement) -> PlumbingGraph:
+    """The weighted line/point incidence graph of an arrangement.
 
-    Vertex order is lines 0..n, then points in lexicographic order, matching
-    the row order of ``plumbing_matrix``.
+    Vertices are lines 0..n, then points in lexicographic order, matching
+    the row order of ``plumbing_matrix``; each line has an edge to every
+    point through it. The graph is connected, so its b1 is E - V + 1.
     """
-    graph = incidence_graph(arr)
-    through = Counter(chain.from_iterable(arr.points))
-    labels = [f"L{i}" for i in range(arr.n_lines)]
-    weights = [1 - through[i] for i in range(arr.n_lines)]
-    for pt in arr.points:
-        labels.append("P(" + ",".join(str(x) for x in pt) + ")")
-        weights.append(-1)
-    edges = tuple(sorted((line, arr.n_lines + idx) for line, idx in graph.edges))
-    return PlumbingGraph(tuple(labels), tuple(weights), edges)
+    nl = arr.n_lines
+    weights = [1] * nl + [-1] * len(arr.points)
+    edges = []
+    for v, pt in enumerate(arr.points, nl):
+        for line in pt:
+            weights[line] -= 1
+            edges.append((line, v))
+    return PlumbingGraph(tuple(weights), tuple(edges))
 
 
 def plumbing_matrix(g: PlumbingGraph) -> SparseIntMatrix:
@@ -175,7 +173,7 @@ def h1_boundary(arr: Arrangement) -> H1Result:
     rank other than n contradicts the presentation of the fundamental group
     (meridians modulo one relation), so it is raised, not returned.
     """
-    res = h1_plumbed(plumbing_graph(arr))
+    res = h1_plumbed(incidence_graph(arr))
     if res.torsion or res.coker_free_rank != arr.n:
         raise InternalContradiction(
             f"boundary homology must be free of rank b1 + {arr.n}, "

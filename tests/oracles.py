@@ -1,21 +1,23 @@
 """Reference implementations that the fast paths in ``src/`` replaced.
 
 Each function here is the earlier, direct implementation, kept unchanged as
-a test oracle: the Smith-form cokernel, the stand-alone Bareiss determinant,
-the row-list plumbing matrix and the ``homology`` JSON document dumped whole
-with it, the ``json.dumps`` call that every command's JSON went through,
-the triple-loop double and the one-pass double that followed it (with a
-label call per product), the Orlik-Solomon algebra and the intersection
-ring that formatted each label per product (the ring scanning every line
-against every nbc pair), the pair-loop cohomology ring (with the label
-parsing it used for Poincare duality), the pair-loop ring verifier (with
-the label map it used) and the verifier that compared both orders of every
-stored product, and the resonance complex (as the three dense
-differentials of the ``AomotoComplex`` it returned, built in ``Fraction``
-arithmetic from the label-keyed structure constants) with Betti numbers
-from dense rational ranks and generic Betti numbers as a minimum over every
-sampled point. The property tests in ``test_oracles.py`` check that the
-package's versions give the same results.
+a test oracle: the Smith-form cokernel, the stand-alone Bareiss
+determinant, the (line, point index) incidence graph and the plumbing graph
+rebuilt and re-sorted from it, the row-list plumbing matrix and the
+``homology`` JSON document dumped whole with it, the ``json.dumps`` call
+that every command's JSON went through, the triple-loop double and the
+one-pass double that followed it (with a label call per product), the
+Orlik-Solomon algebra and the intersection ring that formatted each label
+per product (the ring scanning every line against every nbc pair), the
+pair-loop cohomology ring (with the label parsing it used for Poincare
+duality), the pair-loop ring verifier (with the label map it used) and the
+verifier that compared both orders of every stored product, and the
+resonance complex (as the three dense differentials of the
+``AomotoComplex`` it returned, built in ``Fraction`` arithmetic from the
+label-keyed structure constants) with Betti numbers from dense rational
+ranks and generic Betti numbers as a minimum over every sampled point. The
+property tests in ``test_oracles.py`` check that the package's versions
+give the same results.
 Nothing in ``src/`` imports this module.
 """
 
@@ -23,15 +25,18 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
+from plumbline import plumbing
 from plumbline.arrangement import Arrangement, nbc_set
 from plumbline.boundary_ring import IsomorphismReport, IntersectionRing, _basis_map
 from plumbline.exact_linalg import IntMatrix, RatMatrix, rank, snf
 from plumbline.os_algebra import DegreeError, DoubledAlgebra, GradedAlgebra, dual_label
-from plumbline.plumbing import PlumbingGraph, h1_boundary, plumbing_graph
+from plumbline.plumbing import PlumbingGraph, h1_boundary
 from plumbline.resonance import (
     AomotoPoint,
     ChainConditionViolated,
@@ -85,6 +90,49 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+@dataclass(frozen=True)
+class IncidenceGraph:
+    """Bipartite line/point incidence graph of an arrangement.
+
+    Edges are (line, point index) pairs. The graph is connected for every
+    valid arrangement, so its first Betti number is E - V + 1.
+    """
+
+    n_lines: int
+    n_points: int
+    edges: tuple[tuple[int, int], ...]
+
+    @property
+    def n_vertices(self) -> int:
+        return self.n_lines + self.n_points
+
+    @property
+    def b1(self) -> int:
+        return len(self.edges) - self.n_vertices + 1
+
+
+def incidence_graph(arr: Arrangement) -> IncidenceGraph:
+    edges = tuple(
+        (line, idx) for idx, pt in enumerate(arr.points) for line in pt
+    )
+    return IncidenceGraph(arr.n_lines, len(arr.points), edges)
+
+
+def plumbing_graph(arr: Arrangement) -> PlumbingGraph:
+    """The weighted incidence graph of an arrangement.
+
+    Vertex order is lines 0..n, then points in lexicographic order, matching
+    the row order of ``plumbing_matrix``.
+    """
+    graph = incidence_graph(arr)
+    through = Counter(chain.from_iterable(arr.points))
+    weights = [1 - through[i] for i in range(arr.n_lines)]
+    for pt in arr.points:
+        weights.append(-1)
+    edges = tuple(sorted((line, arr.n_lines + idx) for line, idx in graph.edges))
+    return PlumbingGraph(tuple(weights), edges)
+
+
 def plumbing_matrix(g: PlumbingGraph) -> IntMatrix:
     """Symmetric matrix with vertex weights on the diagonal, 1 on edges."""
     nv = g.n_vertices
@@ -100,7 +148,7 @@ def plumbing_matrix(g: PlumbingGraph) -> IntMatrix:
 def homology_json(arr: Arrangement) -> str:
     """The ``homology`` command's JSON document, without the closing newline."""
     doc = h1_boundary(arr).to_json()
-    g = plumbing_graph(arr)
+    g = plumbing.incidence_graph(arr)
     return json.dumps({**doc, "matrix": plumbing_matrix(g).to_json()}, indent=2, sort_keys=True)
 
 

@@ -15,9 +15,7 @@ from plumbline import (
     beta,
     classify,
     from_json,
-    incidence_graph,
     nbc_set,
-    spanning_tree,
     to_json,
     validate,
 )
@@ -91,17 +89,6 @@ class TestArrangementQueries:
         assert two_triples.n_lines == 5
 
 
-class TestIncidence:
-    def test_two_triples_counts(self, two_triples):
-        g = incidence_graph(two_triples)
-        assert g.n_vertices == 11
-        assert len(g.edges) == 14
-        assert g.b1 == 4
-
-    def test_b1_equals_nbc_count(self, any_fixture):
-        assert incidence_graph(any_fixture).b1 == len(nbc_set(any_fixture))
-
-
 class TestNbc:
     def test_two_triples_pairs(self, two_triples):
         assert [(p.j, p.k) for p in nbc_set(two_triples)] == [(1, 2), (1, 3), (1, 4), (2, 4)]
@@ -119,45 +106,6 @@ class TestNbc:
     def test_counts(self):
         assert len(nbc_set(load_fixture("pappus_violating"))) == 20
         assert len(nbc_set(load_fixture("nearpencil_n4"))) == 3
-
-
-class TestSpanningTree:
-    def test_two_triples_complement(self, two_triples):
-        tree = set(spanning_tree(two_triples))
-        all_edges = set(incidence_graph(two_triples).edges)
-        assert tree <= all_edges
-        complement = sorted(all_edges - tree)
-        p123 = two_triples.points.index((1, 2, 3))
-        p14 = two_triples.points.index((1, 4))
-        p24 = two_triples.points.index((2, 4))
-        assert complement == [(2, p123), (3, p123), (4, p14), (4, p24)]
-
-    def test_is_spanning_tree(self, any_fixture):
-        g = incidence_graph(any_fixture)
-        tree = spanning_tree(any_fixture)
-        assert len(tree) == g.n_vertices - 1
-        # Connected: grow from line 0.
-        adj: dict = {}
-        for line, pt in tree:
-            adj.setdefault(("L", line), []).append(("P", pt))
-            adj.setdefault(("P", pt), []).append(("L", line))
-        seen = {("L", 0)}
-        stack = [("L", 0)]
-        while stack:
-            for nb in adj.get(stack.pop(), []):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        assert len(seen) == g.n_vertices
-
-    def test_complement_matches_nbc(self, any_fixture):
-        complement = set(incidence_graph(any_fixture).edges) - set(
-            spanning_tree(any_fixture)
-        )
-        from_tree = sorted(
-            (any_fixture.points[pt][0], line) for line, pt in complement
-        )
-        assert from_tree == [(p.j, p.k) for p in nbc_set(any_fixture)]
 
 
 class TestClassify:

@@ -1,4 +1,9 @@
-"""The ring check on every labelled arrangement of 3-6 lines, and on the Fano plane."""
+"""The ring check and the boundary homology on every labelled arrangement
+of 3-6 lines, and on the Fano plane.
+
+The incidence graph has one independent cycle per nbc pair, and H1 of the
+boundary manifold is free of rank (number of nbc pairs) + n: both are
+checked on each arrangement, the non-realizable ones included."""
 
 import pytest
 
@@ -11,6 +16,8 @@ from plumbline import (
     double,
     from_json,
     h1_boundary,
+    incidence_graph,
+    nbc_set,
     os_algebra,
     to_json,
     validate,
@@ -35,6 +42,10 @@ def test_every_arrangement(v):
         assert verify_double_isomorphism(arr).ok, arr.points
         coh, dbl = cohomology_ring(arr), double(os_algebra(arr))
         assert boundary_ring._compare(coh, dbl) == oracles.compare(coh, dbl), arr.points
+        n_pairs = len(nbc_set(arr))
+        assert incidence_graph(arr).b1 == n_pairs, arr.points
+        res = h1_boundary(arr)
+        assert (res.free_rank, res.torsion) == (n_pairs + arr.n, ()), arr.points
 
 
 def test_fano_plane():

@@ -1,20 +1,21 @@
 """The fast paths against the implementations they replaced.
 
 ``oracles`` holds the earlier code unchanged: the Smith-form cokernel, the
-stand-alone Bareiss determinant, the row-list plumbing matrix and the
-``homology`` document dumped whole with it, the triple-loop and one-pass
-doubles, the Orlik-Solomon algebra and intersection ring with per-product
-labels, the pair-loop cohomology ring, the pair-loop ring verifier and the
-both-orders verifier, and the resonance complex with
-Betti numbers from dense rational ranks. Each property runs on the shipped
-fixtures and on random arrangements of 3-12 lines (3-10 for resonance) at
-densities 0-1, or on random integer matrices or weighted graphs, and
-requires identical results. The plumbing matrix is compared through its
-dense view, and ``cokernel`` must agree on the sparse and the dense matrix.
-Rings and algebras must also store their products in the same order, which
-``to_json`` and the resonance table ``_mu`` read. The verifier is also run
-on rings with one product dropped, changed or added; ``test_census.py``
-runs it on every arrangement of 3-6 lines.
+stand-alone Bareiss determinant, the two-step incidence and plumbing
+graphs, the row-list plumbing matrix and the ``homology`` document dumped
+whole with it, the triple-loop and one-pass doubles, the Orlik-Solomon
+algebra and intersection ring with per-product labels, the pair-loop
+cohomology ring, the pair-loop ring verifier and the both-orders verifier,
+and the resonance complex with Betti numbers from dense rational ranks.
+Each property runs on the shipped fixtures and on random arrangements of
+3-12 lines (3-10 for resonance) at densities 0-1, or on random integer
+matrices or weighted graphs, and requires identical results. The plumbing
+matrix is compared through its dense view, and ``cokernel`` must agree on
+the sparse and the dense matrix. Rings and algebras must also store their
+products in the same order, which ``to_json`` and the resonance table
+``_mu`` read. The verifier is also run on rings with one product dropped,
+changed or added; ``test_census.py`` runs it on every arrangement of 3-6
+lines, and the incidence graph is compared on that census here.
 """
 import json
 import random
@@ -28,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from census import census
 from plumbline import (
     AomotoPoint,
     ArrangementClass,
@@ -49,7 +51,7 @@ from plumbline import arrangement, boundary_ring, cli, resonance
 from plumbline.cli import random_arrangement
 from plumbline.exact_linalg import IntMatrix, cokernel, det, left_kernel, rank
 from plumbline.os_algebra import DoubledAlgebra, GradedAlgebra
-from plumbline.plumbing import PlumbingGraph, h1_boundary, h1_plumbed, plumbing_graph, plumbing_matrix
+from plumbline.plumbing import PlumbingGraph, h1_boundary, h1_plumbed, incidence_graph, plumbing_matrix
 
 from conftest import ALL_FIXTURES, load_fixture
 
@@ -116,14 +118,21 @@ def _same_report(arr):
     assert new.ok
 
 
+def _same_incidence_graph(arr):
+    new, old = incidence_graph(arr), oracles.plumbing_graph(arr)
+    assert new.weights == old.weights
+    assert sorted(new.edges) == list(old.edges)
+    assert new.b1 == oracles.incidence_graph(arr).b1
+
+
 def _same_plumbing_cokernel(arr):
-    sparse = plumbing_matrix(plumbing_graph(arr))
+    sparse = plumbing_matrix(incidence_graph(arr))
     dense = sparse.to_dense()
     assert cokernel(sparse) == cokernel(dense) == oracles.cokernel(dense) == (arr.n, ())
 
 
 def _same_plumbing_matrix(arr):
-    g = plumbing_graph(arr)
+    g = incidence_graph(arr)
     m = plumbing_matrix(g).to_dense()
     assert m == oracles.plumbing_matrix(g)
     assert h1_boundary(arr).entry_strings() == [str(x) for x in m.entries]
@@ -146,12 +155,19 @@ def _positional_map_is_label_map(arr):
 test_double_fixture, test_double_random = fixture_and_random(_same_double)
 test_cohomology_ring_fixture, test_cohomology_ring_random = fixture_and_random(_same_cohomology_ring)
 test_verify_fixture, test_verify_random = fixture_and_random(_same_report)
+test_incidence_graph_fixture, test_incidence_graph_random = fixture_and_random(_same_incidence_graph)
 test_plumbing_cokernel_fixture, test_plumbing_cokernel_random = fixture_and_random(_same_plumbing_cokernel)
 test_plumbing_matrix_fixture, test_plumbing_matrix_random = fixture_and_random(_same_plumbing_matrix)
 test_homology_stdout_fixture, test_homology_stdout_random = fixture_and_random(_homology_stdout_is_oracle)
 test_basis_map_fixture, test_basis_map_random = fixture_and_random(_positional_map_is_label_map)
 test_product_order_fixture, test_product_order_random = fixture_and_random(_same_product_order)
 test_compare_fixture, test_compare_random = fixture_and_random(_same_compare)
+
+
+@pytest.mark.parametrize("v", range(3, 7))
+def test_incidence_graph_census(v):
+    for arr in census(v):
+        _same_incidence_graph(arr)
 
 
 @st.composite
@@ -224,7 +240,7 @@ def weighted_graphs(draw):
     pairs = [(i, j) for j in range(nv) for i in range(j)]
     if pairs:
         edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=nv)))
-    return PlumbingGraph(tuple(map(str, range(nv))), weights, tuple(sorted(edges)))
+    return PlumbingGraph(weights, tuple(sorted(edges)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -240,7 +256,7 @@ def test_plumbing_cokernel_weighted_graphs(g):
 
 def test_plumbing_cokernel_torsion_and_free_part():
     # A triangle of -2 vertices: coker is Z plus Z/3, and the cycle adds b1 = 1.
-    mixed = PlumbingGraph(("a", "b", "c"), (-2, -2, -2), ((0, 1), (0, 2), (1, 2)))
+    mixed = PlumbingGraph((-2, -2, -2), ((0, 1), (0, 2), (1, 2)))
     assert cokernel(plumbing_matrix(mixed)) == oracles.cokernel(oracles.plumbing_matrix(mixed)) == (1, (3,))
     res = h1_plumbed(mixed)
     assert (res.free_rank, res.torsion) == (2, (3,))
