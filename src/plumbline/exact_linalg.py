@@ -423,14 +423,17 @@ def cokernel(m: IntMatrix | SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
     greater than 1 in divisibility order. A ``SparseIntMatrix`` is read by
     its nonzeros only, so the cost follows them and not rows x cols.
 
-    Unit entries (+-1) are eliminated first on a sparse copy, least Markowitz
-    cost (row nnz - 1) * (column nnz - 1) first (Kannan-Bachem 1979). Each
-    step is unimodular and splits off an invariant factor 1, so only the
-    rest goes through ``snf``. For a plumbing matrix [[D_L, B], [B^T, -I]]
-    the -I point block eliminates to the all-ones J, whose cokernel is Z^n.
+    Unit entries (+-1) are eliminated in one pass over sparse copies of the
+    rows, shortest row first (ties by row index): each row pivots on its
+    unit entry whose column has the fewest nonzeros, and that column is
+    cleared. Each step is unimodular and splits off an invariant factor 1.
+    A row with no unit entry when it is reached is never revisited but left
+    for ``snf``, which gets only what remains and is not called when that
+    is all zero. In a plumbing matrix [[D_L, B], [B^T, -I]] the point rows
+    are the short ones (a double point's has 3 nonzeros) and each pivots
+    on its -1. That leaves the all-ones J on the lines, and one pivot
+    clears J, so nothing reaches ``snf`` and the cokernel is Z^n.
     """
-    from heapq import heapify, heappop, heappush  # imported on use: most commands never get here
-
     rows: dict[int, dict[int, int]]
     if isinstance(m, SparseIntMatrix):
         rows = dict(enumerate(map(dict, m.nonzeros)))
@@ -441,22 +444,13 @@ def cokernel(m: IntMatrix | SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
         for j in row:
             cols[j].add(i)
 
-    def cost(i: int, j: int) -> int:
-        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
-
-    # Unit entries by cost when pushed; a popped entry that is gone or no
-    # longer a unit is dropped, and one whose cost rose is pushed back.
-    heap = [(cost(i, j), i, j) for i, row in rows.items() for j, x in row.items() if x in (1, -1)]
-    heapify(heap)
-    while heap:
-        c, p, q = heappop(heap)
-        if p not in rows or rows[p].get(q) not in (1, -1):
+    for p in sorted(rows, key=lambda i: len(rows[i])):
+        prow = rows[p]
+        units = [j for j, x in prow.items() if x in (1, -1)]
+        if not units:
             continue
-        now = cost(p, q)
-        if now > c:
-            heappush(heap, (now, p, q))
-            continue
-        prow = rows.pop(p)
+        q = min(units, key=lambda j: len(cols[j]))
+        del rows[p]
         u = prow.pop(q)  # +-1, its own inverse
         for i in cols.pop(q) - {p}:
             row = rows[i]
@@ -466,14 +460,14 @@ def cokernel(m: IntMatrix | SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
                 if y:
                     row[j] = y
                     cols[j].add(i)
-                    if y in (1, -1):
-                        heappush(heap, (cost(i, j), i, j))
                 else:
                     del row[j]
                     cols[j].discard(i)
         for j in prow:
             cols[j].discard(p)
 
+    if not any(rows.values()):
+        return len(rows), ()
     left = sorted(cols)
     rest = IntMatrix(len(rows), len(left), tuple(row.get(j, 0) for row in rows.values() for j in left))
     nonzero = [d for d in snf(rest).diagonal if d]

@@ -18,7 +18,7 @@ on every call and a violation raises ``InternalContradiction`` rather than
 returning silently.
 
 The matrix has V^2 entries but at most V + 2E nonzeros (E edges), so
-nothing on the way from graph to Smith form is V x V: ``plumbing_matrix``
+nothing on the way from graph to cokernel is V x V: ``plumbing_matrix``
 returns the nonzeros as a ``SparseIntMatrix``, which ``cokernel`` takes as
 it is, and a result keeps the graph, not the matrix.
 ``H1Result.entry_strings`` writes the V^2 entries for ``homology``'s output

@@ -3,7 +3,13 @@ of 3-6 lines, and on the Fano plane.
 
 The incidence graph has one independent cycle per nbc pair, and H1 of the
 boundary manifold is free of rank (number of nbc pairs) + n: both are
-checked on each arrangement, the non-realizable ones included."""
+checked on each arrangement, the non-realizable ones included. The
+cokernel of each plumbing matrix must equal the Markowitz-order oracle's,
+and its unit pivots must clear the whole matrix, so that ``snf`` is never
+called. The generic first Betti number of the double must sit on the
+proved floor."""
+
+import random
 
 import pytest
 
@@ -15,15 +21,21 @@ from plumbline import (
     cohomology_ring,
     double,
     from_json,
+    generic_betti,
     h1_boundary,
     incidence_graph,
     nbc_set,
     os_algebra,
+    plumbing_matrix,
+    random_arrangement,
     to_json,
     validate,
     verify_double_isomorphism,
 )
-from plumbline import boundary_ring
+from plumbline import boundary_ring, exact_linalg, resonance
+from plumbline.exact_linalg import cokernel
+
+from conftest import ALL_FIXTURES, load_fixture
 
 
 def test_counts():
@@ -40,12 +52,32 @@ def test_every_arrangement(v):
     for arr in census(v):
         assert from_json(to_json(arr)) == arr
         assert verify_double_isomorphism(arr).ok, arr.points
-        coh, dbl = cohomology_ring(arr), double(os_algebra(arr))
+        alg = os_algebra(arr)
+        coh, dbl = cohomology_ring(arr), double(alg)
         assert boundary_ring._compare(coh, dbl) == oracles.compare(coh, dbl), arr.points
+        assert generic_betti(dbl, 1, trials=5, seed=0) == resonance._betti_floor(alg)[1], arr.points
         n_pairs = len(nbc_set(arr))
-        assert incidence_graph(arr).b1 == n_pairs, arr.points
+        g = incidence_graph(arr)
+        assert g.b1 == n_pairs, arr.points
         res = h1_boundary(arr)
         assert (res.free_rank, res.torsion) == (n_pairs + arr.n, ()), arr.points
+        m = plumbing_matrix(g)
+        assert cokernel(m) == oracles.cokernel_markowitz(m) == (arr.n, ()), arr.points
+
+
+def test_plumbing_cokernel_never_reaches_snf(monkeypatch):
+    # Point rows pivot on their -1 first, and one pivot clears the all-ones
+    # J left on the lines: a pivot order that left a block for snf fails here.
+    def no_snf(m):
+        raise AssertionError(f"snf called on a {m.rows} x {m.cols} block")
+
+    monkeypatch.setattr(exact_linalg, "snf", no_snf)
+    rng = random.Random(19)
+    arrs = [load_fixture(name) for name in ALL_FIXTURES]
+    arrs += [arr for v in range(3, 7) for arr in census(v)]
+    arrs += [random_arrangement(rng, rng.randint(3, 30), rng.random()) for _ in range(200)]
+    for arr in arrs:
+        assert cokernel(plumbing_matrix(incidence_graph(arr))) == (arr.n, ()), arr.points
 
 
 def test_fano_plane():

@@ -1,12 +1,14 @@
 """The fast paths against the implementations they replaced.
 
-``oracles`` holds the earlier code unchanged: the Smith-form cokernel, the
-stand-alone Bareiss determinant, the two-step incidence and plumbing
-graphs, the row-list plumbing matrix and the ``homology`` document dumped
-whole with it, the triple-loop and one-pass doubles, the Orlik-Solomon
-algebra and intersection ring with per-product labels, the pair-loop
-cohomology ring, the pair-loop ring verifier and the both-orders verifier,
-and the resonance complex with Betti numbers from dense rational ranks.
+``oracles`` holds the earlier code unchanged: the Smith-form cokernel and
+the least-Markowitz-cost unit elimination (both checked against the one
+ordered pass of ``cokernel``), the stand-alone Bareiss determinant, the
+two-step incidence and plumbing graphs, the row-list plumbing matrix and
+the ``homology`` document dumped whole with it, the triple-loop and
+one-pass doubles, the Orlik-Solomon algebra and intersection ring with
+per-product labels, the pair-loop cohomology ring, the pair-loop ring
+verifier and the both-orders verifier, and the resonance complex with
+Betti numbers from dense rational ranks.
 Each property runs on the shipped fixtures and on random arrangements of
 3-12 lines (3-10 for resonance) at densities 0-1, or on random integer
 matrices or weighted graphs, and requires identical results. The plumbing
@@ -128,7 +130,8 @@ def _same_incidence_graph(arr):
 def _same_plumbing_cokernel(arr):
     sparse = plumbing_matrix(incidence_graph(arr))
     dense = sparse.to_dense()
-    assert cokernel(sparse) == cokernel(dense) == oracles.cokernel(dense) == (arr.n, ())
+    assert cokernel(sparse) == cokernel(dense) == oracles.cokernel_markowitz(sparse) == oracles.cokernel(dense)
+    assert cokernel(sparse) == (arr.n, ())
 
 
 def _same_plumbing_matrix(arr):
@@ -249,7 +252,7 @@ def test_plumbing_cokernel_weighted_graphs(g):
     sparse = plumbing_matrix(g)
     dense = sparse.to_dense()
     assert dense == oracles.plumbing_matrix(g)
-    assert cokernel(sparse) == cokernel(dense) == oracles.cokernel(dense)
+    assert cokernel(sparse) == cokernel(dense) == oracles.cokernel_markowitz(sparse) == oracles.cokernel(dense)
     res = h1_plumbed(g)
     assert (res.coker_free_rank, res.torsion) == cokernel(dense)
 
@@ -298,31 +301,31 @@ class TestCokernelMatchesSmithForm:
     @settings(max_examples=300, deadline=None)
     @given(int_matrices(st.integers(-5, 5)))
     def test_random(self, m):
-        assert cokernel(m) == oracles.cokernel(m)
+        assert cokernel(m) == oracles.cokernel_markowitz(m) == oracles.cokernel(m)
 
     @settings(max_examples=200, deadline=None)
     @given(int_matrices(st.sampled_from([0, 0, 2, -2, 3, -4, 6, 9])))
     def test_no_unit_entry(self, m):
-        assert cokernel(m) == oracles.cokernel(m)
+        assert cokernel(m) == oracles.cokernel_markowitz(m) == oracles.cokernel(m)
 
     @settings(max_examples=200, deadline=None)
     @given(int_matrices(st.sampled_from([0, 0, 0, 1, -1, 2])))
     def test_sparse_units(self, m):
-        assert cokernel(m) == oracles.cokernel(m)
+        assert cokernel(m) == oracles.cokernel_markowitz(m) == oracles.cokernel(m)
 
     @settings(max_examples=200, deadline=None)
     @given(torsion_matrices())
     def test_with_torsion(self, m):
-        assert cokernel(m) == oracles.cokernel(m)
+        assert cokernel(m) == oracles.cokernel_markowitz(m) == oracles.cokernel(m)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_empty(self, shape):
         m = IntMatrix.zeros(*shape)
-        assert cokernel(m) == oracles.cokernel(m) == (shape[0], ())
+        assert cokernel(m) == oracles.cokernel_markowitz(m) == oracles.cokernel(m) == (shape[0], ())
 
     def test_torsion_behind_units(self):
         m = IntMatrix.from_rows([[1, 1, 0], [1, 3, 0], [0, 0, 6]])
-        assert cokernel(m) == oracles.cokernel(m) == (0, (2, 6))
+        assert cokernel(m) == oracles.cokernel_markowitz(m) == oracles.cokernel(m) == (0, (2, 6))
 
 
 @st.composite
