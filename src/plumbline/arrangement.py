@@ -89,6 +89,10 @@ class Arrangement:
                 out[(j, k)] = idx
         return out
 
+    @cached_property
+    def _nbc_pairs(self) -> tuple[NbcPair, ...]:
+        return tuple(sorted(NbcPair(pt[0], k, idx) for idx, pt in enumerate(self.points) if pt[0] != 0 for k in pt[1:]))
+
     def point_of(self, j: int, k: int) -> int:
         """Index of the unique point containing lines j and k."""
         if j == k:
@@ -152,15 +156,8 @@ class NbcPair(NamedTuple):
 
 
 def nbc_set(arr: Arrangement) -> tuple[NbcPair, ...]:
-    out: list[NbcPair] = []
-    for idx, pt in enumerate(arr.points):
-        if pt[0] == 0:
-            continue
-        j = pt[0]
-        for k in pt[1:]:
-            out.append(NbcPair(j, k, idx))
-    out.sort()
-    return tuple(out)
+    """The nbc pairs in increasing order, computed once per arrangement."""
+    return arr._nbc_pairs
 
 
 def beta(arr: Arrangement) -> int:

@@ -24,12 +24,17 @@ Orlik-Solomon algebra under the basis correspondence
     PD(F_i) -> e_i,   PD(tau_(j,k)) -> dual f_(j,k),
     PD(t_i) -> dual e_i,   PD(g_(j,k)) -> f_(j,k).
 
+Both rings store structure constants by flat basis position, and so the
+correspondence is a fixed permutation of positions: the identity on
+degrees 0, 1 and 3, and on degree 2 a swap of two blocks, since the
+cohomology ring lists PD(t) before PD(g) and the double lists f before ~e.
 It compares the canonical products only: degree 1 x 1 with the lower basis
 index first, and degree 1 x 2. Both rings store just these and answer every
 other order through graded commutativity, y x = (-1)^(deg x * deg y) x y,
 and the correspondence keeps the position of each degree-one class, so the
 reverse orders agree whenever the canonical ones do. The products are
-compared as two dicts, once.
+compared as two int-keyed dicts, once; labels are read only to list a
+mismatch.
 
 The two sides are computed by independent routes (geometric tables versus
 the doubling construction), so agreement here is a genuine cross-check, not
@@ -57,16 +62,16 @@ __all__ = [
 class IntersectionRing:
     """H_1, H_2, the intersection product, and the intersection pairing.
 
-    ``products`` stores the product of H_2 classes on ordered pairs only
-    (lower basis index first); queries are extended antisymmetrically and
-    diagonal products are zero. The H_1 x H_2 pairing is the identity on
-    dual bases (t_i with F_i, g_(j,k) with tau_(j,k)): ``h1_labels[i]`` is
-    dual to ``h2_labels[i]``.
+    ``products`` maps ordered pairs of H_2 basis indices (lower index
+    first) to sparse vectors over H_1 basis indices; the label queries
+    extend it antisymmetrically, and diagonal products are zero. The
+    H_1 x H_2 pairing is the identity on dual bases (t_i with F_i, g_(j,k)
+    with tau_(j,k)): ``h1_labels[i]`` is dual to ``h2_labels[i]``.
     """
 
     h1_labels: tuple[str, ...]
     h2_labels: tuple[str, ...]
-    products: dict[tuple[str, str], dict[str, int]]
+    products: dict[tuple[int, int], dict[int, int]]
 
     @cached_property
     def _h2_index(self) -> dict[str, int]:
@@ -78,9 +83,9 @@ class IntersectionRing:
         iy = self._h2_index[y]
         if ix == iy:
             return {}
-        if ix < iy:
-            return dict(self.products.get((x, y), {}))
-        return {lab: -c for lab, c in self.products.get((y, x), {}).items()}
+        sign = -1 if ix > iy else 1
+        h1 = self.h1_labels
+        return {h1[z]: sign * c for z, c in self.products.get((min(ix, iy), max(ix, iy)), {}).items()}
 
     def pairing(self, h1: str, h2: str) -> int:
         """Intersection number of an H_1 class with an H_2 class."""
@@ -95,58 +100,60 @@ class IntersectionRing:
         return dict(zip(self.h1_labels, self.h2_labels))
 
     def to_json(self) -> dict:
-        idx = self._h2_index
+        h1, h2 = self.h1_labels, self.h2_labels
         return {
-            "h1": list(self.h1_labels),
-            "h2": list(self.h2_labels),
+            "h1": list(h1),
+            "h2": list(h2),
             "products": [
-                {"x": x, "y": y, "value": {lab: c for lab, c in sorted(vec.items())}}
-                for (x, y), vec in sorted(self.products.items(), key=lambda kv: (idx[kv[0][0]], idx[kv[0][1]]))
+                {"x": h2[x], "y": h2[y], "value": dict(sorted((h1[z], c) for z, c in vec.items()))}
+                for (x, y), vec in sorted(self.products.items())
             ],
         }
 
 
 def intersection_ring(arr: Arrangement) -> IntersectionRing:
-    """The intersection ring of the boundary manifold, from the closed tables."""
+    """The intersection ring of the boundary manifold, from the closed tables.
+
+    F_i and t_i have index i - 1, and tau and g of the q-th nbc pair n + q.
+    """
     n = arr.n
     points = arr.points
+    pair_index = arr._pair_index  # (a, b) -> its point, as point_of gives it for a < b
     pairs = nbc_set(arr)
-    t = [f"t{i}" for i in range(n + 1)]  # t[i] and F[i] belong to line i; index 0 is unused
-    f_surf = [f"F{i}" for i in range(n + 1)]
-    g = {(p.j, p.k): f"g({p.j},{p.k})" for p in pairs}
-    tau = [f"tau({p.j},{p.k})" for p in pairs]
+    g = {(p.j, p.k): n + q for q, p in enumerate(pairs)}
 
-    products: dict[tuple[str, str], dict[str, int]] = {}
+    products: dict[tuple[int, int], dict[int, int]] = {}
 
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
-            k = points[arr.point_of(a, b)][0]
+            k = points[pair_index[(a, b)]][0]
             if k == 0:
                 continue
             if k == a:
-                vec = {g[(a, b)]: 1}
+                products[(a - 1, b - 1)] = {g[(a, b)]: 1}
             else:
-                vec = {g[(k, b)]: 1, g[(k, a)]: -1}
-            products[(f_surf[a], f_surf[b])] = vec
+                products[(a - 1, b - 1)] = {g[(k, b)]: 1, g[(k, a)]: -1}
 
     # F_i . tau is zero unless line i lies in the pair's point: list, for
     # each line, the pairs whose point contains it, in nbc order.
     through: list[list[int]] = [[] for _ in range(n + 1)]
-    for idx, p in enumerate(pairs):
+    for q, p in enumerate(pairs):
         for m in points[p.point]:
-            through[m].append(idx)
+            through[m].append(q)
     for i in range(1, n + 1):
-        for idx in through[i]:
-            k = pairs[idx].k
+        for q in through[i]:
+            k = pairs[q].k
             if i == k:
-                vec = {t[m]: 1 for m in points[pairs[idx].point] if m != i}
+                vec = products[(i - 1, n + q)] = {}
+                for m in points[pairs[q].point]:
+                    if m != i:
+                        vec[m - 1] = 1
             else:
-                vec = {t[k]: -1}
-            products[(f_surf[i], tau[idx])] = vec
+                products[(i - 1, n + q)] = {k - 1: -1}
 
     # Position i of h1 is dual to position i of h2: t_i <-> F_i, g <-> tau.
-    h2 = tuple(f_surf[1:]) + tuple(tau)
-    h1 = tuple(t[1:]) + tuple(g.values())
+    h2 = tuple(f"F{i}" for i in range(1, n + 1)) + tuple(f"tau({p.j},{p.k})" for p in pairs)
+    h1 = tuple(f"t{i}" for i in range(1, n + 1)) + tuple(f"g({p.j},{p.k})" for p in pairs)
     return IntersectionRing(h1, h2, products)
 
 
@@ -166,23 +173,20 @@ def cohomology_ring(arr: Arrangement) -> GradedAlgebra:
 def _cohomology_of(ring: IntersectionRing) -> GradedAlgebra:
     """``cohomology_ring`` of the arrangement whose intersection ring is ``ring``."""
     # PD(F_i) = ~t_i and PD(tau) = ~g in degree one; PD(t_i) = ~F_i and
-    # PD(g) = ~tau in degree two. The H_1 and H_2 bases are in dual order.
-    deg1 = tuple(map(dual_label, ring.h1_labels))
-    deg2 = tuple(map(dual_label, ring.h2_labels))
-    pd1 = dict(zip(ring.h2_labels, deg1))  # H_2 class -> its PD in degree 1
-    pd2 = dict(zip(ring.h1_labels, deg2))  # H_1 class -> its PD in degree 2
-
-    # H_2 is ordered as the duals of H_1: a stored pair stays canonical.
-    idx = ring._h2_index
-    products: dict[tuple[str, str], dict[str, int]] = {}
+    # PD(g) = ~tau in degree two. The H_1 and H_2 bases are in dual order,
+    # so H_2 index i is flat position 1 + i and H_1 index i is 1 + h + i.
+    h = len(ring.h1_labels)
+    products: dict[tuple[int, int], dict[int, int]] = {}
     for (x, y), vec in ring.products.items():
-        if vec and idx[x] < idx[y]:
-            products[(pd1[x], pd1[y])] = {pd2[lab]: c for lab, c in vec.items()}
-    for x, y in zip(deg1, deg2):
+        if vec and x < y:
+            row = products[(x + 1, y + 1)] = {}
+            for z, c in vec.items():  # a loop, not a comprehension: no frame per product
+                row[z + h + 1] = c
+    for p in range(1, h + 1):
         # complementary degrees pair as the identity, into the top class
-        products[(x, y)] = {"pt": 1}
+        products[(p, p + h)] = {2 * h + 1: 1}
 
-    basis = (("1",), deg1, deg2, ("pt",))
+    basis = (("1",), tuple(map(dual_label, ring.h1_labels)), tuple(map(dual_label, ring.h2_labels)), ("pt",))
     return GradedAlgebra(basis, products)
 
 
@@ -203,25 +207,14 @@ class IsomorphismReport:
         }
 
 
-def _basis_map(coh: GradedAlgebra, dbl: DoubledAlgebra) -> dict[str, str]:
-    """The module docstring's correspondence, by position: both bases follow nbc_set order."""
-    unit, deg1, deg2, top = dbl.basis
-    r2 = dbl.base.rank(2)  # degree two lists f before ~e, the reverse of PD(t) before PD(g)
-    return dict(zip(sum(coh.basis, ()), unit + deg1 + deg2[r2:] + deg2[:r2] + top, strict=True))
-
-
-def _canonical_products(alg: GradedAlgebra) -> dict[tuple[str, str], dict[str, int]]:
+def _canonical_products(alg: GradedAlgebra) -> dict[tuple[int, int], dict[int, int]]:
     """The nonzero stored products of a ring of top degree 3 on degree 1 x 1
-    pairs (lower basis index first) and degree 1 x 2 pairs. Every other
+    pairs (lower position first) and degree 1 x 2 pairs. Every other
     product on degrees 1 x 1, 1 x 2 and 2 x 1 follows from these by graded
     commutativity; the rest are zero."""
-    deg1 = {lab: i for i, lab in enumerate(alg.basis[1])}
-    deg2 = set(alg.basis[2])
-    return {
-        (x, y): vec
-        for (x, y), vec in alg.products.items()
-        if vec and x in deg1 and (y in deg2 or deg1.get(y, -1) > deg1[x])
-    }
+    o2 = 1 + alg.rank(1)  # flat positions: degree 1 is [1, o2), degree 2 is [o2, o3)
+    o3 = o2 + alg.rank(2)
+    return {(x, y): vec for (x, y), vec in alg.products.items() if vec and 0 < x < o2 and x < y < o3}
 
 
 def verify_double_isomorphism(arr: Arrangement) -> IsomorphismReport:
@@ -246,25 +239,35 @@ def verify_double_isomorphism(arr: Arrangement) -> IsomorphismReport:
 
 def _compare(coh: GradedAlgebra, dbl: DoubledAlgebra) -> IsomorphismReport:
     """``verify_double_isomorphism`` of an arrangement's cohomology ring and double."""
-    phi = _basis_map(coh, dbl)
-    lhs = {
-        (phi[x], phi[y]): {phi[lab]: c for lab, c in vec.items()}
-        for (x, y), vec in _canonical_products(coh).items()
-    }
-    rhs = _canonical_products(dbl)
-    if lhs == rhs:
+    # phi is the module docstring's correspondence, by flat position.
+    r1, r2 = dbl.base.rank(1), dbl.base.rank(2)
+    o2 = 1 + r1 + r2  # the first degree-two position in both rings
+    phi = (*range(o2), *range(o2 + r2, o2 + r1 + r2), *range(o2, o2 + r2), o2 + r1 + r2)
+    lhs: dict[tuple[int, int], dict[int, int]] = {}
+    for (x, y), vec in _canonical_products(coh).items():
+        row = lhs[(x, phi[y])] = {}
+        for z, c in vec.items():
+            row[phi[z]] = c
+    # lhs holds canonical products only, so equal to all of dbl's, it is
+    # equal to dbl's canonical ones; the filter runs only when that fails.
+    if lhs == dbl.products or lhs == (rhs := _canonical_products(dbl)):
         return IsomorphismReport(ok=True, mismatches=())
 
-    back = {v: k for k, v in phi.items()}
-    pos = coh._position
-    mismatches = []
+    # Labels only from here on: each mismatch in both orders, sorted by
+    # (degree, degree, position, position) of the cohomology classes.
+    back = {p: q for q, p in enumerate(phi)}
+    found = []
     for key in lhs.keys() | rhs.keys():
         left, right = lhs.get(key, {}), rhs.get(key, {})
         if left != right:
-            x, y = back[key[0]], back[key[1]]
-            sign = -1 if pos[y][0] == 1 else 1
-            mismatches.append((x, y, left, dict(right)))
-            mismatches.append((y, x, {lab: sign * c for lab, c in left.items()},
-                               {lab: sign * c for lab, c in right.items()}))
-    mismatches.sort(key=lambda m: (pos[m[0]][0], pos[m[1]][0], pos[m[0]][1], pos[m[1]][1]))
-    return IsomorphismReport(ok=False, mismatches=tuple(mismatches))
+            x, y = key[0], back[key[1]]
+            dy = 1 if y < o2 else 2
+            found.append(((1, dy, x, y), 1, left, right))
+            found.append(((dy, 1, y, x), -1 if dy == 1 else 1, left, right))
+    found.sort(key=lambda m: m[0])
+    labels, dbl_labels = coh._labels, dbl._labels
+    return IsomorphismReport(ok=False, mismatches=tuple(
+        (labels[x], labels[y], {dbl_labels[z]: sign * c for z, c in left.items()},
+         {dbl_labels[z]: sign * c for z, c in right.items()})
+        for (_, _, x, y), sign, left, right in found
+    ))

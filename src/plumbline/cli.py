@@ -43,12 +43,12 @@ def _fail(code: int, message: str) -> None:
 
 def _load_arrangement(path: str) -> Arrangement:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         _fail(EXIT_IO, f"cannot read {path}: {exc}")
     try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also an over-long integer, or nesting too deep
+        doc = json.loads(data.decode())
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, an over-long integer, or nesting too deep
         _fail(EXIT_IO, f"{path}: invalid JSON: {exc}")
     try:
         return arrmod.from_json(doc)

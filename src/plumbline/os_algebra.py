@@ -11,8 +11,9 @@ i and j:
 * if 1 <= min P < i, it is f_(min P, j) - f_(min P, i);
 * if 0 lies in P, it is zero.
 
-Products are stored only on canonically ordered basis pairs and extended by
-graded commutativity, so odd generators anticommute and square to zero.
+Products are stored by flat basis position, only on canonically ordered
+pairs, and extended by graded commutativity, so odd generators anticommute
+and square to zero. Labels live in the basis alone.
 
 The double of A is a graded algebra on degrees 0..3 built from A and its
 dual: degree 1 is A1 plus the dual of A2, degree 2 is A2 plus the dual of
@@ -55,15 +56,19 @@ class GradedAlgebra:
     """A finite graded algebra given by basis labels and structure constants.
 
     ``basis[d]`` lists the basis labels in degree d; degree 0 is spanned by
-    the unit. ``products`` maps canonically ordered basis pairs (lower
-    degree first; within a degree, lower basis index first) to sparse
-    integer vectors over the target degree. Pairs that multiply to zero are
-    omitted. Queries for non-canonical pairs are answered through graded
-    commutativity: x y = (-1)^(deg x * deg y) y x, and odd squares vanish.
+    the unit. Structure constants refer to basis elements by flat position,
+    the index into ``sum(basis, ())``, so that canonical order (lower degree
+    first; within a degree, lower basis index first) is integer order.
+    ``products`` maps canonically ordered pairs of positions to sparse
+    integer vectors over the positions of the target degree. Pairs that
+    multiply to zero are omitted. Labels are read only by the label queries
+    and ``to_json``. Queries for non-canonical pairs are answered through
+    graded commutativity: x y = (-1)^(deg x * deg y) y x, and odd squares
+    vanish.
     """
 
     basis: tuple[tuple[str, ...], ...]
-    products: dict[tuple[str, str], dict[str, int]]
+    products: dict[tuple[int, int], dict[int, int]]
 
     @property
     def top_degree(self) -> int:
@@ -77,56 +82,46 @@ class GradedAlgebra:
         return len(self.basis[degree])
 
     @cached_property
+    def _labels(self) -> tuple[str, ...]:
+        return sum(self.basis, ())
+
+    @cached_property
     def _position(self) -> dict[str, tuple[int, int]]:
-        out: dict[str, tuple[int, int]] = {}
-        for d, labels in enumerate(self.basis):
-            for i, lab in enumerate(labels):
-                out[lab] = (d, i)
-        return out
+        """Label -> (degree, flat position)."""
+        flat = [(d, lab) for d, labels in enumerate(self.basis) for lab in labels]
+        return {lab: (d, p) for p, (d, lab) in enumerate(flat)}
 
     @cached_property
     def _mu(self) -> tuple[tuple[int, int, int, int], ...]:
         """(i, j, k, c) for each stored degree-one product x_i x_j = ... + c z_k, by basis index."""
-        pos = self._position
-        return tuple(
-            (pos[x][1], pos[y][1], pos[z][1], c)
-            for (x, y), vec in self.products.items()
-            if pos[x][0] == pos[y][0] == 1
-            for z, c in vec.items()
-        )
+        o2 = 1 + self.rank(1)  # flat position of the first degree-two element
+        degree_one = [(x, y, vec) for (x, y), vec in self.products.items() if 0 < x < o2 and 0 < y < o2]
+        return tuple((x - 1, y - 1, z - o2, c) for x, y, vec in degree_one for z, c in vec.items())
 
     def degree_of(self, label: str) -> int:
         return self._position[label][0]
 
     def basis_product(self, x: str, y: str) -> dict[str, int]:
         """Structure constants of x y as a sparse vector, sign included."""
-        dx, ix = self._position[x]
-        dy, iy = self._position[y]
+        dx, px = self._position[x]
+        dy, py = self._position[y]
         if dx == 0:
             return {y: 1}
         if dy == 0:
             return {x: 1}
-        if dx + dy > self.top_degree:
+        if dx + dy > self.top_degree or (px == py and dx % 2):
             return {}
-        if (dx, ix) < (dy, iy):
-            return dict(self.products.get((x, y), {}))
-        if (dx, ix) == (dy, iy):
-            if dx % 2:
-                return {}
-            return dict(self.products.get((x, y), {}))
-        sign = -1 if (dx * dy) % 2 else 1
-        return {lab: sign * c for lab, c in self.products.get((y, x), {}).items()}
-
-    def _product_items(self) -> list[tuple[tuple[str, str], dict[str, int]]]:
-        pos = self._position
-        return sorted(self.products.items(), key=lambda kv: (pos[kv[0][0]], pos[kv[0][1]]))
+        sign = -1 if px > py and (dx * dy) % 2 else 1
+        labels = self._labels
+        return {labels[z]: sign * c for z, c in self.products.get((min(px, py), max(px, py)), {}).items()}
 
     def to_json(self) -> dict:
         """Basis labels per degree plus the stored structure constants."""
-        doc: dict = {f"degree{d}": list(labels) for d, labels in enumerate(self.basis)}
+        labels = self._labels
+        doc: dict = {f"degree{d}": list(basis) for d, basis in enumerate(self.basis)}
         doc["products"] = [
-            {"x": x, "y": y, "value": {lab: c for lab, c in sorted(vec.items())}}
-            for (x, y), vec in self._product_items()
+            {"x": labels[x], "y": labels[y], "value": dict(sorted((labels[z], c) for z, c in vec.items()))}
+            for (x, y), vec in sorted(self.products.items())
         ]
         return doc
 
@@ -139,24 +134,26 @@ class DoubledAlgebra(GradedAlgebra):
 
 
 def os_algebra(arr: Arrangement) -> GradedAlgebra:
-    """The Orlik-Solomon algebra of an arrangement, degrees 0..2."""
+    """The Orlik-Solomon algebra of an arrangement, degrees 0..2.
+
+    e_i sits at flat position i, and f of the q-th nbc pair at n + 1 + q.
+    """
     n = arr.n
     points = arr.points
-    e = [f"e{i}" for i in range(n + 1)]  # e[i] is the generator of line i; e[0] is unused
+    pair_index = arr._pair_index  # (i, j) -> its point, as point_of gives it for i < j
     pairs = nbc_set(arr)
-    f_label = {(p.j, p.k): f"f({p.j},{p.k})" for p in pairs}
-    products: dict[tuple[str, str], dict[str, int]] = {}
+    f_pos = {(p.j, p.k): n + 1 + q for q, p in enumerate(pairs)}
+    products: dict[tuple[int, int], dict[int, int]] = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            k = points[arr.point_of(i, j)][0]
+            k = points[pair_index[(i, j)]][0]
             if k == 0:
                 continue
             if k == i:
-                vec = {f_label[(i, j)]: 1}
+                products[(i, j)] = {f_pos[(i, j)]: 1}
             else:
-                vec = {f_label[(k, j)]: 1, f_label[(k, i)]: -1}
-            products[(e[i], e[j])] = vec
-    basis = (("1",), tuple(e[1:]), tuple(f_label.values()))
+                products[(i, j)] = {f_pos[(k, j)]: 1, f_pos[(k, i)]: -1}
+    basis = (("1",), tuple(f"e{i}" for i in range(1, n + 1)), tuple(f"f({p.j},{p.k})" for p in pairs))
     return GradedAlgebra(basis, products)
 
 
@@ -166,7 +163,9 @@ def double(alg: GradedAlgebra) -> DoubledAlgebra:
     Degree 1 is the degree-one basis of ``alg`` followed by the duals of its
     degree-two basis; degree 2 is the degree-two basis followed by the duals
     of the degree-one basis; degree 3 is the dual of the unit. Both middle
-    degrees have rank (rank A1 + rank A2).
+    degrees have rank N = r1 + r2. By flat position, with p a position of
+    ``alg``: an element of A1 keeps p and its dual sits at p + r1 + 2 r2; the
+    dual of an element of A2 keeps p and the element itself moves to p + r2.
 
     The a_j ~f_k block is read off the stored degree-one products in one
     pass: x y = c f gives y ~f -> c ~x and x ~f -> -c ~y. The intersection
@@ -178,29 +177,27 @@ def double(alg: GradedAlgebra) -> DoubledAlgebra:
         raise DegreeError("doubling requires a graded algebra with top degree 2")
     a_labels = alg.basis[1]
     b_labels = alg.basis[2]
-    dual = {lab: dual_label(lab) for lab in a_labels + b_labels}
-    top = dual_label(alg.unit)
-    deg1 = a_labels + tuple(dual[b] for b in b_labels)
-    deg2 = b_labels + tuple(dual[a] for a in a_labels)
-    pos = alg._position
+    r1, r2 = len(a_labels), len(b_labels)
+    shift = r1 + 2 * r2  # A1 position -> its dual's position
+    top = 2 * (r1 + r2) + 1
 
-    products: dict[tuple[str, str], dict[str, int]] = {}
+    products: dict[tuple[int, int], dict[int, int]] = {}
     for (x, y), vec in alg.products.items():
-        (dx, ix), (dy, iy) = pos[x], pos[y]
-        if dx != 1 or dy != 1:
+        if not (0 < x <= r1 and 0 < y <= r1):
             continue
-        products[(x, y)] = dict(vec)
-        if ix >= iy:
-            continue  # never read by basis_product
+        row = products[(x, y)] = {}
         for f, c in vec.items():
-            if c:
-                products.setdefault((y, dual[f]), {})[dual[x]] = c
-                products.setdefault((x, dual[f]), {})[dual[y]] = -c
+            row[f + r2] = c
+            if c and x < y:  # a pair in the other order is never read by basis_product
+                products.setdefault((y, f), {})[x + shift] = c
+                products.setdefault((x, f), {})[y + shift] = -c
     # Complementary degrees pair as the identity on dual bases.
-    for ai in a_labels:
-        products[(ai, dual[ai])] = {top: 1}
-    for bk in b_labels:
-        products[(dual[bk], bk)] = {top: 1}
+    for p in range(1, r1 + 1):
+        products[(p, p + shift)] = {top: 1}
+    for p in range(r1 + 1, r1 + r2 + 1):
+        products[(p, p + r2)] = {top: 1}
 
-    basis = ((alg.unit,), deg1, deg2, (top,))
+    dual_a = tuple(map(dual_label, a_labels))
+    dual_b = tuple(map(dual_label, b_labels))
+    basis = ((alg.unit,), a_labels + dual_b, b_labels + dual_a, (dual_label(alg.unit),))
     return DoubledAlgebra(basis=basis, products=products, base=alg)

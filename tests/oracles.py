@@ -12,13 +12,19 @@ Orlik-Solomon algebra and the intersection ring that formatted each label
 per product (the ring scanning every line against every nbc pair), the
 pair-loop cohomology ring (with the label parsing it used for Poincare
 duality), the pair-loop ring verifier (with the label map it used) and the
-verifier that compared both orders of every stored product, and the
-resonance complex (as the three dense differentials of the
+verifier that compared both orders of every stored product, the
+label-keyed ``GradedAlgebra``, ``DoubledAlgebra`` and ``IntersectionRing``
+(here ``LabelledAlgebra``, ``LabelledDoubledAlgebra`` and
+``LabelledIntersectionRing``, which every oracle above builds) with the
+Orlik-Solomon algebra, double, intersection ring, cohomology ring and ring
+check that built and compared them by label (the ``*_by_label`` functions),
+and the resonance complex (as the three dense differentials of the
 ``AomotoComplex`` it returned, built in ``Fraction`` arithmetic from the
 label-keyed structure constants) with Betti numbers from dense rational
 ranks and generic Betti numbers as a minimum over every sampled point. The
 property tests in ``test_oracles.py`` check that the package's versions
-give the same results.
+give the same results, reading the package's positional algebras and
+rings through ``relabel``.
 Nothing in ``src/`` imports this module.
 """
 
@@ -28,13 +34,14 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
 from plumbline import plumbing
 from plumbline.arrangement import Arrangement, nbc_set
-from plumbline.boundary_ring import IsomorphismReport, IntersectionRing, _basis_map
+from plumbline.boundary_ring import IntersectionRing, IsomorphismReport
 from plumbline.exact_linalg import IntMatrix, RatMatrix, SparseIntMatrix, rank, snf
 from plumbline.os_algebra import DegreeError, DoubledAlgebra, GradedAlgebra, dual_label
 from plumbline.plumbing import PlumbingGraph, h1_boundary
@@ -225,7 +232,346 @@ def emit_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def double(alg: GradedAlgebra) -> DoubledAlgebra:
+@dataclass(frozen=True, eq=True)
+class LabelledAlgebra:
+    """A finite graded algebra given by basis labels and structure constants.
+
+    ``basis[d]`` lists the basis labels in degree d; degree 0 is spanned by
+    the unit. ``products`` maps canonically ordered basis pairs (lower
+    degree first; within a degree, lower basis index first) to sparse
+    integer vectors over the target degree. Pairs that multiply to zero are
+    omitted. Queries for non-canonical pairs are answered through graded
+    commutativity: x y = (-1)^(deg x * deg y) y x, and odd squares vanish.
+    """
+
+    basis: tuple[tuple[str, ...], ...]
+    products: dict[tuple[str, str], dict[str, int]]
+
+    @property
+    def top_degree(self) -> int:
+        return len(self.basis) - 1
+
+    @property
+    def unit(self) -> str:
+        return self.basis[0][0]
+
+    def rank(self, degree: int) -> int:
+        return len(self.basis[degree])
+
+    @cached_property
+    def _position(self) -> dict[str, tuple[int, int]]:
+        out: dict[str, tuple[int, int]] = {}
+        for d, labels in enumerate(self.basis):
+            for i, lab in enumerate(labels):
+                out[lab] = (d, i)
+        return out
+
+    @cached_property
+    def _mu(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(i, j, k, c) for each stored degree-one product x_i x_j = ... + c z_k, by basis index."""
+        pos = self._position
+        return tuple(
+            (pos[x][1], pos[y][1], pos[z][1], c)
+            for (x, y), vec in self.products.items()
+            if pos[x][0] == pos[y][0] == 1
+            for z, c in vec.items()
+        )
+
+    def degree_of(self, label: str) -> int:
+        return self._position[label][0]
+
+    def basis_product(self, x: str, y: str) -> dict[str, int]:
+        """Structure constants of x y as a sparse vector, sign included."""
+        dx, ix = self._position[x]
+        dy, iy = self._position[y]
+        if dx == 0:
+            return {y: 1}
+        if dy == 0:
+            return {x: 1}
+        if dx + dy > self.top_degree:
+            return {}
+        if (dx, ix) < (dy, iy):
+            return dict(self.products.get((x, y), {}))
+        if (dx, ix) == (dy, iy):
+            if dx % 2:
+                return {}
+            return dict(self.products.get((x, y), {}))
+        sign = -1 if (dx * dy) % 2 else 1
+        return {lab: sign * c for lab, c in self.products.get((y, x), {}).items()}
+
+    def _product_items(self) -> list[tuple[tuple[str, str], dict[str, int]]]:
+        pos = self._position
+        return sorted(self.products.items(), key=lambda kv: (pos[kv[0][0]], pos[kv[0][1]]))
+
+    def to_json(self) -> dict:
+        """Basis labels per degree plus the stored structure constants."""
+        doc: dict = {f"degree{d}": list(labels) for d, labels in enumerate(self.basis)}
+        doc["products"] = [
+            {"x": x, "y": y, "value": {lab: c for lab, c in sorted(vec.items())}}
+            for (x, y), vec in self._product_items()
+        ]
+        return doc
+
+
+@dataclass(frozen=True, eq=True)
+class LabelledDoubledAlgebra(LabelledAlgebra):
+    """The double of a top-degree-two algebra; keeps a handle on the base."""
+
+    base: LabelledAlgebra
+
+
+def os_algebra_by_label(arr: Arrangement) -> LabelledAlgebra:
+    """The Orlik-Solomon algebra of an arrangement, degrees 0..2."""
+    n = arr.n
+    points = arr.points
+    e = [f"e{i}" for i in range(n + 1)]  # e[i] is the generator of line i; e[0] is unused
+    pairs = nbc_set(arr)
+    f_label = {(p.j, p.k): f"f({p.j},{p.k})" for p in pairs}
+    products: dict[tuple[str, str], dict[str, int]] = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            k = points[arr.point_of(i, j)][0]
+            if k == 0:
+                continue
+            if k == i:
+                vec = {f_label[(i, j)]: 1}
+            else:
+                vec = {f_label[(k, j)]: 1, f_label[(k, i)]: -1}
+            products[(e[i], e[j])] = vec
+    basis = (("1",), tuple(e[1:]), tuple(f_label.values()))
+    return LabelledAlgebra(basis, products)
+
+
+def double_by_label(alg: LabelledAlgebra) -> LabelledDoubledAlgebra:
+    """The double of a graded algebra with top degree two.
+
+    Degree 1 is the degree-one basis of ``alg`` followed by the duals of its
+    degree-two basis; degree 2 is the degree-two basis followed by the duals
+    of the degree-one basis; degree 3 is the dual of the unit. Both middle
+    degrees have rank (rank A1 + rank A2).
+
+    The a_j ~f_k block is read off the stored degree-one products in one
+    pass: x y = c f gives y ~f -> c ~x and x ~f -> -c ~y. The intersection
+    ring's F_a . F_b table copies the Orlik-Solomon case split of
+    ``os_algebra``, so on that block ``verify_double_isomorphism`` compares
+    two transcriptions of one rule.
+    """
+    if alg.top_degree != 2:
+        raise DegreeError("doubling requires a graded algebra with top degree 2")
+    a_labels = alg.basis[1]
+    b_labels = alg.basis[2]
+    dual = {lab: dual_label(lab) for lab in a_labels + b_labels}
+    top = dual_label(alg.unit)
+    deg1 = a_labels + tuple(dual[b] for b in b_labels)
+    deg2 = b_labels + tuple(dual[a] for a in a_labels)
+    pos = alg._position
+
+    products: dict[tuple[str, str], dict[str, int]] = {}
+    for (x, y), vec in alg.products.items():
+        (dx, ix), (dy, iy) = pos[x], pos[y]
+        if dx != 1 or dy != 1:
+            continue
+        products[(x, y)] = dict(vec)
+        if ix >= iy:
+            continue  # never read by basis_product
+        for f, c in vec.items():
+            if c:
+                products.setdefault((y, dual[f]), {})[dual[x]] = c
+                products.setdefault((x, dual[f]), {})[dual[y]] = -c
+    # Complementary degrees pair as the identity on dual bases.
+    for ai in a_labels:
+        products[(ai, dual[ai])] = {top: 1}
+    for bk in b_labels:
+        products[(dual[bk], bk)] = {top: 1}
+
+    basis = ((alg.unit,), deg1, deg2, (top,))
+    return LabelledDoubledAlgebra(basis=basis, products=products, base=alg)
+
+
+@dataclass(frozen=True, eq=True)
+class LabelledIntersectionRing:
+    """H_1, H_2, the intersection product, and the intersection pairing.
+
+    ``products`` stores the product of H_2 classes on ordered pairs only
+    (lower basis index first); queries are extended antisymmetrically and
+    diagonal products are zero. The H_1 x H_2 pairing is the identity on
+    dual bases (t_i with F_i, g_(j,k) with tau_(j,k)): ``h1_labels[i]`` is
+    dual to ``h2_labels[i]``.
+    """
+
+    h1_labels: tuple[str, ...]
+    h2_labels: tuple[str, ...]
+    products: dict[tuple[str, str], dict[str, int]]
+
+    @cached_property
+    def _h2_index(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.h2_labels)}
+
+    def product(self, x: str, y: str) -> dict[str, int]:
+        """Intersection of two H_2 basis classes as a sparse H_1 vector."""
+        ix = self._h2_index[x]
+        iy = self._h2_index[y]
+        if ix == iy:
+            return {}
+        if ix < iy:
+            return dict(self.products.get((x, y), {}))
+        return {lab: -c for lab, c in self.products.get((y, x), {}).items()}
+
+    def pairing(self, h1: str, h2: str) -> int:
+        """Intersection number of an H_1 class with an H_2 class."""
+        if h1 not in self._dual_of:
+            raise KeyError(h1)
+        if h2 not in self._h2_index:
+            raise KeyError(h2)
+        return 1 if self._dual_of[h1] == h2 else 0
+
+    @cached_property
+    def _dual_of(self) -> dict[str, str]:
+        return dict(zip(self.h1_labels, self.h2_labels))
+
+    def to_json(self) -> dict:
+        idx = self._h2_index
+        return {
+            "h1": list(self.h1_labels),
+            "h2": list(self.h2_labels),
+            "products": [
+                {"x": x, "y": y, "value": {lab: c for lab, c in sorted(vec.items())}}
+                for (x, y), vec in sorted(self.products.items(), key=lambda kv: (idx[kv[0][0]], idx[kv[0][1]]))
+            ],
+        }
+
+
+def intersection_ring_by_label(arr: Arrangement) -> LabelledIntersectionRing:
+    """The intersection ring of the boundary manifold, from the closed tables."""
+    n = arr.n
+    points = arr.points
+    pairs = nbc_set(arr)
+    t = [f"t{i}" for i in range(n + 1)]  # t[i] and F[i] belong to line i; index 0 is unused
+    f_surf = [f"F{i}" for i in range(n + 1)]
+    g = {(p.j, p.k): f"g({p.j},{p.k})" for p in pairs}
+    tau = [f"tau({p.j},{p.k})" for p in pairs]
+
+    products: dict[tuple[str, str], dict[str, int]] = {}
+
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            k = points[arr.point_of(a, b)][0]
+            if k == 0:
+                continue
+            if k == a:
+                vec = {g[(a, b)]: 1}
+            else:
+                vec = {g[(k, b)]: 1, g[(k, a)]: -1}
+            products[(f_surf[a], f_surf[b])] = vec
+
+    # F_i . tau is zero unless line i lies in the pair's point: list, for
+    # each line, the pairs whose point contains it, in nbc order.
+    through: list[list[int]] = [[] for _ in range(n + 1)]
+    for idx, p in enumerate(pairs):
+        for m in points[p.point]:
+            through[m].append(idx)
+    for i in range(1, n + 1):
+        for idx in through[i]:
+            k = pairs[idx].k
+            if i == k:
+                vec = {t[m]: 1 for m in points[pairs[idx].point] if m != i}
+            else:
+                vec = {t[k]: -1}
+            products[(f_surf[i], tau[idx])] = vec
+
+    # Position i of h1 is dual to position i of h2: t_i <-> F_i, g <-> tau.
+    h2 = tuple(f_surf[1:]) + tuple(tau)
+    h1 = tuple(t[1:]) + tuple(g.values())
+    return LabelledIntersectionRing(h1, h2, products)
+
+
+def cohomology_of_by_label(ring: LabelledIntersectionRing) -> LabelledAlgebra:
+    """``cohomology_ring`` of the arrangement whose intersection ring is ``ring``."""
+    # PD(F_i) = ~t_i and PD(tau) = ~g in degree one; PD(t_i) = ~F_i and
+    # PD(g) = ~tau in degree two. The H_1 and H_2 bases are in dual order.
+    deg1 = tuple(map(dual_label, ring.h1_labels))
+    deg2 = tuple(map(dual_label, ring.h2_labels))
+    pd1 = dict(zip(ring.h2_labels, deg1))  # H_2 class -> its PD in degree 1
+    pd2 = dict(zip(ring.h1_labels, deg2))  # H_1 class -> its PD in degree 2
+
+    # H_2 is ordered as the duals of H_1: a stored pair stays canonical.
+    idx = ring._h2_index
+    products: dict[tuple[str, str], dict[str, int]] = {}
+    for (x, y), vec in ring.products.items():
+        if vec and idx[x] < idx[y]:
+            products[(pd1[x], pd1[y])] = {pd2[lab]: c for lab, c in vec.items()}
+    for x, y in zip(deg1, deg2):
+        # complementary degrees pair as the identity, into the top class
+        products[(x, y)] = {"pt": 1}
+
+    basis = (("1",), deg1, deg2, ("pt",))
+    return LabelledAlgebra(basis, products)
+
+
+def basis_map_by_label(coh: LabelledAlgebra, dbl: LabelledDoubledAlgebra) -> dict[str, str]:
+    """The module docstring's correspondence, by position: both bases follow nbc_set order."""
+    unit, deg1, deg2, top = dbl.basis
+    r2 = dbl.base.rank(2)  # degree two lists f before ~e, the reverse of PD(t) before PD(g)
+    return dict(zip(sum(coh.basis, ()), unit + deg1 + deg2[r2:] + deg2[:r2] + top, strict=True))
+
+
+def canonical_products_by_label(alg: LabelledAlgebra) -> dict[tuple[str, str], dict[str, int]]:
+    """The nonzero stored products of a ring of top degree 3 on degree 1 x 1
+    pairs (lower basis index first) and degree 1 x 2 pairs. Every other
+    product on degrees 1 x 1, 1 x 2 and 2 x 1 follows from these by graded
+    commutativity; the rest are zero."""
+    deg1 = {lab: i for i, lab in enumerate(alg.basis[1])}
+    deg2 = set(alg.basis[2])
+    return {
+        (x, y): vec
+        for (x, y), vec in alg.products.items()
+        if vec and x in deg1 and (y in deg2 or deg1.get(y, -1) > deg1[x])
+    }
+
+
+def compare_by_label(coh: LabelledAlgebra, dbl: LabelledDoubledAlgebra) -> IsomorphismReport:
+    """``verify_double_isomorphism`` of an arrangement's cohomology ring and double."""
+    phi = basis_map_by_label(coh, dbl)
+    lhs = {
+        (phi[x], phi[y]): {phi[lab]: c for lab, c in vec.items()}
+        for (x, y), vec in canonical_products_by_label(coh).items()
+    }
+    rhs = canonical_products_by_label(dbl)
+    if lhs == rhs:
+        return IsomorphismReport(ok=True, mismatches=())
+
+    back = {v: k for k, v in phi.items()}
+    pos = coh._position
+    mismatches = []
+    for key in lhs.keys() | rhs.keys():
+        left, right = lhs.get(key, {}), rhs.get(key, {})
+        if left != right:
+            x, y = back[key[0]], back[key[1]]
+            sign = -1 if pos[y][0] == 1 else 1
+            mismatches.append((x, y, left, dict(right)))
+            mismatches.append((y, x, {lab: sign * c for lab, c in left.items()},
+                               {lab: sign * c for lab, c in right.items()}))
+    mismatches.sort(key=lambda m: (pos[m[0]][0], pos[m[1]][0], pos[m[0]][1], pos[m[1]][1]))
+    return IsomorphismReport(ok=False, mismatches=tuple(mismatches))
+
+
+def relabel(obj: GradedAlgebra | IntersectionRing) -> LabelledAlgebra | LabelledIntersectionRing:
+    """A package algebra, double or intersection ring, whose structure
+    constants refer to basis positions, as the label-keyed class that it
+    replaced: each position is read through the basis labels, and products
+    and vectors keep their insertion order."""
+    if isinstance(obj, IntersectionRing):
+        h1, h2 = obj.h1_labels, obj.h2_labels
+        products = {(h2[x], h2[y]): {h1[z]: c for z, c in vec.items()} for (x, y), vec in obj.products.items()}
+        return LabelledIntersectionRing(h1, h2, products)
+    labels = sum(obj.basis, ())
+    products = {(labels[x], labels[y]): {labels[z]: c for z, c in vec.items()} for (x, y), vec in obj.products.items()}
+    if isinstance(obj, DoubledAlgebra):
+        return LabelledDoubledAlgebra(basis=obj.basis, products=products, base=relabel(obj.base))
+    return LabelledAlgebra(obj.basis, products)
+
+
+def double(alg: LabelledAlgebra) -> LabelledDoubledAlgebra:
     """The double of a graded algebra with top degree two.
 
     Degree 1 is the degree-one basis of ``alg`` followed by the duals of its
@@ -263,10 +609,10 @@ def double(alg: GradedAlgebra) -> DoubledAlgebra:
         products[(dual_label(bk), bk)] = {top: 1}
 
     basis = ((alg.unit,), deg1, deg2, (top,))
-    return DoubledAlgebra(basis=basis, products=products, base=alg)
+    return LabelledDoubledAlgebra(basis=basis, products=products, base=alg)
 
 
-def os_algebra(arr: Arrangement) -> GradedAlgebra:
+def os_algebra(arr: Arrangement) -> LabelledAlgebra:
     """The Orlik-Solomon algebra of an arrangement, degrees 0..2."""
     n = arr.n
     e_labels = tuple(f"e{i}" for i in range(1, n + 1))
@@ -285,10 +631,10 @@ def os_algebra(arr: Arrangement) -> GradedAlgebra:
                 vec = {f_label[(k, j)]: 1, f_label[(k, i)]: -1}
             products[(f"e{i}", f"e{j}")] = vec
     basis = (("1",), e_labels, tuple(f_label[(p.j, p.k)] for p in pairs))
-    return GradedAlgebra(basis, products)
+    return LabelledAlgebra(basis, products)
 
 
-def double_one_pass(alg: GradedAlgebra) -> DoubledAlgebra:
+def double_one_pass(alg: LabelledAlgebra) -> LabelledDoubledAlgebra:
     """The double of a graded algebra with top degree two.
 
     Degree 1 is the degree-one basis of ``alg`` followed by the duals of its
@@ -330,10 +676,10 @@ def double_one_pass(alg: GradedAlgebra) -> DoubledAlgebra:
         products[(dual_label(bk), bk)] = {top: 1}
 
     basis = ((alg.unit,), deg1, deg2, (top,))
-    return DoubledAlgebra(basis=basis, products=products, base=alg)
+    return LabelledDoubledAlgebra(basis=basis, products=products, base=alg)
 
 
-def intersection_ring(arr: Arrangement) -> IntersectionRing:
+def intersection_ring(arr: Arrangement) -> LabelledIntersectionRing:
     """The intersection ring of the boundary manifold, from the closed tables."""
     n = arr.n
     pairs = nbc_set(arr)
@@ -370,7 +716,7 @@ def intersection_ring(arr: Arrangement) -> IntersectionRing:
     # Position i of h1 is dual to position i of h2: t_i <-> F_i, g <-> tau.
     h2 = tuple(f_surf) + tuple(tau[(p.j, p.k)] for p in pairs)
     h1 = tuple(t) + tuple(g[(p.j, p.k)] for p in pairs)
-    return IntersectionRing(h1, h2, products)
+    return LabelledIntersectionRing(h1, h2, products)
 
 
 def _dual_surface(h1_label: str) -> str:
@@ -380,7 +726,7 @@ def _dual_surface(h1_label: str) -> str:
     return "tau" + h1_label[1:]
 
 
-def cohomology_ring(arr: Arrangement) -> GradedAlgebra:
+def cohomology_ring(arr: Arrangement) -> LabelledAlgebra:
     """The cohomology ring of the boundary manifold, degrees 0..3.
 
     Degree-one classes are the Poincare duals of the H_2 basis and carry the
@@ -409,10 +755,10 @@ def cohomology_ring(arr: Arrangement) -> GradedAlgebra:
         products[("~" + lab, pd2[lab])] = {"pt": 1}
 
     basis = (("1",), deg1, deg2, ("pt",))
-    return GradedAlgebra(basis, products)
+    return LabelledAlgebra(basis, products)
 
 
-def _label_map(arr: Arrangement, dbl: DoubledAlgebra) -> dict[str, str]:
+def _label_map(arr: Arrangement, dbl: LabelledDoubledAlgebra) -> dict[str, str]:
     """Cohomology basis label -> double basis label, via Poincare duality."""
     n = arr.n
     out = {"1": dbl.unit, "pt": dual_label(dbl.base.unit)}
@@ -453,7 +799,7 @@ def verify_double_isomorphism(arr: Arrangement) -> IsomorphismReport:
     return IsomorphismReport(ok=not mismatches, mismatches=tuple(mismatches))
 
 
-def _ordered_products(alg: GradedAlgebra) -> dict[tuple[str, str], dict[str, int]]:
+def _ordered_products(alg: LabelledAlgebra) -> dict[tuple[str, str], dict[str, int]]:
     """``basis_product`` on degree 1 x 1 and 1 x 2 pairs, both orders, read
     off the stored products of a ring of top degree 3; other pairs are zero."""
     pos = alg._position
@@ -467,9 +813,9 @@ def _ordered_products(alg: GradedAlgebra) -> dict[tuple[str, str], dict[str, int
     return out
 
 
-def compare(coh: GradedAlgebra, dbl: DoubledAlgebra) -> IsomorphismReport:
+def compare(coh: LabelledAlgebra, dbl: LabelledDoubledAlgebra) -> IsomorphismReport:
     """``verify_double_isomorphism`` of an arrangement's cohomology ring and double."""
-    phi = _basis_map(coh, dbl)
+    phi = basis_map_by_label(coh, dbl)
     back = {v: k for k, v in phi.items()}
 
     lhs_table = {
@@ -497,7 +843,7 @@ class AomotoComplex:
     d3: RatMatrix  # N x 1
 
 
-def _mu_rows(alg: GradedAlgebra) -> dict[tuple[int, int], dict[int, int]]:
+def _mu_rows(alg: LabelledAlgebra) -> dict[tuple[int, int], dict[int, int]]:
     """Structure constants on stored degree-one pairs, by basis index."""
     deg1 = {lab: i for i, lab in enumerate(alg.basis[1])}
     deg2 = {lab: k for k, lab in enumerate(alg.basis[2])}
@@ -513,7 +859,7 @@ def _check_length(coords: Sequence[Fraction], want: int, what: str) -> None:
         raise DimensionMismatch(f"{what} has {len(coords)} coordinates, expected {want}")
 
 
-def delta_matrix(alg: GradedAlgebra, a: Sequence[Fraction]) -> RatMatrix:
+def delta_matrix(alg: LabelledAlgebra, a: Sequence[Fraction]) -> RatMatrix:
     """The r1 x r2 matrix Delta(a)[j, k] = sum_i mu[i, j, k] a_i."""
     r1 = alg.rank(1)
     r2 = alg.rank(2)
@@ -527,7 +873,7 @@ def delta_matrix(alg: GradedAlgebra, a: Sequence[Fraction]) -> RatMatrix:
     return RatMatrix.from_rows(rows) if r1 else RatMatrix(0, r2, ())
 
 
-def phi_matrix(alg: GradedAlgebra, b: Sequence[Fraction]) -> RatMatrix:
+def phi_matrix(alg: LabelledAlgebra, b: Sequence[Fraction]) -> RatMatrix:
     """The antisymmetric r1 x r1 matrix Phi(b)[i, j] = sum_k mu[i, j, k] b_k."""
     r1 = alg.rank(1)
     r2 = alg.rank(2)
@@ -541,7 +887,7 @@ def phi_matrix(alg: GradedAlgebra, b: Sequence[Fraction]) -> RatMatrix:
     return RatMatrix.from_rows(rows) if r1 else RatMatrix(0, 0, ())
 
 
-def aomoto_complex(dbl: DoubledAlgebra, pt: AomotoPoint) -> AomotoComplex:
+def aomoto_complex(dbl: LabelledDoubledAlgebra, pt: AomotoPoint) -> AomotoComplex:
     """Assemble the differentials at a point and assert the chain identities."""
     base = dbl.base
     r1 = base.rank(1)
@@ -572,7 +918,7 @@ def aomoto_complex(dbl: DoubledAlgebra, pt: AomotoPoint) -> AomotoComplex:
     return AomotoComplex(d1, d2, d3)
 
 
-def betti_numbers(dbl: DoubledAlgebra, pt: AomotoPoint) -> tuple[int, int, int, int]:
+def betti_numbers(dbl: LabelledDoubledAlgebra, pt: AomotoPoint) -> tuple[int, int, int, int]:
     """All four Betti numbers of the complex at the point.
 
     Cochains are row vectors, so the kernel of d acting from degree k has
@@ -586,14 +932,14 @@ def betti_numbers(dbl: DoubledAlgebra, pt: AomotoPoint) -> tuple[int, int, int, 
     return tuple(dims[k] - ranks[k + 1] - ranks[k] for k in range(4))
 
 
-def betti(dbl: DoubledAlgebra, pt: AomotoPoint, k: int) -> int:
+def betti(dbl: LabelledDoubledAlgebra, pt: AomotoPoint, k: int) -> int:
     """The k-th Betti number of the complex at the point, k in 0..3."""
     if not 0 <= k <= 3:
         raise ValueError("degree k must be between 0 and 3")
     return betti_numbers(dbl, pt)[k]
 
 
-def generic_betti(dbl: DoubledAlgebra, k: int, trials: int = 5, seed: int = 0) -> int:
+def generic_betti(dbl: LabelledDoubledAlgebra, k: int, trials: int = 5, seed: int = 0) -> int:
     """Minimum k-th Betti number over seeded random sample points.
 
     Betti numbers can only jump up on proper subvarieties, so the minimum

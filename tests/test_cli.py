@@ -83,6 +83,17 @@ class TestValidateCommand:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in all_output(result)
 
+    @pytest.mark.parametrize("command", [["validate"], ["os"], ["verify"], ["report"], ["resonance", "generic"]])
+    def test_file_not_utf8_exits_2(self, runner, tmp_path, command):
+        # \xff cannot start a UTF-8 sequence: an error line, not a traceback.
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"lines": 3}')
+        result = runner.invoke(main, command + [str(bad)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {bad}: " in all_output(result)
+        assert "Traceback" not in all_output(result)
+
     def test_missing_file_exits_2(self, runner):
         result = runner.invoke(main, ["validate", "no_such_file.json"])
         assert result.exit_code == 2
@@ -527,7 +538,8 @@ class TestOncePerOp:
     def test_report_still_compares_two_constructions(self, runner, monkeypatch, two_triples):
         # Flip one sign in the geometric table that report builds; its check must notice.
         real = plumbline.intersection_ring(two_triples)
-        products = {**real.products, ("F1", "F2"): {lab: -c for lab, c in real.products[("F1", "F2")].items()}}
+        f1_f2 = (real._h2_index["F1"], real._h2_index["F2"])
+        products = {**real.products, f1_f2: {z: -c for z, c in real.products[f1_f2].items()}}
         fake = plumbline.IntersectionRing(real.h1_labels, real.h2_labels, products)
         monkeypatch.setattr("plumbline.cli.intersection_ring", lambda arr: fake)
         result = runner.invoke(main, ["report", fixture_path("two_triples")])
@@ -538,11 +550,14 @@ class TestOncePerOp:
         # A flipped sign and a dropped product: verify and report exit 1 and
         # list the mismatches that the both-orders verifier lists.
         real = plumbline.intersection_ring(two_triples)
-        products = {**real.products, ("F1", "F2"): {lab: -c for lab, c in real.products[("F1", "F2")].items()}}
-        del products[("F2", "tau(1,2)")]
+        index = real._h2_index
+        f1_f2 = (index["F1"], index["F2"])
+        products = {**real.products, f1_f2: {z: -c for z, c in real.products[f1_f2].items()}}
+        del products[(index["F2"], index["tau(1,2)"])]
         fake = plumbline.IntersectionRing(real.h1_labels, real.h2_labels, products)
         dbl = plumbline.double(plumbline.os_algebra(two_triples))
-        want = oracles.compare(plumbline.boundary_ring._cohomology_of(fake), dbl).to_json()
+        coh = oracles.cohomology_of_by_label(oracles.relabel(fake))
+        want = oracles.compare(coh, oracles.relabel(dbl)).to_json()
         assert len(want["mismatches"]) == 4
         monkeypatch.setattr("plumbline.boundary_ring.intersection_ring", lambda arr: fake)
         monkeypatch.setattr("plumbline.cli.intersection_ring", lambda arr: fake)
