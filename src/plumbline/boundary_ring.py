@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .arrangement import Arrangement, nbc_set
-from .os_algebra import DoubledAlgebra, GradedAlgebra, double, dual_label, os_algebra
+from .os_algebra import DoubledAlgebra, GradedAlgebra, ProductList, double, dual_label, os_algebra
 
 __all__ = [
     "IntersectionRing",
@@ -99,16 +99,18 @@ class IntersectionRing:
     def _dual_of(self) -> dict[str, str]:
         return dict(zip(self.h1_labels, self.h2_labels))
 
-    def to_json(self) -> dict:
-        h1, h2 = self.h1_labels, self.h2_labels
+    def json_doc(self) -> dict:
+        """``to_json`` with the intersection products left as a ``ProductList``."""
         return {
-            "h1": list(h1),
-            "h2": list(h2),
-            "products": [
-                {"x": h2[x], "y": h2[y], "value": dict(sorted((h1[z], c) for z, c in vec.items()))}
-                for (x, y), vec in sorted(self.products.items())
-            ],
+            "h1": list(self.h1_labels),
+            "h2": list(self.h2_labels),
+            "products": ProductList(self.products, self.h2_labels, self.h1_labels),
         }
+
+    def to_json(self) -> dict:
+        doc = self.json_doc()
+        doc["products"] = doc["products"].to_json()
+        return doc
 
 
 def intersection_ring(arr: Arrangement) -> IntersectionRing:

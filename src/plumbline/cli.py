@@ -22,8 +22,8 @@ import click
 from . import arrangement as arrmod
 from .arrangement import Arrangement, ArrangementError, FormatError, beta, nbc_set, random_arrangement
 from .boundary_ring import _cohomology_of, _compare, intersection_ring, verify_double_isomorphism
-from .os_algebra import DoubledAlgebra, double, os_algebra
-from .plumbing import H1Result, h1_boundary, incidence_graph
+from .os_algebra import DoubledAlgebra, ProductList, double, os_algebra
+from .plumbing import PlumbingGraph, h1_boundary, incidence_graph
 from .resonance import (
     AomotoPoint,
     betti_numbers,
@@ -58,11 +58,45 @@ def _load_arrangement(path: str) -> Arrangement:
         _fail(EXIT_MATH, f"{path}: {exc}")
 
 
-def _emit(ctx: click.Context, doc: dict, table: str) -> None:
+def _emit(ctx: click.Context, doc: dict, table) -> None:
+    """Write ``doc`` as JSON, or the text that ``table()`` returns. The JSON
+    goes to ``click.echo`` in blocks of about BLOCK characters, so the text
+    of a large document is never held whole; a smaller one is one call. The
+    writer escapes every control character, so the JSON holds no ANSI code
+    and ``color=True`` spares click a regex pass over it."""
     if ctx.obj["format"] == "table":
-        click.echo(table)
+        click.echo(table())
     else:
-        click.echo(_json_text(doc), nl=False)
+        out = _Text(lambda text: click.echo(text, nl=False, color=True))
+        _write(doc, "\n", out)
+        out.append("\n")
+        out.flush()
+
+
+BLOCK = 1 << 20  # characters of JSON that _emit passes to click.echo at once
+CHUNK = 4096  # products that _write_products joins into one piece
+
+
+class _Text(list):
+    """Output text in pieces. ``_write`` appends the small pieces; the leaves
+    that write the large lists ``add`` theirs, which are counted, and once
+    BLOCK characters are counted the pieces go to ``sink``."""
+
+    def __init__(self, sink=None):
+        super().__init__()
+        self.sink = sink
+        self.size = 0
+
+    def add(self, text: str) -> None:
+        self.append(text)
+        self.size += len(text)
+        if self.size >= BLOCK and self.sink:
+            self.flush()
+
+    def flush(self) -> None:
+        self.sink("".join(self))
+        self.clear()
+        self.size = 0
 
 
 def _json_text(doc) -> str:
@@ -71,52 +105,120 @@ def _json_text(doc) -> str:
     With ``indent`` set, the stdlib encodes in pure Python through generators;
     this writes the same text into one list and joins it once. It takes the
     dicts (``str`` keys), lists, tuples, ``str``, ``int``, ``bool`` and ``None``
-    that plumbline emits, and raises ``TypeError`` on anything else: a float,
-    a ``Fraction`` or a non-``str`` key, which ``json.dumps`` would write
+    that plumbline emits, and two leaves that stand for large lists: a
+    ``ProductList`` is written as its ``to_json()`` would be, and a
+    ``PlumbingGraph`` as the row-major entries of its plumbing matrix, each
+    a string. It raises ``TypeError`` on anything else: a float, a
+    ``Fraction`` or a non-``str`` key, which ``json.dumps`` would write
     differently or not at all.
     """
-    out: list[str] = []
-    _write(doc, "\n", out.append)
+    out = _Text()
+    _write(doc, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
-def _write(o, nl: str, put) -> None:
-    """Put the text of ``o``; ``nl`` is a newline plus the indent of o's line."""
+def _write(o, nl: str, out: _Text) -> None:
+    """Append the text of ``o``; ``nl`` is a newline plus the indent of o's line."""
     if isinstance(o, str):
-        put(_quote(o))
+        out.append(_quote(o))
     elif o is None:
-        put("null")
+        out.append("null")
     elif o is True:
-        put("true")
+        out.append("true")
     elif o is False:
-        put("false")
+        out.append("false")
     elif isinstance(o, int):
-        put(int.__repr__(o))
+        out.append(int.__repr__(o))
     elif isinstance(o, dict):
         if not o:
-            put("{}")
+            out.append("{}")
             return
         inner = nl + "  "
         sep = "{" + inner
         for key in sorted(o):
-            put(sep + _quote(key) + ": ")  # TypeError on a key that is not a str
-            _write(o[key], inner, put)
+            out.append(sep + _quote(key) + ": ")  # TypeError on a key that is not a str
+            _write(o[key], inner, out)
             sep = "," + inner
-        put(nl + "}")
+        out.append(nl + "}")
     elif isinstance(o, (list, tuple)):
         if not o:
-            put("[]")
+            out.append("[]")
             return
         inner = nl + "  "
         sep = "[" + inner
         for item in o:
-            put(sep)
-            _write(item, inner, put)
+            out.append(sep)
+            _write(item, inner, out)
             sep = "," + inner
-        put(nl + "]")
+        out.append(nl + "]")
+    elif isinstance(o, ProductList):
+        _write_products(o, nl, out)
+    elif isinstance(o, PlumbingGraph):
+        _write_entries(o, nl, out)
     else:
         raise TypeError(f"cannot write {type(o).__name__} as JSON")
+
+
+def _write_products(products: ProductList, nl: str, out: _Text) -> None:
+    """``products.to_json()`` as ``_write`` would write it: each label quoted
+    once, one f-string per product, joined CHUNK products at a time."""
+    if not products.table:
+        out.append("[]")
+        return
+    xy = list(map(_quote, products.xy_labels))
+    z = xy if products.z_labels is products.xy_labels else list(map(_quote, products.z_labels))
+    i1 = nl + "  "  # the indent of a product's braces, of its keys, and of its value's entries
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    sep, comma = "[" + i1, "," + i3
+    lines: list[str] = []
+    put = lines.append
+    for (x, y), vec in products.rows():
+        if len(lines) == CHUNK:
+            out.add(sep + ("," + i1).join(lines))
+            lines.clear()
+            sep = "," + i1
+        if len(vec) == 1:
+            [(k, c)] = vec.items()
+            put(f'{{{i2}"value": {{{i3}{z[k]}: {c}{i2}}},{i2}"x": {xy[x]},{i2}"y": {xy[y]}{i1}}}')
+        else:
+            value = "{" + i3 + comma.join([f"{z[k]}: {c}" for k, c in vec.items()]) + i2 + "}" if vec else "{}"
+            put(f'{{{i2}"value": {value},{i2}"x": {xy[x]},{i2}"y": {xy[y]}{i1}}}')
+    out.add(sep + ("," + i1).join(lines) + nl + "]")
+
+
+def _write_entries(g: PlumbingGraph, nl: str, out: _Text) -> None:
+    """The V^2 entries of the plumbing matrix of ``g``, row-major, as strings.
+    Each row is cut from one row of zeros, its O(degree) nonzeros spliced
+    in, and the rows go to ``out`` in blocks of about BLOCK characters."""
+    nv = g.n_vertices
+    if not nv:
+        out.append("[]")
+        return
+    sep = "," + nl + "  "
+    zero = '"0"' + sep
+    width = len(zero)
+    zeros = zero * nv
+    per = max(1, BLOCK // len(zeros))  # rows per block
+    nonzeros = [[(i, f'"{w}"')] for i, w in enumerate(g.weights)]
+    for i, j in g.edges:
+        nonzeros[i].append((j, '"1"'))
+        nonzeros[j].append((i, '"1"'))
+    out.append("[" + sep[1:])
+    parts: list[str] = []
+    for r, row in enumerate(nonzeros, 1):
+        at = 0
+        for j, entry in sorted(row):
+            parts += (zeros[at : j * width], entry, sep)
+            at = (j + 1) * width
+        parts.append(zeros[at:])
+        if r == nv:
+            del parts[-2:]  # the last row ends on its diagonal entry: no separator after it
+        if r % per == 0 or r == nv:
+            out.add("".join(parts))
+            parts.clear()
+    out.append(nl + "]")
 
 
 def _kv_table(doc: dict, prefix: str = "") -> str:
@@ -158,11 +260,10 @@ def validate(ctx: click.Context, path: str) -> None:
     """Check the incidence axioms and echo the normalized arrangement."""
     arr = _load_arrangement(path)
     doc = arrmod.to_json(arr)
-    table = "\n".join(
+    _emit(ctx, doc, lambda: "\n".join(
         [f"lines: {arr.n_lines}", f"points: {len(arr.points)}"]
         + ["  " + ",".join(str(x) for x in pt) for pt in arr.points]
-    )
-    _emit(ctx, doc, table)
+    ))
 
 
 @main.command()
@@ -174,8 +275,7 @@ def nbc(ctx: click.Context, path: str) -> None:
     pairs = nbc_set(arr)
     graph = incidence_graph(arr)
     doc = {"nbc": [[p.j, p.k] for p in pairs], "b1": graph.b1}
-    table = "\n".join([f"b1: {graph.b1}"] + [f"({p.j},{p.k})" for p in pairs])
-    _emit(ctx, doc, table)
+    _emit(ctx, doc, lambda: "\n".join([f"b1: {graph.b1}"] + [f"({p.j},{p.k})" for p in pairs]))
 
 
 @main.command("os")
@@ -183,10 +283,17 @@ def nbc(ctx: click.Context, path: str) -> None:
 @click.pass_context
 def os_cmd(ctx: click.Context, path: str) -> None:
     """Structure constants of the Orlik-Solomon algebra."""
-    arr = _load_arrangement(path)
-    doc = os_algebra(arr).to_json()
-    _emit(ctx, doc, _kv_table({"degree1": ", ".join(doc["degree1"]), "degree2": ", ".join(doc["degree2"])})
-          + "\n" + "\n".join(f"{p['x']} * {p['y']} = {p['value']}" for p in doc["products"]))
+    alg = os_algebra(_load_arrangement(path))
+    _emit(ctx, alg.json_doc(), lambda: _os_table(alg.to_json()))
+
+
+def _os_table(doc: dict) -> str:
+    degrees = _kv_table({"degree1": ", ".join(doc["degree1"]), "degree2": ", ".join(doc["degree2"])})
+    return degrees + "\n" + _products_table(doc)
+
+
+def _products_table(doc: dict) -> str:
+    return "\n".join(f"{p['x']} * {p['y']} = {p['value']}" for p in doc["products"])
 
 
 @main.command("double")
@@ -194,9 +301,8 @@ def os_cmd(ctx: click.Context, path: str) -> None:
 @click.pass_context
 def double_cmd(ctx: click.Context, path: str) -> None:
     """Structure constants of the doubled Orlik-Solomon algebra."""
-    arr = _load_arrangement(path)
-    doc = double(os_algebra(arr)).to_json()
-    _emit(ctx, doc, "\n".join(f"{p['x']} * {p['y']} = {p['value']}" for p in doc["products"]))
+    dbl = double(os_algebra(_load_arrangement(path)))
+    _emit(ctx, dbl.json_doc(), lambda: _products_table(dbl.to_json()))
 
 
 @main.command()
@@ -205,24 +311,9 @@ def double_cmd(ctx: click.Context, path: str) -> None:
 def homology(ctx: click.Context, path: str) -> None:
     """First homology of the boundary manifold, with the plumbing matrix."""
     res = h1_boundary(_load_arrangement(path))
-    if ctx.obj["format"] == "table":
-        click.echo(_kv_table(res.to_json()))
-    else:
-        click.echo(_homology_json(res), nl=False)
-
-
-def _homology_json(res: H1Result) -> str:
-    """The homology document with its plumbing matrix, newline included, as
-    ``_json_text`` writes it. The V^2 matrix entries are too many to pass
-    through it one by one, so it writes the rest and the entries are joined
-    into it in one step."""
     nv = res.graph.n_vertices
-    matrix = {"rows": nv, "cols": nv, "entries": []}
-    before, after = _json_text({**res.to_json(), "matrix": matrix}).split('"entries": []')
-    entries = res.entry_strings()
-    entries[0] = before + '"entries": [\n      "' + entries[0]
-    entries[-1] += '"\n    ]' + after
-    return '",\n      "'.join(entries)
+    doc = {**res.to_json(), "matrix": {"rows": nv, "cols": nv, "entries": res.graph}}
+    _emit(ctx, doc, lambda: _kv_table(res.to_json()))
 
 
 @main.command()
@@ -230,9 +321,11 @@ def _homology_json(res: H1Result) -> str:
 @click.pass_context
 def ring(ctx: click.Context, path: str) -> None:
     """Intersection ring of the boundary manifold."""
-    arr = _load_arrangement(path)
-    rng_ = intersection_ring(arr)
-    doc = rng_.to_json()
+    rng_ = intersection_ring(_load_arrangement(path))
+    _emit(ctx, rng_.json_doc(), lambda: _ring_table(rng_.to_json()))
+
+
+def _ring_table(doc: dict) -> str:
     lines = ["intersection products (H2 x H2 -> H1):"]
     for item in doc["products"]:
         value = " + ".join(
@@ -241,7 +334,7 @@ def ring(ctx: click.Context, path: str) -> None:
         )
         lines.append(f"  {item['x']} . {item['y']} = {value or '0'}")
     lines.append("all other products of basis surfaces vanish; the product is antisymmetric")
-    _emit(ctx, doc, "\n".join(lines))
+    return "\n".join(lines)
 
 
 @main.command()
@@ -252,7 +345,7 @@ def verify(ctx: click.Context, path: str) -> None:
     arr = _load_arrangement(path)
     report = verify_double_isomorphism(arr)
     doc = report.to_json()
-    _emit(ctx, doc, f"ok: {report.ok}" + ("" if report.ok else f"\nmismatches: {len(report.mismatches)}"))
+    _emit(ctx, doc, lambda: f"ok: {report.ok}" + ("" if report.ok else f"\nmismatches: {len(report.mismatches)}"))
     if not report.ok:
         sys.exit(EXIT_MATH)
 
@@ -264,7 +357,7 @@ def report(ctx: click.Context, path: str) -> None:
     """Everything at once: combinatorics, algebras, homology, verification."""
     arr = _load_arrangement(path)
     doc = build_report(arr, seed=ctx.obj["seed"], trials=ctx.obj["trials"])
-    _emit(ctx, doc, _kv_table({
+    _emit(ctx, doc, lambda: _kv_table({
         "class": doc["class"],
         "beta": doc["beta"],
         "b1": doc["incidence"]["b1"],
@@ -278,7 +371,9 @@ def report(ctx: click.Context, path: str) -> None:
 
 def build_report(arr: Arrangement, seed: int, trials: int) -> dict:
     """The ``report`` document. Each piece is built once; the isomorphism
-    check still compares the geometric ring with the doubling construction."""
+    check still compares the geometric ring with the doubling construction.
+    The three product lists stay ``ProductList`` leaves, which ``_write``
+    writes straight from the positional tables."""
     alg = os_algebra(arr)
     dbl = double(alg)
     ring = intersection_ring(arr)
@@ -292,10 +387,10 @@ def build_report(arr: Arrangement, seed: int, trials: int) -> dict:
         "beta": res["beta"],
         "nbc": [[p.j, p.k] for p in pairs],
         "incidence": {"vertices": h1.graph.n_vertices, "edges": len(h1.graph.edges), "b1": h1.graph.b1},
-        "os_algebra": alg.to_json(),
-        "double": dbl.to_json(),
+        "os_algebra": alg.json_doc(),
+        "double": dbl.json_doc(),
         "homology": h1.to_json(),
-        "intersection_ring": ring.to_json(),
+        "intersection_ring": ring.json_doc(),
         "isomorphism": _compare(_cohomology_of(ring), dbl).to_json(),
         "resonance": res,
     }
@@ -371,7 +466,7 @@ def resonance_eval(ctx: click.Context, path: str, point_json: str) -> None:
     except ValueError as exc:
         _fail(EXIT_MATH, str(exc))
     out = {"betti": list(numbers)}
-    _emit(ctx, out, _kv_table({"betti": str(list(numbers))}))
+    _emit(ctx, out, lambda: _kv_table({"betti": str(list(numbers))}))
 
 
 @resonance.command("generic")
@@ -381,7 +476,7 @@ def resonance_generic(ctx: click.Context, path: str) -> None:
     """Generic Betti numbers, the beta invariant, and the predicted dimension."""
     arr = _load_arrangement(path)
     doc = _resonance_doc(arr, double(os_algebra(arr)), ctx.obj["seed"], ctx.obj["trials"])
-    _emit(ctx, doc, _kv_table({k: str(v) for k, v in doc.items()}))
+    _emit(ctx, doc, lambda: _kv_table({k: str(v) for k, v in doc.items()}))
 
 
 @resonance.command("classify")
@@ -392,7 +487,7 @@ def resonance_classify(ctx: click.Context, path: str) -> None:
     arr = _load_arrangement(path)
     cls, dim = r11_prediction(arr)
     doc = {"class": cls.value, "beta": beta(arr), "predicted_r11_dim": dim, "n": arr.n}
-    _emit(ctx, doc, _kv_table(doc))
+    _emit(ctx, doc, lambda: _kv_table(doc))
 
 
 @main.command("random")

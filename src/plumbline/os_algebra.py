@@ -13,7 +13,8 @@ i and j:
 
 Products are stored by flat basis position, only on canonically ordered
 pairs, and extended by graded commutativity, so odd generators anticommute
-and square to zero. Labels live in the basis alone.
+and square to zero. Labels live in the basis alone. A ``ProductList``
+holds the one rule by which every product table is printed.
 
 The double of A is a graded algebra on degrees 0..3 built from A and its
 dual: degree 1 is A1 plus the dual of A2, degree 2 is A2 plus the dual of
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .arrangement import Arrangement, nbc_set
 
@@ -36,6 +38,7 @@ __all__ = [
     "DegreeError",
     "GradedAlgebra",
     "DoubledAlgebra",
+    "ProductList",
     "os_algebra",
     "double",
     "dual_label",
@@ -49,6 +52,34 @@ class DegreeError(ValueError):
 def dual_label(label: str) -> str:
     """Label of the dual basis vector; a tilde marks dualized generators."""
     return "~" + label
+
+
+@dataclass(frozen=True)
+class ProductList:
+    """A positional product table as it is printed.
+
+    ``table`` maps pairs of positions to sparse vectors over positions;
+    ``xy_labels`` names the factors and ``z_labels`` the vector entries.
+    ``rows`` is the printing order: pairs in position order, and inside each
+    vector the entries sorted by label. The two orders of entries differ
+    once a degree has ten elements ("e10" < "e2"). ``to_json`` gives one
+    {"x", "y", "value"} dict per product; ``plumbline.cli`` writes the same
+    text from ``rows`` without building them.
+    """
+
+    table: dict[tuple[int, int], dict[int, int]]
+    xy_labels: tuple[str, ...]
+    z_labels: tuple[str, ...]
+
+    def rows(self) -> Iterator[tuple[tuple[int, int], dict[int, int]]]:
+        table, by_label = self.table, self.z_labels.__getitem__
+        for key in sorted(table):
+            vec = table[key]
+            yield key, vec if len(vec) < 2 else {z: vec[z] for z in sorted(vec, key=by_label)}
+
+    def to_json(self) -> list[dict]:
+        xy, z = self.xy_labels, self.z_labels
+        return [{"x": xy[x], "y": xy[y], "value": {z[k]: c for k, c in vec.items()}} for (x, y), vec in self.rows()]
 
 
 @dataclass(frozen=True, eq=True)
@@ -115,14 +146,16 @@ class GradedAlgebra:
         labels = self._labels
         return {labels[z]: sign * c for z, c in self.products.get((min(px, py), max(px, py)), {}).items()}
 
+    def json_doc(self) -> dict:
+        """``to_json`` with the structure constants left as a ``ProductList``."""
+        doc: dict = {f"degree{d}": list(basis) for d, basis in enumerate(self.basis)}
+        doc["products"] = ProductList(self.products, self._labels, self._labels)
+        return doc
+
     def to_json(self) -> dict:
         """Basis labels per degree plus the stored structure constants."""
-        labels = self._labels
-        doc: dict = {f"degree{d}": list(basis) for d, basis in enumerate(self.basis)}
-        doc["products"] = [
-            {"x": labels[x], "y": labels[y], "value": dict(sorted((labels[z], c) for z, c in vec.items()))}
-            for (x, y), vec in sorted(self.products.items())
-        ]
+        doc = self.json_doc()
+        doc["products"] = doc["products"].to_json()
         return doc
 
 

@@ -20,9 +20,9 @@ returning silently.
 The matrix has V^2 entries but at most V + 2E nonzeros (E edges), so
 nothing on the way from graph to cokernel is V x V: ``plumbing_matrix``
 returns the nonzeros as a ``SparseIntMatrix``, which ``cokernel`` takes as
-it is, and a result keeps the graph, not the matrix.
-``H1Result.entry_strings`` writes the V^2 entries for ``homology``'s output
-straight from the weights and edges.
+it is, and a result keeps the graph, not the matrix. ``homology`` writes
+the V^2 entries of its output straight from the weights and edges, a block
+of rows at a time.
 """
 
 from __future__ import annotations
@@ -102,16 +102,6 @@ class H1Result:
     graph_b1: int
     coker_free_rank: int
     graph: PlumbingGraph = field(compare=False, repr=False)
-
-    def entry_strings(self) -> list[str]:
-        """``str`` of each plumbing-matrix entry, row-major."""
-        g = self.graph
-        nv = g.n_vertices
-        e = ["0"] * (nv * nv)
-        e[:: nv + 1] = map(str, g.weights)
-        for i, j in g.edges:
-            e[i * nv + j] = e[j * nv + i] = "1"
-        return e
 
     def to_json(self) -> dict:
         return {

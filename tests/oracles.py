@@ -6,7 +6,9 @@ entries by least Markowitz cost before it, the stand-alone Bareiss
 determinant, the (line, point index) incidence graph and the plumbing graph
 rebuilt and re-sorted from it, the row-list plumbing matrix and the
 ``homology`` JSON document dumped whole with it, the ``json.dumps`` call
-that every command's JSON went through, the triple-loop double and the
+that every command's JSON went through (and the ``_emit`` that made it on
+the whole document), the ``report`` document with every product list
+built as one dict per product by ``to_json``, the triple-loop double and the
 one-pass double that followed it (with a label call per product), the
 Orlik-Solomon algebra and the intersection ring that formatted each label
 per product (the ring scanning every line against every nbc pair), the
@@ -38,6 +40,8 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
+
+import click
 
 from plumbline import plumbing
 from plumbline.arrangement import Arrangement, nbc_set
@@ -230,6 +234,43 @@ def emit_json(doc) -> str:
     """A command's JSON document as ``_emit`` wrote it, before ``click.echo``
     added the closing newline."""
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def emit(ctx, doc: dict, table) -> None:
+    """``plumbline.cli._emit`` for JSON output before it wrote in blocks: the
+    whole document through one ``json.dumps``."""
+    click.echo(emit_json(doc))
+
+
+def build_report(arr: Arrangement, seed: int, trials: int) -> dict:
+    """The ``report`` document. Each piece is built once; the isomorphism
+    check still compares the geometric ring with the doubling construction."""
+    # The package's builders, which the label-keyed oracles of this module shadow.
+    from plumbline import arrangement as arrmod
+    from plumbline.boundary_ring import _cohomology_of, _compare, intersection_ring
+    from plumbline.cli import _resonance_doc
+    from plumbline.os_algebra import double, os_algebra
+
+    alg = os_algebra(arr)
+    dbl = double(alg)
+    ring = intersection_ring(arr)
+    h1 = h1_boundary(arr)
+    pairs = nbc_set(arr)
+    res = _resonance_doc(arr, dbl, seed, trials)
+    res["betti_generic"] = res.pop("betti")
+    return {
+        "arrangement": arrmod.to_json(arr),
+        "class": res["class"],
+        "beta": res["beta"],
+        "nbc": [[p.j, p.k] for p in pairs],
+        "incidence": {"vertices": h1.graph.n_vertices, "edges": len(h1.graph.edges), "b1": h1.graph.b1},
+        "os_algebra": alg.to_json(),
+        "double": dbl.to_json(),
+        "homology": h1.to_json(),
+        "intersection_ring": ring.to_json(),
+        "isomorphism": _compare(_cohomology_of(ring), dbl).to_json(),
+        "resonance": res,
+    }
 
 
 @dataclass(frozen=True, eq=True)

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 import oracles
 import plumbline
-from plumbline import beta, exact_linalg, from_json, verify_double_isomorphism
+from plumbline import beta, cli, exact_linalg, from_json, verify_double_isomorphism
 from plumbline.cli import build_report, main, random_arrangement
 
 from conftest import FIXTURES, load_fixture
@@ -240,6 +240,12 @@ class TestReportCommand:
         result = runner.invoke(main, ["--seed", "2026", "report", fixture_path("two_triples")])
         assert result.output == (GOLDENS / "two_triples_report.json").read_text()
 
+    def test_matches_golden_non_realizable(self, runner):
+        # No complex lines realize this arrangement; its report is pinned too.
+        result = runner.invoke(main, ["--seed", "2026", "report", fixture_path("pappus_violating")])
+        assert result.exit_code == 0
+        assert result.output == (GOLDENS / "pappus_violating_report.json").read_text()
+
     def test_build_report_deterministic(self, two_triples):
         assert build_report(two_triples, seed=9, trials=3) == build_report(two_triples, seed=9, trials=3)
 
@@ -386,15 +392,22 @@ class TestUsageErrors:
         assert result.exit_code == 2
 
 
-# Runs the CLI and then reports the child's own peak RSS (KB on Linux) on stderr.
+# Runs the CLI and then reports the child's own peak RSS (KB on Linux) on
+# stderr. Linux carries ru_maxrss across exec, so a child of a large test
+# process reads the parent's peak there; VmHWM is the child's alone.
 MAXRSS_CHILD = """
-import resource, sys
+import re, resource, sys
 from plumbline.cli import main
 try:
     main.main(args=sys.argv[1:], prog_name="plumbline")
 finally:
     sys.stdout.flush()
-    sys.stderr.write(f"maxrss {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}\\n")
+    try:
+        with open("/proc/self/status") as status:
+            peak = re.search(r"VmHWM:\\s*(\\d+)", status.read()).group(1)
+    except OSError:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    sys.stderr.write(f"maxrss {peak}\\n")
 """
 
 
@@ -415,6 +428,48 @@ def test_homology_48_lines_stays_small(runner, tmp_path):
     assert proc.stdout.startswith(b'{\n  "b1_graph": 1081,') and proc.stdout.endswith(b'  "torsion": []\n}\n')
     maxrss_mb = int(proc.stderr.decode().rsplit("maxrss ", 1)[1]) / 1024
     assert maxrss_mb < 150
+
+
+def test_report_64_lines_stays_small(runner, tmp_path):
+    # 2.07 MB of output, most of it the three product lists. Written from the
+    # positional tables in blocks it peaks near 32 MB; built as one dict per
+    # product and joined whole it peaked near 43 MB. No timing assertion.
+    arr = runner.invoke(main, ["--seed", "1", "random", "--lines", "64", "--density", "0"])
+    path = tmp_path / "generic64.json"
+    path.write_text(arr.output)
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", MAXRSS_CHILD, "report", str(path)],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert len(proc.stdout) == 2_071_464
+    assert proc.stdout.startswith(b'{\n  "arrangement": {\n    "lines": 64,')
+    assert proc.stdout.endswith(b'    "seed": 0,\n    "trials": 5\n  }\n}\n')
+    maxrss_mb = int(proc.stderr.decode().rsplit("maxrss ", 1)[1]) / 1024
+    assert maxrss_mb < 38
+
+
+@pytest.mark.parametrize("command", [["report"], ["os"], ["double"], ["ring"], ["homology"]])
+def test_json_goes_out_in_blocks(runner, monkeypatch, command):
+    # Below BLOCK characters a document is one click.echo call; above it, the
+    # blocks join to the same text.
+    calls = []
+    echo = cli.click.echo
+
+    def spy(message=None, **kwargs):
+        calls.append(message)
+        echo(message, **kwargs)
+
+    monkeypatch.setattr(cli.click, "echo", spy)
+    args = command + [fixture_path("pappus_violating")]
+    whole = runner.invoke(main, args).output
+    assert calls == [whole]
+    calls.clear()
+    monkeypatch.setattr(cli, "BLOCK", 200)
+    monkeypatch.setattr(cli, "CHUNK", 2)
+    assert runner.invoke(main, args).output == whole
+    assert len(calls) > 3 and "".join(calls) == whole
 
 
 def test_no_plumbing_sized_matrix(runner, monkeypatch, tmp_path):

@@ -22,7 +22,10 @@ order, vectors included, which ``to_json`` and the resonance table ``_mu``
 read; that is also checked on every arrangement of 3-6 lines. The verifier
 is also run on rings with one product dropped, changed or added;
 ``test_census.py`` runs it on every arrangement of 3-6 lines, and the
-incidence graph is compared on that census here.
+incidence graph is compared on that census here. The CLI's writer of
+product lists is compared with ``json.dumps`` of the ``to_json`` documents
+for ``os``, ``double``, ``ring`` and ``report`` on the fixtures, that census
+and arrangements of 10-16 lines, where label and position order differ.
 """
 import json
 import random
@@ -57,7 +60,7 @@ from plumbline import (
 from plumbline import arrangement, boundary_ring, cli, resonance
 from plumbline.cli import random_arrangement
 from plumbline.exact_linalg import IntMatrix, cokernel, det, left_kernel, rank
-from plumbline.os_algebra import DoubledAlgebra, GradedAlgebra
+from plumbline.os_algebra import DoubledAlgebra, GradedAlgebra, ProductList
 from plumbline.plumbing import PlumbingGraph, h1_boundary, h1_plumbed, incidence_graph, plumbing_matrix
 
 from conftest import ALL_FIXTURES, load_fixture
@@ -165,7 +168,7 @@ def _same_plumbing_matrix(arr):
     g = incidence_graph(arr)
     m = plumbing_matrix(g).to_dense()
     assert m == oracles.plumbing_matrix(g)
-    assert h1_boundary(arr).entry_strings() == [str(x) for x in m.entries]
+    assert json.loads(cli._json_text(h1_boundary(arr).graph)) == [str(x) for x in m.entries]
 
 
 def _homology_stdout_is_oracle(arr):
@@ -775,14 +778,104 @@ class TestJsonWriter:
             cli._json_text(doc)
 
 
+# The product-list leaves against json.dumps of the to_json trees they replaced.
+
+
+def _product_lists_are_oracle(arr):
+    """``os``, ``double``, ``ring`` and ``report`` write, from the positional
+    tables, what ``json.dumps`` wrote of their ``to_json`` documents."""
+    alg = os_algebra(arr)
+    for obj in (alg, double(alg), intersection_ring(arr)):
+        assert cli._json_text(obj.json_doc()) == oracles.emit_json(obj.to_json()) + "\n"
+    new = cli._json_text(cli.build_report(arr, seed=0, trials=1))
+    assert new == oracles.emit_json(oracles.build_report(arr, seed=0, trials=1)) + "\n"
+
+
+def _has_triple_and_quadruple_points(arr):
+    return {3, 4} <= {len(pt) for pt in arr.points}
+
+
+# 10-16 lines: a vector's entries in label order are then not always in
+# position order ("e10" < "e2"), which the census of 3-6 lines never shows.
+ten_to_sixteen_lines = st.builds(
+    lambda seed, lines, density: random_arrangement(random.Random(seed), lines, density),
+    st.integers(0, 2**32 - 1),
+    st.integers(10, 16),
+    st.floats(0.2, 1.0),
+).filter(_has_triple_and_quadruple_points)
+
+
+class TestProductListWriter:
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_fixtures(self, name):
+        _product_lists_are_oracle(load_fixture(name))
+
+    @pytest.mark.parametrize("v", range(3, 7))
+    def test_census(self, v):
+        for arr in census(v):
+            _product_lists_are_oracle(arr)
+
+    @settings(max_examples=30, deadline=None)
+    @given(ten_to_sixteen_lines)
+    def test_ten_to_sixteen_lines(self, arr):
+        _product_lists_are_oracle(arr)
+
+    def test_label_order_is_not_position_order(self):
+        # Lines 1, 2 and 10 meet in a point, so e2 e10 = f(1,10) - f(1,2): f(1,2)
+        # has the lower position, f(1,10) the lower label, and the label wins.
+        arr = from_json({"lines": 11, "points": [[1, 2, 10]]})
+        alg = os_algebra(arr)
+        doc = alg.to_json()
+        [value] = [p["value"] for p in doc["products"] if (p["x"], p["y"]) == ("e2", "e10")]
+        assert list(value.items()) == [("f(1,10)", 1), ("f(1,2)", -1)]
+        pos = {lab: i for i, lab in enumerate(alg._labels)}
+        assert pos["f(1,2)"] < pos["f(1,10)"]
+        _product_lists_are_oracle(arr)
+
+    def test_pencil_has_no_os_products(self):
+        arr = load_fixture("pencil_n4")
+        text = cli._json_text(os_algebra(arr).json_doc())
+        assert '"products": []' in text
+        assert text == oracles.emit_json(os_algebra(arr).to_json()) + "\n"
+
+    @pytest.mark.parametrize("size", [cli.CHUNK - 1, cli.CHUNK, cli.CHUNK + 1, 2 * cli.CHUNK])
+    def test_chunk_boundaries(self, size):
+        labels = tuple(f"e{i}" for i in range(size + 1))
+        table = {(i, i + 1): {i: 1, i + 1: -1} if i % 3 else {i: i} for i in range(size)}
+        products = ProductList(table, labels, labels)
+        assert cli._json_text({"products": products}) == oracles.emit_json({"products": products.to_json()}) + "\n"
+
+    @pytest.mark.parametrize(
+        "table",
+        [{}, {(0, 1): {}}, {(0, 1): {2: -3}}, {(1, 2): {0: 1}, (0, 2): {1: 10**30, 0: 0}}, {(2, 0): {1: 1, 2: 7}}],
+    )
+    def test_one_entry_and_edge_values(self, table):
+        labels = ("e10", 'q"\\', "e2")
+        for z_labels in (labels, ("t", "s", "r")):
+            products = ProductList(table, labels, z_labels)
+            assert cli._json_text([products]) == oracles.emit_json([products.to_json()]) + "\n"
+            assert cli._json_text({"k": products}) == oracles.emit_json({"k": products.to_json()}) + "\n"
+
+
 def _stdout_is_oracle(arr):
-    """Every command prints what it printed through ``json.dumps`` and ``click.echo``,
-    and ``report`` builds the same pieces as the public functions do."""
+    """Every command prints its oracle document as ``json.dumps`` wrote it and
+    ``click.echo`` ended it. The documents with product lists or a plumbing
+    matrix come from the oracles: ``to_json`` for ``os``, ``double`` and
+    ``ring``, the moved ``build_report`` for ``report`` and the dense matrix
+    for ``homology``. Every other command is run again with ``cli._emit``
+    replaced by the one that dumped its whole document."""
     alg = os_algebra(arr)
     point = json.dumps({
         "a": [(i % 5) - 2 for i in range(alg.rank(1))],
         "b": ["1/2" if i % 3 else i for i in range(alg.rank(2))],
     })
+    expected = {
+        "os": oracles.emit_json(alg.to_json()),
+        "double": oracles.emit_json(double(alg).to_json()),
+        "ring": oracles.emit_json(intersection_ring(arr).to_json()),
+        "homology": oracles.homology_json(arr),
+        "report": oracles.emit_json(oracles.build_report(arr, seed=0, trials=5)),
+    }
     commands = [
         ["validate"], ["nbc"], ["os"], ["double"], ["homology"], ["ring"], ["verify"], ["report"],
         ["resonance", "generic"], ["resonance", "classify"], ["resonance", "eval", "--point", point],
@@ -793,14 +886,18 @@ def _stdout_is_oracle(arr):
         path.write_text(json.dumps(arrangement.to_json(arr)))
         for command in commands:
             new = runner.invoke(cli.main, command + [str(path)])
+            assert new.exit_code == 0, command
+            if command[0] in expected:
+                assert new.stdout_bytes == (expected[command[0]] + "\n").encode(), command
+                continue
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cli, "_json_text", lambda doc: oracles.emit_json(doc) + "\n")
+                mp.setattr(cli, "_emit", oracles.emit)
                 old = runner.invoke(cli.main, command + [str(path)])
-            assert new.exit_code == old.exit_code == 0, command
+            assert old.exit_code == 0, command
             assert new.stdout_bytes == old.stdout_bytes, command
     doc = cli.build_report(arr, seed=0, trials=5)
     assert doc["isomorphism"] == verify_double_isomorphism(arr).to_json()
-    assert doc["intersection_ring"] == intersection_ring(arr).to_json()
+    assert doc["intersection_ring"] == intersection_ring(arr).json_doc()
 
 
 class TestStdoutMatchesOracle:
