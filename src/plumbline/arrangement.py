@@ -169,9 +169,9 @@ def classify(arr: Arrangement) -> ArrangementClass:
     """Pencil, near-pencil, or general position.
 
     Three generic lines count as a near-pencil (a point of size two contains
-    all lines but one). Degenerate classes always have beta <= 0, which is
-    rechecked here (``InternalContradiction`` otherwise); general
-    arrangements have beta >= 1.
+    all lines but one). General arrangements have beta >= 1 and degenerate
+    classes beta <= 0 (Crapo: beta > 0 exactly when the matroid is
+    connected), which is rechecked here (``InternalContradiction`` otherwise).
     """
     sizes = {len(pt) for pt in arr.points}
     if arr.n_lines in sizes:
@@ -180,8 +180,8 @@ def classify(arr: Arrangement) -> ArrangementClass:
         cls = ArrangementClass.NEAR_PENCIL
     else:
         cls = ArrangementClass.GENERAL
-    if cls is not ArrangementClass.GENERAL and beta(arr) > 0:
-        raise InternalContradiction(f"degenerate arrangement ({cls.value}) with positive beta {beta(arr)}")
+    if (beta(arr) > 0) != (cls is ArrangementClass.GENERAL):
+        raise InternalContradiction(f"{cls.value} arrangement with beta {beta(arr)}: only general have positive beta")
     return cls
 
 

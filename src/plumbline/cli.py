@@ -99,27 +99,19 @@ class _Text(list):
         self.size = 0
 
 
-def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
-
-    With ``indent`` set, the stdlib encodes in pure Python through generators;
-    this writes the same text into one list and joins it once. It takes the
-    dicts (``str`` keys), lists, tuples, ``str``, ``int``, ``bool`` and ``None``
-    that plumbline emits, and two leaves that stand for large lists: a
-    ``ProductList`` is written as its ``to_json()`` would be, and a
-    ``PlumbingGraph`` as the row-major entries of its plumbing matrix, each
-    a string. It raises ``TypeError`` on anything else: a float, a
-    ``Fraction`` or a non-``str`` key, which ``json.dumps`` would write
-    differently or not at all.
-    """
-    out = _Text()
-    _write(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
 def _write(o, nl: str, out: _Text) -> None:
-    """Append the text of ``o``; ``nl`` is a newline plus the indent of o's line."""
+    """Append the text of ``o``; ``nl`` is a newline plus the indent of o's line.
+
+    The text is that of ``json.dumps(o, indent=2, sort_keys=True)``, byte for
+    byte, which with ``indent`` set the stdlib encodes in pure Python through
+    generators. ``o`` may hold the dicts (``str`` keys), lists, tuples,
+    ``str``, ``int``, ``bool`` and ``None`` that plumbline emits, and two
+    leaves that stand for large lists: a ``ProductList`` is written as its
+    ``to_json()`` would be, and a ``PlumbingGraph`` as the row-major entries
+    of its plumbing matrix, each a string. Anything else raises
+    ``TypeError``: a float, a ``Fraction`` or a non-``str`` key, which
+    ``json.dumps`` would write differently or not at all.
+    """
     if isinstance(o, str):
         out.append(_quote(o))
     elif o is None:
@@ -234,9 +226,10 @@ def _kv_table(doc: dict, prefix: str = "") -> str:
 
 
 @click.group()
-@click.option("--seed", default=0, show_default=True, help="Seed for all randomized sampling.")
+@click.option("--seed", default=0, show_default=True, help="Seed for `random`; echoed in the resonance output.")
 @click.option(
-    "--trials", default=5, show_default=True, type=click.IntRange(min=1), help="Sample count for generic values."
+    "--trials", default=5, show_default=True, type=click.IntRange(min=1),
+    help="Echoed in the resonance output; changes no value.",
 )
 @click.option(
     "--format",
@@ -399,13 +392,9 @@ def build_report(arr: Arrangement, seed: int, trials: int) -> dict:
 def _resonance_doc(arr: Arrangement, dbl: DoubledAlgebra, seed: int, trials: int) -> dict:
     """Generic Betti numbers, beta, class and predicted R^1_1 dimension."""
     cls, dim = r11_prediction(arr)
-    # b_k = b_(3-k) by Poincare duality. b0 = 1 - rank d1 is 1 only at the zero
-    # point, the one point with b1 = N, and the degree-1 walk (floor < N) never
-    # stops there: so the generic b0 is 1 exactly when the generic b1 is N.
     b1 = generic_betti(dbl, 1, trials=trials, seed=seed)
-    b0 = int(b1 == dbl.rank(1))
     return {
-        "betti": [b0, b1, b1, b0],
+        "betti": [0, b1, b1, 0],
         "beta": beta(arr),
         "class": cls.value,
         "predicted_r11_dim": dim,

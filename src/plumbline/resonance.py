@@ -50,6 +50,21 @@ rank d1 = rank d3 = 1 at a nonzero point and 0 at the zero point.
   plus the rank of the lower-right block of P Phi P^T. The last r1 - s rows
   of P span the left kernel of Delta, so that block is congruent to
   K Phi K^T. At a = 0 this is rank Phi(b), and at b = 0 it is 2 s.
+* The generic point. For an Orlik-Solomon algebra the floor is reached at
+  a = (1, ..., 1), whatever b is. x Delta(a) = 0 says a x = 0 in degree two,
+  and by the product rule of ``os_algebra`` e_i e_j lies in the span of the
+  f at the point P through lines i and j, and is zero when P holds line 0.
+  So a x = 0 splits into one local condition per point P that misses line
+  0: the product of a_P and x_P vanishes in the algebra of |P| concurrent
+  lines, which, as the sum of a_P is |P| != 0, makes x_P a multiple of
+  a_P, so x is constant on P. Two lines j, k >= 1 are thus tied unless
+  their point holds line 0. The points through line 0 split lines 1..n into
+  blocks, and the tie graph is complete multipartite on those blocks, so it
+  is connected unless there is one block: a pencil. Off pencils the left
+  kernel of Delta(1, ..., 1) is therefore spanned by a itself, rank
+  Delta(a) = r1 - 1, and the witness gives the floor. For a pencil r2 = 0,
+  so d2 = 0 and the floor holds at every nonzero point. Betti numbers only
+  jump up on a closed set, so the floor is the generic value.
 * Scaling. For nonzero rationals x and y, d2 at (x a, y b) is congruent to
   y d2(a, b) by diag(I, (y/x) I), and x a, y b are zero exactly when a, b
   are; so no Betti number changes. ``betti_numbers`` therefore clears the
@@ -71,7 +86,7 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
-from .arrangement import Arrangement, ArrangementClass, classify, nbc_set
+from .arrangement import Arrangement, ArrangementClass, InternalContradiction, classify, nbc_set
 from .exact_linalg import IntMatrix, RatMatrix, clear_denominators, kernel_dim, left_kernel, rank, rank_mod_p
 from .os_algebra import DoubledAlgebra, GradedAlgebra
 
@@ -320,26 +335,20 @@ def sample_point(dbl: DoubledAlgebra, rng: random.Random) -> AomotoPoint:
 
 
 def generic_betti(dbl: DoubledAlgebra, k: int, trials: int = 5, seed: int = 0) -> int:
-    """Minimum k-th Betti number over seeded random sample points.
+    """The generic k-th Betti number of the double of an Orlik-Solomon algebra.
 
-    Betti numbers can only jump up on proper subvarieties, so the minimum
-    over a few random points is the generic value with overwhelming margin;
-    sampling is deterministic in (seed, trials) via ``trial_seed``. No point
-    lies below the floor of the module docstring, so the walk stops at the
-    first point that reaches it: the result is then certified, and equal to
-    the minimum over all ``trials`` points. Otherwise every trial runs.
+    It is the floor of the module docstring, reached at the generic point
+    (1, ..., 1; 0). That one point is evaluated, and a result off the floor
+    raises ``InternalContradiction``. ``trials`` must be positive, but neither
+    it nor ``seed`` changes the value.
     """
-    floor = _betti_floor(dbl.base)
-    best: int | None = None
-    for t in range(trials):
-        pt = sample_point(dbl, random.Random(trial_seed(seed, t)))
-        val = betti(dbl, pt, k)
-        best = val if best is None else min(best, val)
-        if best == floor[k]:
-            break
-    if best is None:
-        raise ValueError("at least one trial is required")
-    return best
+    if trials < 1 or not 0 <= k <= 3:
+        raise ValueError("at least one trial is required, and the degree k must be between 0 and 3")
+    base, floor = dbl.base, _betti_floor(dbl.base)
+    got = betti_numbers(dbl, AomotoPoint((1,) * base.rank(1), (0,) * base.rank(2)))
+    if got != floor:
+        raise InternalContradiction(f"Betti numbers {got} at the generic point are off the floor {floor}")
+    return got[k]
 
 
 def r11_prediction(arr: Arrangement) -> tuple[ArrangementClass, int]:

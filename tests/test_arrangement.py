@@ -141,6 +141,11 @@ class TestClassify:
         with pytest.raises(InternalContradiction, match="positive beta"):
             classify(load_fixture(name))
 
+    def test_nonpositive_beta_on_general_class_raises(self, monkeypatch):
+        monkeypatch.setattr("plumbline.arrangement.beta", lambda arr: 0)
+        with pytest.raises(InternalContradiction, match="general arrangement with beta 0"):
+            classify(load_fixture("two_triples"))
+
 
 class TestJson:
     def test_round_trip(self, any_fixture):

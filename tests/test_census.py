@@ -11,7 +11,8 @@ checked on each arrangement, the non-realizable ones included. The
 cokernel of each plumbing matrix must equal the Markowitz-order oracle's,
 and its unit pivots must clear the whole matrix, so that ``snf`` is never
 called. The generic first Betti number of the double must sit on the
-proved floor."""
+proved floor, and the exact rank of Delta(1, ..., 1) must be r1 - 1 off
+pencils, the lemma that proves it."""
 
 import json
 import random
@@ -23,8 +24,10 @@ import oracles
 from census import FANO, census, linear_spaces
 from plumbline import (
     ArrangementClass,
+    beta,
     classify,
     cohomology_ring,
+    delta_matrix,
     double,
     from_json,
     generic_betti,
@@ -53,6 +56,16 @@ def test_listed_once():
     assert len(set(spaces)) == len(spaces)
 
 
+def _generic_point_lemma_holds(arr):
+    """rank Delta(1, ..., 1) = r1 - 1, by exact rank, unless the arrangement
+    is a pencil; there r2 = 0. The class is general exactly when beta > 0."""
+    alg = os_algebra(arr)
+    r1 = alg.rank(1)
+    pencil = classify(arr) is ArrangementClass.PENCIL
+    assert exact_linalg.rank(delta_matrix(alg, (1,) * r1)) == (0 if pencil else r1 - 1), arr.points
+    assert (beta(arr) > 0) == (classify(arr) is ArrangementClass.GENERAL), arr.points
+
+
 @pytest.mark.parametrize("v", range(3, 7))
 def test_every_arrangement(v):
     for arr in census(v):
@@ -62,6 +75,7 @@ def test_every_arrangement(v):
         coh, dbl = cohomology_ring(arr), double(alg)
         assert boundary_ring._compare(coh, dbl) == oracles.compare(oracles.relabel(coh), oracles.relabel(dbl)), arr.points
         assert generic_betti(dbl, 1, trials=5, seed=0) == resonance._betti_floor(alg)[1], arr.points
+        _generic_point_lemma_holds(arr)
         n_pairs = len(nbc_set(arr))
         g = incidence_graph(arr)
         assert g.b1 == n_pairs, arr.points
@@ -110,5 +124,6 @@ def test_fano_plane():
     assert [len(pt) for pt in arr.points] == [3] * 7
     assert classify(arr) is ArrangementClass.GENERAL
     assert verify_double_isomorphism(arr).ok
+    _generic_point_lemma_holds(arr)
     res = h1_boundary(arr)
     assert (res.free_rank, res.torsion) == (14, ())

@@ -15,7 +15,7 @@ import plumbline
 from plumbline import beta, cli, exact_linalg, from_json, verify_double_isomorphism
 from plumbline.cli import build_report, main, random_arrangement
 
-from conftest import FIXTURES, load_fixture
+from conftest import ALL_FIXTURES, FIXTURES, load_fixture
 
 GOLDENS = FIXTURES / "goldens"
 # The points of the resonance_eval goldens.
@@ -252,6 +252,30 @@ class TestReportCommand:
     def test_table_format(self, runner):
         result = runner.invoke(main, ["--format", "table", "report", fixture_path("two_triples")])
         assert "isomorphism_ok: True" in result.output
+
+
+class TestGenericNeedsNoSampling:
+    """The generic Betti numbers are proved at one point: --seed and --trials
+    change no byte of ``resonance generic`` or ``report`` but the two keys
+    that echo them."""
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    @pytest.mark.parametrize("command", [["resonance", "generic"], ["report"]], ids=["generic", "report"])
+    def test_stdout_ignores_seed_and_trials(self, runner, name, command):
+        args = command + [fixture_path(name)]
+        base = runner.invoke(main, args).stdout_bytes
+        assert base.count(b'"seed": 0,') == base.count(b'"trials": 5\n') == 1
+        for seed in range(4):
+            for trials in range(1, 6):
+                result = runner.invoke(main, ["--seed", str(seed), "--trials", str(trials)] + args)
+                assert result.exit_code == 0
+                want = base.replace(b'"seed": 0,', b'"seed": %d,' % seed)
+                assert result.stdout_bytes == want.replace(b'"trials": 5\n', b'"trials": %d\n' % trials), (seed, trials)
+
+    def test_one_trial_on_a_near_pencil(self, runner):
+        # The sampled walk's one point was resonant here and read [0, 6, 6, 0].
+        result = runner.invoke(main, ["--trials", "1", "resonance", "generic", fixture_path("nearpencil_n5")])
+        assert json.loads(result.output)["betti"] == [0, 0, 0, 0]
 
 
 class TestRandomCommand:

@@ -43,6 +43,7 @@ from census import census
 from plumbline import (
     AomotoPoint,
     ArrangementClass,
+    InternalContradiction,
     aomoto_complex,
     beta,
     betti_numbers,
@@ -64,6 +65,14 @@ from plumbline.os_algebra import DoubledAlgebra, GradedAlgebra, ProductList
 from plumbline.plumbing import PlumbingGraph, h1_boundary, h1_plumbed, incidence_graph, plumbing_matrix
 
 from conftest import ALL_FIXTURES, load_fixture
+
+
+def _json_text(doc) -> str:
+    """The whole text that ``cli._emit`` writes of ``doc`` as JSON."""
+    out = cli._Text()
+    cli._write(doc, "\n", out)
+    return "".join(out) + "\n"
+
 
 arrangements = st.builds(
     lambda seed, lines, density: random_arrangement(random.Random(seed), lines, density),
@@ -168,7 +177,7 @@ def _same_plumbing_matrix(arr):
     g = incidence_graph(arr)
     m = plumbing_matrix(g).to_dense()
     assert m == oracles.plumbing_matrix(g)
-    assert json.loads(cli._json_text(h1_boundary(arr).graph)) == [str(x) for x in m.entries]
+    assert json.loads(_json_text(h1_boundary(arr).graph)) == [str(x) for x in m.entries]
 
 
 def _homology_stdout_is_oracle(arr):
@@ -504,13 +513,18 @@ def _same_resonance(arr, seed: int = 0):
 
 
 def _same_generic_betti(arr, seeds=range(4), trials=range(1, 6)):
+    """generic_betti is the floor whatever the seed and trials; the sampled
+    minimum of the oracle is never below it, and at the defaults equals it."""
     dbl = double(os_algebra(arr))
     old_dbl = oracles.relabel(dbl)
+    floor = resonance._betti_floor(dbl.base)
     for k in range(4):
         for seed in seeds:
             for t in trials:
                 got = generic_betti(dbl, k, trials=t, seed=seed)
-                assert got == oracles.generic_betti(old_dbl, k, trials=t, seed=seed), (k, seed, t)
+                assert got == floor[k], (k, seed, t)
+                assert oracles.generic_betti(old_dbl, k, trials=t, seed=seed) >= got, (k, seed, t)
+        assert oracles.generic_betti(old_dbl, k, trials=5, seed=0) == floor[k], k
 
 
 class TestResonanceMatchesOracle:
@@ -653,13 +667,23 @@ class TestScalingLemma:
 
 
 def _floor_holds(arr, seed: int):
+    """No point is below the floor, and the generic point (1, ..., 1; b) is on
+    it, by the lemma of the resonance docstring: the exact rank of
+    Delta(1, ..., 1) is r1 - 1 off pencils, and r2 = 0 on pencils."""
     dbl = double(os_algebra(arr))
+    old_dbl = oracles.relabel(dbl)
     floor = resonance._betti_floor(dbl.base)
-    n = dbl.rank(1)
-    want = n - 1 if classify(arr) is ArrangementClass.PENCIL else beta(arr)
+    r1, r2 = dbl.base.rank(1), dbl.base.rank(2)
+    pencil = classify(arr) is ArrangementClass.PENCIL
+    want = r1 - 1 if pencil else beta(arr)
     assert floor == (0, want, want, 0)
-    for pt in _points(arr, dbl, random.Random(seed)):
-        assert all(x >= f for x, f in zip(oracles.betti_numbers(oracles.relabel(dbl), pt), floor)), pt
+    rng = random.Random(seed)
+    for pt in _points(arr, dbl, rng):
+        assert all(x >= f for x, f in zip(oracles.betti_numbers(old_dbl, pt), floor)), pt
+    assert pencil == (r2 == 0)
+    assert rank(delta_matrix(dbl.base, (1,) * r1)) == (0 if pencil else r1 - 1)
+    for b in ([0] * r2, [rng.randint(-9, 9) for _ in range(r2)]):
+        assert oracles.betti_numbers(old_dbl, AomotoPoint.make([1] * r1, b)) == floor, b
 
 
 class TestBettiFloor:
@@ -671,6 +695,29 @@ class TestBettiFloor:
     @given(small_arrangements, st.integers(0, 2**32 - 1))
     def test_random(self, arr, seed):
         _floor_holds(arr, seed)
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_one_point_and_no_draw(self, name, monkeypatch):
+        dbl = double(os_algebra(load_fixture(name)))
+        r1, r2 = dbl.base.rank(1), dbl.base.rank(2)
+        calls = []
+        real = resonance.betti_numbers
+        monkeypatch.setattr(resonance, "betti_numbers", lambda dbl, pt: calls.append(pt) or real(dbl, pt))
+        monkeypatch.setattr(resonance, "random", None)  # any draw through the module fails
+        monkeypatch.setattr(resonance, "sample_point", None)
+        for seed, trials in [(0, 1), (3, 5), (99, 2)]:
+            calls.clear()
+            assert generic_betti(dbl, 1, trials=trials, seed=seed) == resonance._betti_floor(dbl.base)[1]
+            assert calls == [AomotoPoint((1,) * r1, (0,) * r2)]
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_off_floor_is_a_contradiction(self, name, monkeypatch):
+        dbl = double(os_algebra(load_fixture(name)))
+        above = tuple(x + y for x, y in zip(resonance._betti_floor(dbl.base), (0, 1, 1, 0)))
+        monkeypatch.setattr("plumbline.resonance.betti_numbers", lambda dbl, pt: above)
+        for k in range(4):
+            with pytest.raises(InternalContradiction, match="off the floor"):
+                generic_betti(dbl, k)
 
     def test_two_triples_certifies_at_trial_zero(self, monkeypatch):
         dbl = double(os_algebra(load_fixture("two_triples")))
@@ -720,10 +767,11 @@ class TestOneGenericWalk:
 
     def test_two_lines(self):
         # N = 1, so a sample point is zero with probability 1/21. At seed 99
-        # the first two are, which gives the generic b0 = 1 at trials 1 and 2.
+        # the first two are, where the sampled walk read [1, 1, 1, 1]; the
+        # generic point is nonzero, and there every Betti number is 0.
         arr = from_json({"lines": 2, "points": []})
         _one_walk_matches(arr, seeds=[0, 1, 2, 3, 99])
-        assert cli._resonance_doc(arr, double(os_algebra(arr)), 99, 2)["betti"] == [1, 1, 1, 1]
+        assert cli._resonance_doc(arr, double(os_algebra(arr)), 99, 2)["betti"] == [0, 0, 0, 0]
 
     @settings(max_examples=40, deadline=None)
     @given(small_arrangements, st.integers(0, 3), st.integers(1, 5))
@@ -749,7 +797,7 @@ class TestJsonWriter:
     @settings(max_examples=500, deadline=None)
     @given(json_trees)
     def test_random_trees(self, doc):
-        assert cli._json_text(doc) == oracles.emit_json(doc) + "\n"
+        assert _json_text(doc) == oracles.emit_json(doc) + "\n"
 
     @pytest.mark.parametrize(
         "doc",
@@ -763,10 +811,10 @@ class TestJsonWriter:
         ],
     )
     def test_examples(self, doc):
-        assert cli._json_text(doc) == oracles.emit_json(doc) + "\n"
+        assert _json_text(doc) == oracles.emit_json(doc) + "\n"
 
     def test_bool_is_not_int(self):
-        assert cli._json_text({"ok": True, "n": [1, False]}) == '{\n  "n": [\n    1,\n    false\n  ],\n  "ok": true\n}\n'
+        assert _json_text({"ok": True, "n": [1, False]}) == '{\n  "n": [\n    1,\n    false\n  ],\n  "ok": true\n}\n'
 
     @pytest.mark.parametrize(
         "doc",
@@ -775,7 +823,7 @@ class TestJsonWriter:
     )
     def test_refuses(self, doc):
         with pytest.raises(TypeError):
-            cli._json_text(doc)
+            _json_text(doc)
 
 
 # The product-list leaves against json.dumps of the to_json trees they replaced.
@@ -786,8 +834,8 @@ def _product_lists_are_oracle(arr):
     tables, what ``json.dumps`` wrote of their ``to_json`` documents."""
     alg = os_algebra(arr)
     for obj in (alg, double(alg), intersection_ring(arr)):
-        assert cli._json_text(obj.json_doc()) == oracles.emit_json(obj.to_json()) + "\n"
-    new = cli._json_text(cli.build_report(arr, seed=0, trials=1))
+        assert _json_text(obj.json_doc()) == oracles.emit_json(obj.to_json()) + "\n"
+    new = _json_text(cli.build_report(arr, seed=0, trials=1))
     assert new == oracles.emit_json(oracles.build_report(arr, seed=0, trials=1)) + "\n"
 
 
@@ -834,7 +882,7 @@ class TestProductListWriter:
 
     def test_pencil_has_no_os_products(self):
         arr = load_fixture("pencil_n4")
-        text = cli._json_text(os_algebra(arr).json_doc())
+        text = _json_text(os_algebra(arr).json_doc())
         assert '"products": []' in text
         assert text == oracles.emit_json(os_algebra(arr).to_json()) + "\n"
 
@@ -843,7 +891,7 @@ class TestProductListWriter:
         labels = tuple(f"e{i}" for i in range(size + 1))
         table = {(i, i + 1): {i: 1, i + 1: -1} if i % 3 else {i: i} for i in range(size)}
         products = ProductList(table, labels, labels)
-        assert cli._json_text({"products": products}) == oracles.emit_json({"products": products.to_json()}) + "\n"
+        assert _json_text({"products": products}) == oracles.emit_json({"products": products.to_json()}) + "\n"
 
     @pytest.mark.parametrize(
         "table",
@@ -853,8 +901,8 @@ class TestProductListWriter:
         labels = ("e10", 'q"\\', "e2")
         for z_labels in (labels, ("t", "s", "r")):
             products = ProductList(table, labels, z_labels)
-            assert cli._json_text([products]) == oracles.emit_json([products.to_json()]) + "\n"
-            assert cli._json_text({"k": products}) == oracles.emit_json({"k": products.to_json()}) + "\n"
+            assert _json_text([products]) == oracles.emit_json([products.to_json()]) + "\n"
+            assert _json_text({"k": products}) == oracles.emit_json({"k": products.to_json()}) + "\n"
 
 
 def _stdout_is_oracle(arr):

@@ -290,6 +290,11 @@ class TestGenericBetti:
         with pytest.raises(ValueError):
             generic_betti(dbl_two_triples, 1, trials=0)
 
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_requires_a_degree(self, dbl_two_triples, k):
+        with pytest.raises(ValueError, match="between 0 and 3"):
+            generic_betti(dbl_two_triples, k)
+
     def test_trial_seed(self):
         assert trial_seed(2, 3) == 2_000_009
         assert trial_seed(0, 0) == 0
