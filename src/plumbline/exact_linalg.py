@@ -8,13 +8,13 @@ how ``from_rows`` coerces an entry and which entry types they accept.
 ``SparseIntMatrix`` keeps only the nonzeros of each row; ``cokernel`` takes
 it without a dense copy.
 
-The entry points are Smith normal form (``snf``), rank, kernel dimension and
-left kernel over the rationals (``rank``, ``kernel_dim``, ``left_kernel``), a
-lower bound on the rank modulo the prime 2^31 - 1 (``rank_mod_p``), cokernel
-invariants of an integer matrix (``cokernel``) and an exact determinant
-(``det``). Rank, left kernel and determinant come from one fraction-free
-(Bareiss) elimination, run on rows that ``clear_denominators`` scales to
-integers, which keeps intermediate entries bounded by minors of the input.
+The entry points are Smith normal form (``snf``), rank and kernel dimension
+over the rationals (``rank``, ``kernel_dim``), sparse elimination exactly or
+modulo a prime (``echelon``), cokernel invariants of an integer matrix
+(``cokernel``) and an exact determinant (``det``). Dense rank and
+determinant come from one fraction-free (Bareiss) elimination on rows that
+``clear_denominators`` scales to integers; it and ``echelon`` keep entries
+bounded by minors of the input.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Sequence, TypeVar
+from math import gcd, lcm
+from typing import Iterable, Sequence, TypeVar
 
 __all__ = [
     "IntMatrix",
@@ -32,9 +32,8 @@ __all__ = [
     "SnfResult",
     "snf",
     "rank",
-    "rank_mod_p",
     "kernel_dim",
-    "left_kernel",
+    "echelon",
     "cokernel",
     "det",
     "clear_denominators",
@@ -372,48 +371,43 @@ def rank(m: RatMatrix) -> int:
     return _bareiss([clear_denominators(m.row(i)) for i in range(m.rows)], m.cols)[0]
 
 
-def rank_mod_p(m: RatMatrix) -> int:
-    """Rank modulo the prime 2^31 - 1 of m with each row scaled to integers.
-
-    Scaling a row by a nonzero rational does not change the rank, and a
-    minor of an integer matrix that is nonzero mod p is nonzero, so the
-    result is at most ``rank(m)``.
-    """
-    p = 2**31 - 1
-    rows = [[x % p for x in clear_denominators(m.row(i))] for i in range(m.rows)]
-    r = 0
-    for c in range(m.cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        top = rows[r]
-        inv = pow(top[c], -1, p)
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c] * inv % p
-            if f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
 def kernel_dim(m: RatMatrix) -> int:
     """Dimension of the right kernel: cols - rank."""
     return m.cols - rank(m)
 
 
-def left_kernel(m: RatMatrix) -> tuple[int, list[list[int]]]:
-    """The rank of m and an integer basis of {y : y m = 0}, one row per vector.
+def echelon(vectors: Iterable[dict[int, int]], p: int = 0, stop: int | None = None) -> tuple[int, list[dict[int, int]]]:
+    """The rank of sparse integer vectors (position -> entry), and the leftover of each dependent one.
 
-    Scaling each row of [m | I] to integers gives [D m | D]. Bareiss elimination
-    with pivots in m keeps every row [z m | z] with independent z, and past the
-    rank z m = 0.
+    Each vector is reduced by the basis vectors in the order they joined
+    (each is zero at the pivots of those before it), then joins with its
+    largest nonnegative position as pivot. Negative positions never pivot:
+    tag vector t with {~t: 1} and the leftovers are a left-kernel basis.
+    With a prime p entries are read modulo p, and the rank is at most the
+    rational one. With p = 0 each reduced vector is divided by the gcd of
+    its entries; it then spans the line of combinations of its input and the
+    basis inputs that vanish at the pivots passed, which by Cramer's rule
+    holds a vector of minors, so no entry outgrows a minor. Elimination
+    stops once the rank is ``stop``.
     """
-    rows = [clear_denominators(m.row(i) + (0,) * i + (1,) + (0,) * (m.rows - 1 - i)) for i in range(m.rows)]
-    r = _bareiss(rows, m.cols)[0]
-    return r, [row[m.cols :] for row in rows[r:]]
+    basis: list[tuple[int, dict[int, int]]] = []
+    rest: list[dict[int, int]] = []
+    for vec in vectors:
+        if len(basis) == stop:
+            break
+        v = {k: r for k, x in vec.items() if (r := x % p if p else x)}
+        for c, w in basis:
+            if x := v.get(c):
+                g = gcd(x, w[c])
+                x, y = x // g, w[c] // g
+                v = {k: y * v.get(k, 0) - x * w.get(k, 0) for k in v.keys() | w.keys()}
+                g = 1 if p else gcd(*v.values()) or 1
+                v = {k: r for k, z in v.items() if (r := z % p if p else z // g)}
+        if (c := max(v, default=-1)) >= 0:  # the largest position, and nonnegative
+            basis.append((c, v))
+        else:
+            rest.append(v)
+    return len(basis), rest
 
 
 def cokernel(m: IntMatrix | SparseIntMatrix) -> tuple[int, tuple[int, ...]]:

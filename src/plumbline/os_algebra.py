@@ -125,9 +125,8 @@ class GradedAlgebra:
     @cached_property
     def _mu(self) -> tuple[tuple[int, int, int, int], ...]:
         """(i, j, k, c) for each stored degree-one product x_i x_j = ... + c z_k, by basis index."""
-        o2 = 1 + self.rank(1)  # flat position of the first degree-two element
-        degree_one = [(x, y, vec) for (x, y), vec in self.products.items() if 0 < x < o2 and 0 < y < o2]
-        return tuple((x - 1, y - 1, z - o2, c) for x, y, vec in degree_one for z, c in vec.items())
+        o2, items = 1 + self.rank(1), self.products.items()  # o2: first degree-two position; pairs have x <= y
+        return tuple((x - 1, y - 1, z - o2, c) for (x, y), v in items if 0 < x <= y < o2 for z, c in v.items())
 
     def degree_of(self, label: str) -> int:
         return self._position[label][0]

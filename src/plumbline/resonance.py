@@ -1,10 +1,10 @@
 """Resonance of the doubled Orlik-Solomon algebra, by exact linear algebra.
 
-A point of the doubled algebra's degree one is a pair (a, b): rational
-coordinates a over the degree-one basis of the base algebra and b over the
-dual degree-two basis. Left multiplication by (a, b) makes the double a
-cochain complex, concentrated in degrees 0..3 with middle ranks
-N = r1 + r2. With cochains written as row vectors the differentials are
+A point of the double's degree one is a pair (a, b): rational coordinates a
+over the degree-one basis of the base algebra and b over the dual
+degree-two basis. Left multiplication by (a, b) makes the double a cochain
+complex in degrees 0..3 with middle ranks N = r1 + r2. With cochains
+written as row vectors the differentials are
 
     d1 = (a  b),    1 x N
     d2 = [[Phi(b), Delta(a)], [-Delta(a)^T, 0]],    N x N
@@ -13,9 +13,11 @@ N = r1 + r2. With cochains written as row vectors the differentials are
 where Delta(a)[j, k] = sum_i mu[i, j, k] a_i (r1 x r2) and
 Phi(b)[i, j] = sum_k mu[i, j, k] b_k (r1 x r1, antisymmetric), with
 mu[i, j, k] the structure constants of the base algebra extended
-antisymmetrically in (i, j). The chain identities d1 d2 = 0 and d2 d3 = 0
-hold for every point and are asserted at construction, in one pass over the
-nonzero entries of Delta(a) and Phi(b); no Betti number needs d2 assembled.
+antisymmetrically in (i, j). Both blocks are built in one pass over the
+nonzero entries of mu (``_mu``) and kept sparse, Delta(a) by columns (at
+most |P| nonzeros in the column of a generator at the point P) and Phi(b)
+by rows. The chain identities d1 d2 = 0 and d2 d3 = 0 hold at every point
+and are asserted at construction over those entries.
 
 Betti numbers are proved rather than ranked whenever possible
 (Cohen-Suciu, "The boundary manifold of a complex line arrangement",
@@ -41,7 +43,7 @@ rank d1 = rank d3 = 1 at a nonzero point and 0 at the zero point.
   Delta(a) has rank r1 - 1 modulo the prime 2^31 - 1, then
   rank d2 = 2 (r1 - 1) and the Betti numbers are exactly the floor,
   whatever b is. The chain check proves rank Delta(a) <= r1 - 1 for the
-  very Delta(a) that the witness ranks.
+  very Delta(a) whose sparse columns the witness eliminates, up to r1 - 1.
 * The block rank. Elsewhere rank d2 = 2 s + rank(K Phi(b) K^T), with
   s = rank Delta(a) and the rows of K a basis of {x : x Delta(a) = 0}.
   Proof: pick invertible P and Q with P Delta Q = [[I_s, 0], [0, 0]]. The
@@ -49,7 +51,10 @@ rank d1 = rank d3 = 1 at a nonzero point and 0 at the zero point.
   blocks then clear everything in their rows and columns, which leaves 2 s
   plus the rank of the lower-right block of P Phi P^T. The last r1 - s rows
   of P span the left kernel of Delta, so that block is congruent to
-  K Phi K^T. At a = 0 this is rank Phi(b), and at b = 0 it is 2 s.
+  K Phi K^T. At a = 0 this is rank Phi(b), and at b = 0 it is 2 s. One
+  exact sparse elimination of the rows of Delta(a) gives s and an integer
+  K (K = I when s = 0), a second the rank of K Phi K^T; the gcd division of
+  ``exact_linalg.echelon`` keeps their entries below minors, as Bareiss does.
 * The generic point. For an Orlik-Solomon algebra the floor is reached at
   a = (1, ..., 1), whatever b is. x Delta(a) = 0 says a x = 0 in degree two,
   and by the product rule of ``os_algebra`` e_i e_j lies in the span of the
@@ -83,11 +88,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import Iterable, Sequence
 
 from .arrangement import Arrangement, ArrangementClass, InternalContradiction, classify, nbc_set
-from .exact_linalg import IntMatrix, RatMatrix, clear_denominators, kernel_dim, left_kernel, rank, rank_mod_p
+from .exact_linalg import RatMatrix, clear_denominators, echelon, kernel_dim, rank
 from .os_algebra import DoubledAlgebra, GradedAlgebra
 
 __all__ = [
@@ -131,8 +135,9 @@ class AomotoPoint:
     b: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
-        _check_types(self.a, "a")
-        _check_types(self.b, "b")
+        for coords, what in ((self.a, "a"), (self.b, "b")):
+            if not _EXACT_TYPES.issuperset(map(type, coords)):
+                raise TypeError(f"{what} may hold only int and Fraction coordinates")
 
     @staticmethod
     def make(a: Iterable, b: Iterable) -> "AomotoPoint":
@@ -147,94 +152,98 @@ class AomotoPoint:
 
 @dataclass(frozen=True)
 class AomotoComplex:
-    """The complex at a fixed point, held as the two blocks of d2."""
+    """The complex at a point as the blocks of d2, Delta(a) by sparse columns and Phi(b)
+    by sparse rows (index -> entry, zeros allowed); the dense matrices are views."""
 
     point: AomotoPoint
-    delta: RatMatrix  # r1 x r2
-    phi: RatMatrix  # r1 x r1
+    columns: list[dict]  # Delta(a): r2 columns over r1 rows
+    phi_rows: list[dict]  # Phi(b): r1 x r1
 
     @property
     def d1(self) -> RatMatrix:
-        return RatMatrix(1, self.delta.rows + self.delta.cols, self.point.a + self.point.b)
+        return RatMatrix(1, len(self.point.a + self.point.b), self.point.a + self.point.b)
 
     @property
     def d3(self) -> RatMatrix:
-        return RatMatrix(self.delta.rows + self.delta.cols, 1, self.point.a + self.point.b)
+        return self.d1.transpose()
+
+    @cached_property
+    def delta(self) -> RatMatrix:
+        return _dense(self.columns, len(self.phi_rows)).transpose()
+
+    @cached_property
+    def phi(self) -> RatMatrix:
+        return _dense(self.phi_rows, len(self.phi_rows))
 
     @cached_property
     def d2(self) -> RatMatrix:
-        """The dense N x N [[Phi, Delta], [-Delta^T, 0]], built on first access."""
-        r2 = self.delta.cols
+        """The dense N x N [[Phi, Delta], [-Delta^T, 0]]."""
+        r2 = len(self.columns)
         rows = [self.phi.row(i) + self.delta.row(i) for i in range(self.phi.rows)]
         rows += [[-x for x in self.delta.entries[k::r2]] + [0] * r2 for k in range(r2)]
         return RatMatrix.from_rows(rows)
 
 
-def _check_types(coords: Sequence, what: str) -> None:
-    if not _EXACT_TYPES.issuperset(map(type, coords)):
-        raise TypeError(f"{what} may hold only int and Fraction coordinates")
+def _dense(rows: list[dict], cols: int) -> RatMatrix:
+    return RatMatrix(len(rows), cols, tuple(row.get(j, 0) for row in rows for j in range(cols)))
 
 
-def _check_coords(coords: Sequence, want: int, what: str) -> None:
-    if len(coords) != want:
-        raise DimensionMismatch(f"{what} has {len(coords)} coordinates, expected {want}")
-    _check_types(coords, what)
+def _blocks(alg: GradedAlgebra, pt: AomotoPoint) -> AomotoComplex:
+    """Delta(a)[j, k] = sum_i mu[i, j, k] a_i and Phi(b)[i, j] = sum_k mu[i, j, k] b_k
+    in one pass over ``_mu``; integer coordinates give integer entries."""
+    for coords, want, what in ((pt.a, alg.rank(1), "a"), (pt.b, alg.rank(2), "b")):
+        if len(coords) != want:
+            raise DimensionMismatch(f"{what} has {len(coords)} coordinates, expected {want}")
+    columns: list[dict] = [{} for _ in range(alg.rank(2))]
+    phi: list[dict] = [{} for _ in range(alg.rank(1))]
+    a, b = pt.a, pt.b
+    for i, j, k, c in alg._mu:
+        if a[i] or a[j]:
+            col = columns[k]
+            col[j] = col.get(j, 0) + c * a[i]
+            col[i] = col.get(i, 0) - c * a[j]
+        if x := c * b[k]:
+            phi[i][j] = phi[i].get(j, 0) + x
+            phi[j][i] = phi[j].get(i, 0) - x
+    return AomotoComplex(pt, columns, phi)
 
 
 def delta_matrix(alg: GradedAlgebra, a: Sequence[int | Fraction]) -> RatMatrix:
-    """The r1 x r2 matrix Delta(a)[j, k] = sum_i mu[i, j, k] a_i; integer a gives integer entries."""
-    r1 = alg.rank(1)
-    r2 = alg.rank(2)
-    _check_coords(a, r1, "a")
-    entries = [0] * (r1 * r2)
-    for i, j, k, c in alg._mu:
-        entries[j * r2 + k] += c * a[i]
-        entries[i * r2 + k] -= c * a[j]
-    return RatMatrix(r1, r2, tuple(entries))
+    """The r1 x r2 matrix Delta(a), the dense view of the block that ``aomoto_complex`` builds."""
+    return _blocks(alg, AomotoPoint(tuple(a), (0,) * alg.rank(2))).delta
 
 
 def phi_matrix(alg: GradedAlgebra, b: Sequence[int | Fraction]) -> RatMatrix:
-    """The antisymmetric r1 x r1 matrix Phi(b)[i, j] = sum_k mu[i, j, k] b_k; integer b gives integer entries."""
-    r1 = alg.rank(1)
-    _check_coords(b, alg.rank(2), "b")
-    entries = [0] * (r1 * r1)
-    for i, j, k, c in alg._mu:
-        entries[i * r1 + j] += c * b[k]
-        entries[j * r1 + i] -= c * b[k]
-    return RatMatrix(r1, r1, tuple(entries))
+    """The antisymmetric r1 x r1 matrix Phi(b), the dense view of the block that ``aomoto_complex`` builds."""
+    return _blocks(alg, AomotoPoint((0,) * alg.rank(1), tuple(b))).phi
 
 
 def aomoto_complex(dbl: DoubledAlgebra, pt: AomotoPoint) -> AomotoComplex:
-    """Build the blocks of d2 at a point and assert the chain identities.
-
-    The check computes (a, b) d2 = (a Phi - b Delta^T, a Delta) and
-    d2 (a; b) = (Phi a^T + Delta b^T; -Delta^T a^T) in one pass over the
-    nonzero entries of the blocks. Besides guarding against a corrupt complex
-    it proves a Delta(a) = 0, on which the witness of ``betti_numbers`` rests.
-    """
-    delta = delta_matrix(dbl.base, pt.a)
-    phi = phi_matrix(dbl.base, pt.b)
-    r1, r2 = delta.rows, delta.cols
+    """Build the blocks of d2 at a point and assert the chain identities: over the
+    stored entries, (a, b) d2 = (a Phi - b Delta^T, a Delta) and d2 (a; b) =
+    (Phi a^T + Delta b^T; -Delta^T a^T) must vanish. Besides guarding against a
+    corrupt complex this proves a Delta(a) = 0, on which the witness rests."""
+    cx = _blocks(dbl.base, pt)
     a, b = pt.a, pt.b
-    left = [0] * (r1 + r2)  # (a, b) d2
-    right = [0] * (r1 + r2)  # d2 (a; b)
-    for idx, x in enumerate(phi.entries):
-        if x:
-            i, j = divmod(idx, r1)
+    left, right = [0] * len(a), [0] * len(a)  # the first r1 entries of (a, b) d2 and of d2 (a; b)
+    for bk, col in zip(b, cx.columns):
+        t = 0
+        for j, x in col.items():
+            t += a[j] * x
+            if bk:
+                left[j] -= bk * x
+                right[j] += x * bk
+        if t:  # an entry of a Delta, the last r2 of (a, b) d2 and (negated) of d2 (a; b)
+            raise ChainConditionViolated("d1 . d2 != 0")
+    for i, row in enumerate(cx.phi_rows):
+        for j, x in row.items():
             left[j] += a[i] * x
             right[i] += x * a[j]
-    for idx, x in enumerate(delta.entries):
-        if x:
-            j, k = divmod(idx, r2)
-            left[j] -= b[k] * x
-            left[r1 + k] += a[j] * x
-            right[j] += x * b[k]
-            right[r1 + k] -= x * a[j]
     if any(left):
         raise ChainConditionViolated("d1 . d2 != 0")
     if any(right):
         raise ChainConditionViolated("d2 . d3 != 0")
-    return AomotoComplex(pt, delta, phi)
+    return cx
 
 
 def betti_numbers(dbl: DoubledAlgebra, pt: AomotoPoint) -> tuple[int, int, int, int]:
@@ -247,23 +256,26 @@ def betti_numbers(dbl: DoubledAlgebra, pt: AomotoPoint) -> tuple[int, int, int, 
     comes from the block rank otherwise, both at the integer point of Scaling.
     """
     cx = aomoto_complex(dbl, AomotoPoint(tuple(clear_denominators(pt.a)), tuple(clear_denominators(pt.b))))
-    r1, r2 = cx.delta.rows, cx.delta.cols
-    if any(pt.a) and rank_mod_p(cx.delta) == r1 - 1:
+    r1, r2 = len(cx.phi_rows), len(cx.columns)
+    if any(pt.a) and echelon(cx.columns, 2**31 - 1, r1 - 1)[0] == r1 - 1:  # the witness, modulo a prime
         rank_d2 = 2 * (r1 - 1)
     else:
-        s, kernel = left_kernel(cx.delta)
-        rank_d2 = 2 * s + rank(_restricted_phi(cx.phi, kernel))
+        rows: list[dict] = [{~j: 1} for j in range(r1)]  # Delta(a) by rows, row j tagged by ~j
+        for k, col in enumerate(cx.columns):
+            for j, x in col.items():
+                rows[j][k] = x
+        s, kernel = echelon(rows)
+        rank_d2 = 2 * s + echelon(_restricted_phi(cx.phi_rows, kernel) if s else cx.phi_rows)[0]
     outer = 0 if pt.is_zero() else 1
     dims = (1, r1 + r2, r1 + r2, 1)
     ranks = (0, outer, rank_d2, outer, 0)
     return tuple(dims[k] - ranks[k + 1] - ranks[k] for k in range(4))
 
 
-def _restricted_phi(phi: RatMatrix, kernel: list[list[int]]) -> IntMatrix:
-    """-K Phi K^T over the integers, K the rows of ``kernel`` and Phi integral."""
-    rows = phi.to_rows()
-    k_phi = [[sum(map(mul, row, y)) for row in rows] for y in kernel]  # K Phi^T = -K Phi
-    return IntMatrix(len(kernel), len(kernel), tuple(sum(map(mul, t, y)) for t in k_phi for y in kernel))
+def _restricted_phi(phi_rows: list[dict], kernel: list[dict]) -> list[dict]:
+    """The rows of -K Phi K^T, the rows of K being the kernel leftovers (index j at key ~j)."""
+    k_phi = [[sum(x * y.get(~j, 0) for j, x in row.items()) for row in phi_rows] for y in kernel]  # Phi^T = -Phi
+    return [{q: sum(t[~j] * z for j, z in y.items()) for q, y in enumerate(kernel)} for t in k_phi]
 
 
 def _betti_floor(alg: GradedAlgebra) -> tuple[int, int, int, int]:
@@ -286,13 +298,11 @@ def is_nonresonant(alg: GradedAlgebra, a: Sequence[int | Fraction]) -> bool:
 
     The rows of Delta(a) are always dependent (a itself is in the kernel),
     so the rank is at most r1 - 1; equality, together with a != 0, is
-    exactness.
+    exactness. The exact rank is taken at a with its denominators cleared.
     """
-    a = tuple(a)
-    _check_coords(a, alg.rank(1), "a")
-    if all(x == 0 for x in a):
-        return False
-    return rank(delta_matrix(alg, a)) == alg.rank(1) - 1
+    pt = AomotoPoint(tuple(a), (0,) * alg.rank(2))
+    cx = _blocks(alg, AomotoPoint(tuple(clear_denominators(pt.a)), pt.b))
+    return any(pt.a) and echelon(cx.columns, stop=len(pt.a) - 1)[0] == len(pt.a) - 1
 
 
 def in_resonance(dbl: DoubledAlgebra, pt: AomotoPoint, k: int, d: int) -> bool:
@@ -307,17 +317,14 @@ def zero_a_identity_check(dbl: DoubledAlgebra, b: Sequence[int | Fraction]) -> t
     ``betti_numbers``, against the kernel of Phi alone) and agree for b != 0.
     Returns (lhs, rhs) so callers can report both.
     """
-    base = dbl.base
-    r1 = base.rank(1)
-    r2 = base.rank(2)
+    r1, r2 = dbl.base.rank(1), dbl.base.rank(2)
     if r2 == 0:
         raise DimensionMismatch("the degree-two part is trivial; no dual coordinates exist")
-    b = tuple(b)
-    _check_coords(b, r2, "b")
-    if all(x == 0 for x in b):
+    cx = aomoto_complex(dbl, AomotoPoint((0,) * r1, tuple(b)))
+    if not any(cx.point.b):
         raise ValueError("b must be nonzero")
-    lhs = r1 + r2 - 1 - rank(aomoto_complex(dbl, AomotoPoint((0,) * r1, b)).d2)
-    rhs = r2 - 1 + kernel_dim(phi_matrix(base, b))
+    lhs = r1 + r2 - 1 - rank(cx.d2)
+    rhs = r2 - 1 + kernel_dim(cx.phi)
     return lhs, rhs
 
 

@@ -23,7 +23,10 @@ check that built and compared them by label (the ``*_by_label`` functions),
 and the resonance complex (as the three dense differentials of the
 ``AomotoComplex`` it returned, built in ``Fraction`` arithmetic from the
 label-keyed structure constants) with Betti numbers from dense rational
-ranks and generic Betti numbers as a minimum over every sampled point. The
+ranks and generic Betti numbers as a minimum over every sampled point, and
+the dense witness and block rank that sparse elimination replaced
+(``block_betti_numbers``, with the dense rank modulo a prime ``rank_mod_p``,
+the Bareiss ``left_kernel`` and the integer ``_restricted_phi``). The
 property tests in ``test_oracles.py`` check that the package's versions
 give the same results, reading the package's positional algebras and
 rings through ``relabel``.
@@ -39,6 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 from typing import Sequence
 
 import click
@@ -46,13 +50,14 @@ import click
 from plumbline import plumbing
 from plumbline.arrangement import Arrangement, nbc_set
 from plumbline.boundary_ring import IntersectionRing, IsomorphismReport
-from plumbline.exact_linalg import IntMatrix, RatMatrix, SparseIntMatrix, rank, snf
+from plumbline.exact_linalg import IntMatrix, RatMatrix, SparseIntMatrix, _bareiss, clear_denominators, rank, snf
 from plumbline.os_algebra import DegreeError, DoubledAlgebra, GradedAlgebra, dual_label
 from plumbline.plumbing import PlumbingGraph, h1_boundary
 from plumbline.resonance import (
     AomotoPoint,
     ChainConditionViolated,
     DimensionMismatch,
+    aomoto_complex as block_complex,
     sample_point,
     trial_seed,
 )
@@ -995,3 +1000,71 @@ def generic_betti(dbl: LabelledDoubledAlgebra, k: int, trials: int = 5, seed: in
     if best is None:
         raise ValueError("at least one trial is required")
     return best
+
+
+def rank_mod_p(m: RatMatrix) -> int:
+    """Rank modulo the prime 2^31 - 1 of m with each row scaled to integers.
+
+    Scaling a row by a nonzero rational does not change the rank, and a
+    minor of an integer matrix that is nonzero mod p is nonzero, so the
+    result is at most ``rank(m)``.
+    """
+    p = 2**31 - 1
+    rows = [[x % p for x in clear_denominators(m.row(i))] for i in range(m.rows)]
+    r = 0
+    for c in range(m.cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        inv = pow(top[c], -1, p)
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        r += 1
+        if r == len(rows):
+            break
+    return r
+
+
+def left_kernel(m: RatMatrix) -> tuple[int, list[list[int]]]:
+    """The rank of m and an integer basis of {y : y m = 0}, one row per vector.
+
+    Scaling each row of [m | I] to integers gives [D m | D]. Bareiss elimination
+    with pivots in m keeps every row [z m | z] with independent z, and past the
+    rank z m = 0.
+    """
+    rows = [clear_denominators(m.row(i) + (0,) * i + (1,) + (0,) * (m.rows - 1 - i)) for i in range(m.rows)]
+    r = _bareiss(rows, m.cols)[0]
+    return r, [row[m.cols :] for row in rows[r:]]
+
+
+def _restricted_phi(phi: RatMatrix, kernel: list[list[int]]) -> IntMatrix:
+    """-K Phi K^T over the integers, K the rows of ``kernel`` and Phi integral."""
+    rows = phi.to_rows()
+    k_phi = [[sum(map(mul, row, y)) for row in rows] for y in kernel]  # K Phi^T = -K Phi
+    return IntMatrix(len(kernel), len(kernel), tuple(sum(map(mul, t, y)) for t in k_phi for y in kernel))
+
+
+def block_betti_numbers(dbl: DoubledAlgebra, pt: AomotoPoint) -> tuple[int, int, int, int]:
+    """All four Betti numbers of the complex at the point.
+
+    Cochains are row vectors, so the kernel of d acting from degree k has
+    dimension (rows of d) - rank d, and the k-th Betti number is
+    dim ker d_(k+1) - rank d_k, with the outer differentials zero. The rank
+    of d2 is 2 (r1 - 1) when the witness of the module docstring holds, and
+    comes from the block rank otherwise, both at the integer point of Scaling.
+    """
+    cx = block_complex(dbl, AomotoPoint(tuple(clear_denominators(pt.a)), tuple(clear_denominators(pt.b))))
+    r1, r2 = cx.delta.rows, cx.delta.cols
+    if any(pt.a) and rank_mod_p(cx.delta) == r1 - 1:
+        rank_d2 = 2 * (r1 - 1)
+    else:
+        s, kernel = left_kernel(cx.delta)
+        rank_d2 = 2 * s + rank(_restricted_phi(cx.phi, kernel))
+    outer = 0 if pt.is_zero() else 1
+    dims = (1, r1 + r2, r1 + r2, 1)
+    ranks = (0, outer, rank_d2, outer, 0)
+    return tuple(dims[k] - ranks[k + 1] - ranks[k] for k in range(4))

@@ -23,10 +23,9 @@ from plumbline.exact_linalg import (
     clear_denominators,
     cokernel,
     det,
+    echelon,
     kernel_dim,
-    left_kernel,
     rank,
-    rank_mod_p,
     snf,
 )
 
@@ -219,29 +218,6 @@ class TestRank:
         assert rank(scaled) == rank(q)
 
 
-class TestRankModP:
-    def test_examples(self):
-        assert rank_mod_p(RatMatrix.from_rows([[1, 2], [2, 4]])) == 1
-        assert rank_mod_p(RatMatrix.from_rows([[Fraction(1, 2), 1], [1, Fraction(1, 3)]])) == 2
-        assert rank_mod_p(RatMatrix.zeros(2, 3)) == 0
-        assert rank_mod_p(RatMatrix(0, 3, ())) == 0
-
-    def test_can_fall_below_the_rank(self):
-        # det = 2^31 - 1, so the rows are independent over Q but not modulo it.
-        m = RatMatrix.from_rows([[1, 0], [0, 2**31 - 1]])
-        assert rank(m) == 2
-        assert rank_mod_p(m) == 1
-
-    @settings(max_examples=150, deadline=None)
-    @given(int_matrices(max_dim=5, max_abs=9))
-    def test_matches_rank_on_small_entries(self, m):
-        # No minor of a 5 x 5 matrix with entries up to 9 reaches 2^31 - 1,
-        # and scaling a row by a nonzero rational changes no rank.
-        q = m.to_rational()
-        scaled = RatMatrix.from_rows([[x / (i + 2) for x in q.row(i)] for i in range(q.rows)]) if q.rows else q
-        assert rank_mod_p(scaled) == rank_mod_p(q) == rank(q)
-
-
 class TestClearDenominators:
     def test_empty(self):
         assert clear_denominators([]) == []
@@ -267,44 +243,74 @@ class TestClearDenominators:
         assert all(y == 0 for x, y in zip(row, out) if not x)
 
 
-def check_left_kernel(m: RatMatrix) -> None:
-    r, kernel = left_kernel(m)
-    assert r == fraction_rank(m)
+def check_echelon(m: IntMatrix) -> None:
+    """Rank, leftovers of tagged rows as a left-kernel basis, and the gcd bound."""
+    rows = [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
+    r, rest = echelon(rows)
+    assert r == fraction_rank(m.to_rational())
+    assert rest == [{}] * (m.rows - r)
+    assert echelon(rows, 2**31 - 1)[0] <= r
+    assert echelon(rows, stop=1)[0] == min(r, 1)
+    r, kernel = echelon([{**row, ~i: 1} for i, row in enumerate(rows)])
     assert len(kernel) == m.rows - r
-    assert all(type(x) is int for y in kernel for x in y)
+    assert all(max(y) < 0 for y in kernel)
+    for y in kernel:
+        assert gcd(*y.values()) == 1
+        assert all(sum(x * m[~t, j] for t, x in y.items()) == 0 for j in range(m.cols))
     if kernel:
-        y = RatMatrix.from_rows(kernel)
-        assert (y @ m).is_zero()
-        assert fraction_rank(y) == len(kernel)
+        dense = IntMatrix.from_rows([[y.get(~i, 0) for i in range(m.rows)] for y in kernel])
+        assert fraction_rank(dense.to_rational()) == len(kernel)
 
 
-class TestLeftKernel:
-    def test_no_rows(self):
-        assert left_kernel(RatMatrix(0, 3, ())) == (0, [])
+class TestEchelon:
+    def test_empty(self):
+        assert echelon([]) == (0, [])
+        assert echelon([{}, {}]) == (0, [{}, {}])
 
-    def test_no_columns(self):
-        assert left_kernel(RatMatrix(2, 0, ())) == (0, [[1, 0], [0, 1]])
+    def test_zero_entries_are_dropped(self):
+        assert echelon([{0: 0, 1: 2}, {1: 0}]) == (1, [{}])
 
-    def test_all_zero(self):
-        check_left_kernel(RatMatrix.zeros(3, 4))
+    def test_dependency(self):
+        # (2, 4) - 2 (1, 2) = 0, and the leftover of the tagged rows says so.
+        assert echelon([{0: 1, 1: 2, -1: 1}, {0: 2, 1: 4, -2: 1}]) == (1, [{-1: -2, -2: 1}])
 
-    def test_full_rank(self):
-        assert left_kernel(IntMatrix.identity(3).to_rational()) == (3, [])
+    def test_negative_positions_are_never_pivots(self):
+        assert echelon([{-1: 5}, {-2: 3, -1: 1}]) == (0, [{-1: 5}, {-2: 3, -1: 1}])
 
-    def test_fractional_entries(self):
-        m = RatMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1], [Fraction(5, 7), 0]])
-        check_left_kernel(m)
+    def test_modulus_can_fall_below_the_rank(self):
+        p = 2**31 - 1
+        assert echelon([{0: 1}, {0: 1, 1: p}]) == (2, [])
+        assert echelon([{0: 1}, {0: 1, 1: p}], p)[0] == 1
+
+    def test_stop(self):
+        rows = [{i: 1} for i in range(5)]
+        assert echelon(rows, stop=3)[0] == 3
+        assert echelon(rows, 2**31 - 1, 3)[0] == 3
+
+    def test_reduced_vectors_are_divided_by_their_gcd(self):
+        # (2, 1) less (0, 1) is (2, 0), stored as (1, 0); the third vector
+        # then leaves 1 at its tag, where an undivided (2, 0) would leave 2.
+        assert echelon([{1: 1}, {0: 2, 1: 1}, {0: 1, -3: 1}]) == (2, [{-3: 1}])
+
+    def test_dependency_of_scaled_rows(self):
+        # (4, 8) on the pivot of (3, 6): 3 (4, 8) - 4 (3, 6) = 0.
+        assert echelon([{0: 3, 1: 6, -1: 1}, {0: 4, 1: 8, -2: 1}]) == (1, [{-2: 3, -1: -4}])
 
     @settings(max_examples=150, deadline=None)
+    @given(int_matrices(max_dim=6, max_abs=9))
+    def test_random(self, m):
+        check_echelon(m)
+
+    @settings(max_examples=100, deadline=None)
     @given(int_matrices(max_dim=6, max_abs=3), st.integers(0, 2**32 - 1))
     def test_random_with_dependent_rows(self, m, seed):
-        # Append scaled combinations of the rows, so the kernel is rarely empty.
+        # Append integer combinations of the rows, so the kernel is rarely empty.
         rng = random.Random(seed)
-        rows = m.to_rational().to_rows()
+        rows = m.to_rows()
         for _ in range(rng.randint(0, 3)):
-            c = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in rows]
+            c = [rng.randint(-3, 3) for _ in rows]
             rows.append([sum(ci * row[j] for ci, row in zip(c, rows)) for j in range(m.cols)])
-        check_left_kernel(RatMatrix.from_rows(rows))
+        check_echelon(IntMatrix(len(rows), m.cols, tuple(x for row in rows for x in row)))
 
 
 class TestCokernel:

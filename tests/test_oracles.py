@@ -8,8 +8,13 @@ the ``homology`` document dumped whole with it, the triple-loop and
 one-pass doubles, the Orlik-Solomon algebra and intersection ring with
 per-product labels, the label-keyed algebras, rings and ring check that
 the positional ones replaced, the pair-loop cohomology ring, the pair-loop
-ring verifier and the both-orders verifier, and the resonance complex with
-Betti numbers from dense rational ranks. The package's algebras and rings
+ring verifier and the both-orders verifier, the resonance complex with
+Betti numbers from dense rational ranks, and the dense witness and block
+rank (with their rank modulo a prime and left kernel, whose unit tests are
+here) that sparse elimination replaced. Betti numbers must agree three ways
+at integer, rational, a = 0, b = 0, generic and local-component points, on
+the fixtures, the 3-6-line census with Fano, random arrangements and an
+algebra that is not Orlik-Solomon. The package's algebras and rings
 store structure constants by basis position; ``oracles.relabel`` reads
 them into the label-keyed classes that the oracles build and read.
 Each property runs on the shipped fixtures and on random arrangements of
@@ -39,7 +44,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from census import census
+from census import FANO, census
 from plumbline import (
     AomotoPoint,
     ArrangementClass,
@@ -56,15 +61,20 @@ from plumbline import (
     intersection_ring,
     os_algebra,
     phi_matrix,
+    sample_point,
+    trial_seed,
+    validate,
     verify_double_isomorphism,
 )
-from plumbline import arrangement, boundary_ring, cli, resonance
+from plumbline import arrangement, boundary_ring, cli, exact_linalg, resonance
 from plumbline.cli import random_arrangement
-from plumbline.exact_linalg import IntMatrix, cokernel, det, left_kernel, rank
+from plumbline.exact_linalg import IntMatrix, RatMatrix, cokernel, det, echelon, rank
 from plumbline.os_algebra import DoubledAlgebra, GradedAlgebra, ProductList
 from plumbline.plumbing import PlumbingGraph, h1_boundary, h1_plumbed, incidence_graph, plumbing_matrix
 
 from conftest import ALL_FIXTURES, load_fixture
+import test_exact_linalg
+from test_exact_linalg import fraction_rank
 
 
 def _json_text(doc) -> str:
@@ -548,6 +558,22 @@ class TestResonanceMatchesOracle:
         _same_generic_betti(arr, seeds=[seed], trials=[trials])
 
 
+def _witness(certifies: bool, exact_calls: list | None = None):
+    """``echelon`` with its elimination modulo a prime, the witness of
+    ``betti_numbers``, replaced by one that always or never reaches its stop;
+    exact eliminations run as they are, recorded in ``exact_calls``."""
+
+    def fake(vectors, p=0, stop=None):
+        if p:
+            return (stop if certifies else -1), []
+        vectors = list(vectors)
+        if exact_calls is not None:
+            exact_calls.append(vectors)
+        return echelon(vectors, p, stop)
+
+    return fake
+
+
 class TestWitnessTeeth:
     """The witness carries the proof: break it and the oracle must notice."""
 
@@ -557,7 +583,7 @@ class TestWitnessTeeth:
         # e1 - e2 lies on the local component of the triple point {1, 2, 3}.
         pt = AomotoPoint.make([1, -1, 0, 0], [0, 0, 0, 0])
         assert betti_numbers(dbl, pt) == oracles.betti_numbers(oracles.relabel(dbl), pt) == (0, 3, 3, 0)
-        monkeypatch.setattr("plumbline.resonance.rank_mod_p", lambda delta: delta.rows - 1)
+        monkeypatch.setattr("plumbline.resonance.echelon", _witness(True))
         assert betti_numbers(dbl, pt) == (0, 1, 1, 0)
         with pytest.raises(AssertionError):
             _same_resonance(arr)
@@ -566,8 +592,7 @@ class TestWitnessTeeth:
     def test_never_certifying_witness_falls_back(self, name, monkeypatch):
         arr = load_fixture(name)
         ranked = []
-        monkeypatch.setattr("plumbline.resonance.rank_mod_p", lambda delta: -1)
-        monkeypatch.setattr("plumbline.resonance.rank", lambda m: ranked.append(m) or oracles.rank(m))
+        monkeypatch.setattr("plumbline.resonance.echelon", _witness(False, ranked))
         _same_resonance(arr)
         _same_generic_betti(arr, seeds=[0], trials=[1, 5])
         assert ranked
@@ -603,9 +628,13 @@ def _block_rank_matches(arr, seed: int, witness: bool):
     old_dbl = oracles.relabel(dbl)
     with pytest.MonkeyPatch.context() as mp:
         if not witness:
-            mp.setattr(resonance, "rank_mod_p", lambda delta: -1)
+            mp.setattr(resonance, "echelon", _witness(False))
         for pt in _block_rank_points(arr, dbl, random.Random(seed)):
             assert betti_numbers(dbl, pt) == oracles.betti_numbers(old_dbl, pt), pt
+
+
+# x1 x2 = z1 and x3 x4 = z2 are the only products: not an Orlik-Solomon algebra.
+NON_ISOTROPIC = GradedAlgebra((("1",), ("x1", "x2", "x3", "x4"), ("z1", "z2")), {(1, 2): {5: 1}, (3, 4): {6: 1}})
 
 
 class TestBlockRank:
@@ -628,14 +657,142 @@ class TestBlockRank:
         # x1 x2 = z1 and x3 x4 = z2 are the only products. At a = x1, Delta(a)
         # has rank 1 and left kernel <x1, x3, x4>, on which b = z2* pairs x3
         # with x4: K Phi K^T has rank 2, so rank d2 = 2 + 2 and b1 = 6 - 1 - 4.
-        alg = GradedAlgebra((("1",), ("x1", "x2", "x3", "x4"), ("z1", "z2")), {(1, 2): {5: 1}, (3, 4): {6: 1}})
+        alg = NON_ISOTROPIC
         dbl = double(alg)
         pt = AomotoPoint.make([1, 0, 0, 0], [0, 1])
-        s, kernel = left_kernel(delta_matrix(alg, pt.a))
+        s, kernel = oracles.left_kernel(delta_matrix(alg, pt.a))
         assert s == 1
-        # The integer Phi that betti_numbers builds; IntMatrix refuses Fraction entries.
-        assert rank(resonance._restricted_phi(phi_matrix(alg, (0, 1)), kernel)) == 2
-        assert betti_numbers(dbl, pt) == oracles.betti_numbers(oracles.relabel(dbl), pt) == (0, 1, 1, 0)
+        # The integer Phi that the dense block rank builds; IntMatrix refuses Fraction entries.
+        assert rank(oracles._restricted_phi(phi_matrix(alg, (0, 1)), kernel)) == 2
+        # The sparse path: Delta(a) by its rows, tagged by index, then the rows of K Phi K^T.
+        cx = aomoto_complex(dbl, AomotoPoint((1, 0, 0, 0), (0, 1)))
+        rows = [{~j: 1, **{k: col[j] for k, col in enumerate(cx.columns) if col.get(j)}} for j in range(4)]
+        s, kernel = echelon(rows)
+        assert s == 1 and len(kernel) == 3
+        assert echelon(resonance._restricted_phi(cx.phi_rows, kernel))[0] == 2
+        assert betti_numbers(dbl, pt) == oracles.block_betti_numbers(dbl, pt) == (0, 1, 1, 0)
+        assert oracles.betti_numbers(oracles.relabel(dbl), pt) == (0, 1, 1, 0)
+
+
+def _every_kind(arr, dbl, rng: random.Random) -> list[AomotoPoint]:
+    """Integer, rational, a = 0, b = 0, zero and generic points, and points on
+    the local components of one or two multiple points."""
+    r1, r2 = dbl.base.rank(1), dbl.base.rank(2)
+    generic = [AomotoPoint.make([1] * r1, b) for b in ([0] * r2, [rng.randint(-9, 9) for _ in range(r2)])]
+    return _points(arr, dbl, rng) + _block_rank_points(arr, dbl, rng) + generic
+
+
+def _same_three_ways(dbl: DoubledAlgebra, points) -> None:
+    """betti_numbers, the dense witness and block rank it replaced, and the
+    label-keyed dense ranks agree at every point."""
+    old_dbl = oracles.relabel(dbl)
+    for pt in points:
+        new = betti_numbers(dbl, pt)
+        assert new == oracles.block_betti_numbers(dbl, pt) == oracles.betti_numbers(old_dbl, pt), pt
+
+
+def _non_isotropic_points(dbl, rng: random.Random) -> list[AomotoPoint]:
+    pts = [AomotoPoint.make(a, b) for a in ([1, 0, 0, 0], [0, 0, 1, 1], [0] * 4, [1, 1, 1, 1])
+           for b in ([0, 0], [0, 1], [1, 0], [2, -3])]
+    return pts + [AomotoPoint.make([rng.randint(-3, 3) for _ in range(4)], [rng.randint(-3, 3) for _ in range(2)])
+                  for _ in range(20)]
+
+
+class TestSparseBlocks:
+    """Sparse elimination of Delta(a) and K Phi(b) K^T against the dense
+    witness and block rank it replaced and against the label-keyed dense
+    ranks, at every kind of point."""
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fixtures(self, name, seed):
+        arr = load_fixture(name)
+        dbl = double(os_algebra(arr))
+        _same_three_ways(dbl, _every_kind(arr, dbl, random.Random(seed)))
+
+    def test_census_and_fano(self):
+        rng = random.Random(23)
+        arrs = [arr for v in range(3, 7) for arr in census(v)] + [validate([list(pt) for pt in FANO], 7)]
+        for arr in arrs:
+            dbl = double(os_algebra(arr))
+            _same_three_ways(dbl, _every_kind(arr, dbl, rng))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_arrangements, st.integers(0, 2**32 - 1))
+    def test_random(self, arr, seed):
+        dbl = double(os_algebra(arr))
+        _same_three_ways(dbl, _every_kind(arr, dbl, random.Random(seed)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_non_isotropic_algebra(self, seed):
+        dbl = double(NON_ISOTROPIC)
+        _same_three_ways(dbl, _non_isotropic_points(dbl, random.Random(seed)))
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_builds_no_dense_matrix(self, name, monkeypatch):
+        arr = load_fixture(name)
+        dbl = double(os_algebra(arr))
+        points = _every_kind(arr, dbl, random.Random(5))
+        want = [oracles.betti_numbers(oracles.relabel(dbl), pt) for pt in points]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense matrix was built")
+
+        for module in (resonance, exact_linalg):
+            for attr in ("delta_matrix", "phi_matrix", "RatMatrix", "IntMatrix"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+        assert [betti_numbers(dbl, pt) for pt in points] == want
+
+    def test_local_component_near_max_digits(self):
+        # a on the triple point {1, 3, 5} of pappus_violating, which misses
+        # line 0, with zero sum: the witness cannot certify, so the exact
+        # eliminations run on entries of about a thousand digits.
+        arr = load_fixture("pappus_violating")
+        dbl = double(os_algebra(arr))
+        r1, r2 = dbl.base.rank(1), dbl.base.rank(2)
+        rng = random.Random(29)
+        size = (cli.MAX_DIGITS - 2 * r2 - r1) // 8  # a[4] has about 4 size digits, a[0] and a[2] 2 size each
+        big = [Fraction(rng.randrange(10 ** (size - 1), 10**size), rng.randrange(10 ** (size - 1), 10**size))
+               for _ in range(2)]
+        a = [Fraction(0)] * r1
+        a[0], a[2], a[4] = big[0], big[1], -big[0] - big[1]
+        b = [Fraction(rng.randint(-99, 99)) for _ in range(r2)]
+        pt = AomotoPoint(tuple(a), tuple(b))
+        doc = {"a": [str(x) for x in a], "b": [str(x) for x in b]}
+        assert 0.9 * cli.MAX_DIGITS < sum(map(cli._digits, doc["a"] + doc["b"])) <= cli.MAX_DIGITS
+        want = oracles.betti_numbers(oracles.relabel(dbl), pt)
+        assert want[1] > resonance._betti_floor(dbl.base)[1]
+        assert betti_numbers(dbl, pt) == oracles.block_betti_numbers(dbl, pt) == want
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pappus.json"
+            path.write_text(json.dumps(arrangement.to_json(arr)))
+            result = CliRunner().invoke(cli.main, ["resonance", "eval", str(path), "--point", json.dumps(doc)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == {"betti": list(want)}
+
+    @pytest.mark.parametrize("idx,name", list(enumerate(ALL_FIXTURES)))
+    def test_criterion_9_on_the_dense_views(self, idx, name):
+        # The acceptance check reads d1, d2 and d3, which are now views of the
+        # sparse blocks, built when first read and kept.
+        dbl = double(os_algebra(load_fixture(name)))
+        old_dbl = oracles.relabel(dbl)
+        n = dbl.rank(1)
+        for t in range(20):
+            pt = sample_point(dbl, random.Random(trial_seed(90 + idx, t)))
+            cx = aomoto_complex(dbl, pt)
+            assert not {"delta", "phi", "d2"} & set(vars(cx))
+            old = oracles.aomoto_complex(old_dbl, pt)
+            for d in ("d1", "d2", "d3"):
+                assert getattr(cx, d).to_rows() == getattr(old, d).to_rows(), d
+            assert cx.delta == delta_matrix(dbl.base, pt.a) and cx.phi == phi_matrix(dbl.base, pt.b)
+            assert cx.d2 is cx.d2
+            assert (cx.d1 @ cx.d2).is_zero() and (cx.d2 @ cx.d3).is_zero()
+            r1_, r2_, r3_ = rank(cx.d1), rank(cx.d2), rank(cx.d3)
+            b = (1 - r1_, n - r2_ - r1_, n - r3_ - r2_, 1 - r3_)
+            assert min(b) >= 0 and b[0] - b[1] + b[2] - b[3] == 0
+            assert b == betti_numbers(dbl, pt)
 
 
 def _scaling_holds(arr, seed: int, x: Fraction, y: Fraction):
@@ -957,3 +1114,70 @@ class TestStdoutMatchesOracle:
     @given(small_arrangements)
     def test_random(self, arr):
         _stdout_is_oracle(arr)
+
+
+# The dense rank modulo p and left kernel that the resonance path used before
+# its sparse elimination.
+
+
+class TestRankModP:
+    def test_examples(self):
+        assert oracles.rank_mod_p(RatMatrix.from_rows([[1, 2], [2, 4]])) == 1
+        assert oracles.rank_mod_p(RatMatrix.from_rows([[Fraction(1, 2), 1], [1, Fraction(1, 3)]])) == 2
+        assert oracles.rank_mod_p(RatMatrix.zeros(2, 3)) == 0
+        assert oracles.rank_mod_p(RatMatrix(0, 3, ())) == 0
+
+    def test_can_fall_below_the_rank(self):
+        # det = 2^31 - 1, so the rows are independent over Q but not modulo it.
+        m = RatMatrix.from_rows([[1, 0], [0, 2**31 - 1]])
+        assert rank(m) == 2
+        assert oracles.rank_mod_p(m) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(test_exact_linalg.int_matrices(max_dim=5, max_abs=9))
+    def test_matches_rank_on_small_entries(self, m):
+        # No minor of a 5 x 5 matrix with entries up to 9 reaches 2^31 - 1,
+        # and scaling a row by a nonzero rational changes no rank.
+        q = m.to_rational()
+        scaled = RatMatrix.from_rows([[x / (i + 2) for x in q.row(i)] for i in range(q.rows)]) if q.rows else q
+        assert oracles.rank_mod_p(scaled) == oracles.rank_mod_p(q) == rank(q)
+
+
+def check_left_kernel(m: RatMatrix) -> None:
+    r, kernel = oracles.left_kernel(m)
+    assert r == fraction_rank(m)
+    assert len(kernel) == m.rows - r
+    assert all(type(x) is int for y in kernel for x in y)
+    if kernel:
+        y = RatMatrix.from_rows(kernel)
+        assert (y @ m).is_zero()
+        assert fraction_rank(y) == len(kernel)
+
+
+class TestLeftKernel:
+    def test_no_rows(self):
+        assert oracles.left_kernel(RatMatrix(0, 3, ())) == (0, [])
+
+    def test_no_columns(self):
+        assert oracles.left_kernel(RatMatrix(2, 0, ())) == (0, [[1, 0], [0, 1]])
+
+    def test_all_zero(self):
+        check_left_kernel(RatMatrix.zeros(3, 4))
+
+    def test_full_rank(self):
+        assert oracles.left_kernel(IntMatrix.identity(3).to_rational()) == (3, [])
+
+    def test_fractional_entries(self):
+        m = RatMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1], [Fraction(5, 7), 0]])
+        check_left_kernel(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(test_exact_linalg.int_matrices(max_dim=6, max_abs=3), st.integers(0, 2**32 - 1))
+    def test_random_with_dependent_rows(self, m, seed):
+        # Append scaled combinations of the rows, so the kernel is rarely empty.
+        rng = random.Random(seed)
+        rows = m.to_rational().to_rows()
+        for _ in range(rng.randint(0, 3)):
+            c = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in rows]
+            rows.append([sum(ci * row[j] for ci, row in zip(c, rows)) for j in range(m.cols)])
+        check_left_kernel(RatMatrix.from_rows(rows))

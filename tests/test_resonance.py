@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from plumbline import (
+    AomotoComplex,
     AomotoPoint,
     ArrangementClass,
     ChainConditionViolated,
@@ -164,8 +165,9 @@ class TestAomotoComplex:
             assert (cx.d2 @ cx.d3).is_zero()
 
     def test_chain_guard_trips_on_corruption(self, dbl_two_triples, monkeypatch):
-        bad = RatMatrix.from_rows([[Fraction(1)] * 4 for _ in range(4)])
-        monkeypatch.setattr("plumbline.resonance.delta_matrix", lambda alg, a: bad)
+        # An all-ones Delta in place of the one the blocks' builder makes.
+        ones = [{j: Fraction(1) for j in range(4)} for _ in range(4)]
+        monkeypatch.setattr("plumbline.resonance._blocks", lambda alg, pt: AomotoComplex(pt, ones, [{}] * 4))
         with pytest.raises(ChainConditionViolated):
             aomoto_complex(dbl_two_triples, AomotoPoint.make([1, 0, 0, 0], [0, 0, 0, 0]))
 
