@@ -423,11 +423,16 @@ def _digits(v: int | str) -> int:
 
 def _parse_point(doc: dict) -> AomotoPoint:
     """The point of a --point document, which must hold at most MAX_DIGITS
-    digits in all: the lcm of every denominator scales the whole point."""
+    digits in all: the lcm of every denominator scales the whole point. A
+    point of ints only has no denominator, so there an int from -9 to 9
+    stays one digit and is left out of the count."""
     for what in "ab":
         if not all(type(v) in (int, str) for v in doc[what]):
             _fail(EXIT_IO, f'bad {what} coordinate: write an integer or a string such as "1/3" or "0.1"')
-    if any(total > MAX_DIGITS for total in accumulate(map(_digits, doc["a"] + doc["b"]))):
+    coords = doc["a"] + doc["b"]
+    if all(type(v) is int for v in coords):
+        coords = [v for v in coords if not -9 <= v <= 9]
+    if any(total > MAX_DIGITS for total in accumulate(map(_digits, coords))):
         _fail(EXIT_IO, f"--point: more than {MAX_DIGITS} digits in all")
     try:
         return AomotoPoint(tuple(map(Fraction, doc["a"])), tuple(map(Fraction, doc["b"])))

@@ -14,7 +14,9 @@ modulo a prime (``echelon``), cokernel invariants of an integer matrix
 (``cokernel``) and an exact determinant (``det``). Dense rank and
 determinant come from one fraction-free (Bareiss) elimination on rows that
 ``clear_denominators`` scales to integers; it and ``echelon`` keep entries
-bounded by minors of the input.
+bounded by minors of the input. ``snf`` is one loop of passes, each on a
+pivot of least absolute value, and ``cokernel`` calls it only on what its
+unit pivots leave.
 """
 
 from __future__ import annotations
@@ -190,126 +192,53 @@ class SnfResult:
         return tuple(self.s[i, i] for i in range(min(self.s.rows, self.s.cols)))
 
 
-def _identity_lists(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _row_axpy(mat: list[list[int]], dst: int, src: int, c: int) -> None:
-    # mat[dst] += c * mat[src]
-    row_d, row_s = mat[dst], mat[src]
-    for j in range(len(row_d)):
-        row_d[j] += c * row_s[j]
-
-
-def _col_axpy(mat: list[list[int]], dst: int, src: int, c: int) -> None:
-    for row in mat:
-        row[dst] += c * row[src]
-
-
-def _swap_cols(mat: list[list[int]], j1: int, j2: int) -> None:
-    for row in mat:
-        row[j1], row[j2] = row[j2], row[j1]
-
-
-def _bring_pivot(s, u, v, t: int, nr: int, nc: int) -> bool:
-    """Move a least-|value| nonzero entry of s[t:, t:] to position (t, t)."""
-    best = None
-    for i in range(t, nr):
-        row = s[i]
-        for j in range(t, nc):
-            x = row[j]
-            if x != 0 and (best is None or abs(x) < best[0]):
-                best = (abs(x), i, j)
-    if best is None:
-        return False
-    _, i, j = best
-    if i != t:
-        s[t], s[i] = s[i], s[t]
-        u[t], u[i] = u[i], u[t]
-    if j != t:
-        _swap_cols(s, t, j)
-        _swap_cols(v, t, j)
-    return True
-
-
-def _reduce_column(s, u, t: int, nr: int) -> bool:
-    """Clear column t below the pivot; True if the pivot was replaced."""
-    for i in range(t + 1, nr):
-        if s[i][t] == 0:
-            continue
-        q = s[i][t] // s[t][t]
-        if q:
-            _row_axpy(s, i, t, -q)
-            _row_axpy(u, i, t, -q)
-        if s[i][t]:
-            # Remainder is a strictly smaller pivot candidate.
-            s[t], s[i] = s[i], s[t]
-            u[t], u[i] = u[i], u[t]
-            return True
-    return False
-
-
-def _reduce_row(s, v, t: int, nc: int) -> bool:
-    """Clear row t right of the pivot; True if the pivot was replaced."""
-    for j in range(t + 1, nc):
-        if s[t][j] == 0:
-            continue
-        q = s[t][j] // s[t][t]
-        if q:
-            _col_axpy(s, j, t, -q)
-            _col_axpy(v, j, t, -q)
-        if s[t][j]:
-            _swap_cols(s, t, j)
-            _swap_cols(v, t, j)
-            return True
-    return False
-
-
-def _absorb_nondivisible(s, u, t: int, nr: int, nc: int) -> bool:
-    """Pull a residue entry into row t when the pivot fails to divide it."""
-    d = s[t][t]
-    for i in range(t + 1, nr):
-        row = s[i]
-        for j in range(t + 1, nc):
-            if row[j] % d:
-                _row_axpy(s, t, i, 1)
-                _row_axpy(u, t, i, 1)
-                return True
-    return False
-
-
 def snf(m: IntMatrix) -> SnfResult:
     """Smith normal form of an integer matrix.
 
-    Pivot selection always takes a nonzero entry of least absolute value in
-    the remaining submatrix, which keeps coefficient growth mild. Row
-    operations are mirrored on U, column operations on V, so the invariant
-    U @ m @ V = S holds throughout. Each stage ends only when the pivot
-    divides every entry of the remaining submatrix, which forces the
-    divisibility chain d_1 | d_2 | ... on the diagonal.
+    Stage t repeats one pass over s[t:, t:]: move a nonzero entry of least
+    absolute value to (t, t) as the pivot d, then clear column t with row
+    operations, mirrored on U, and row t with column operations, mirrored
+    on V, so U @ m @ V = S holds throughout. A remainder left in row or
+    column t is smaller than d in absolute value, so the next pass takes a
+    smaller pivot. When both are clear but a later row holds an entry that
+    d does not divide, that row is added to row t; the next pass keeps d,
+    which wins ties at (t, t), and leaves a remainder. Either way the least
+    absolute value in s[t:, t:] drops within two passes, so each stage ends,
+    with d dividing every entry after it: the chain d_1 | d_2 | ... on the
+    diagonal. The sign of d is fixed as the stage ends.
     """
     nr, nc = m.rows, m.cols
     s = m.to_rows()
-    u = _identity_lists(nr)
-    v = _identity_lists(nc)
-
-    for t in range(min(nr, nc)):
-        if not _bring_pivot(s, u, v, t, nr, nc):
+    u, v = (IntMatrix.identity(k).to_rows() for k in (nr, nc))
+    t = 0
+    while t < min(nr, nc):
+        entries = [(abs(x), i, j) for i in range(t, nr) for j, x in enumerate(s[i][t:], t) if x]
+        if not entries:
             break
-        while True:
-            if _reduce_column(s, u, t, nr):
-                continue
-            if _reduce_row(s, v, t, nc):
-                continue
-            if _absorb_nondivisible(s, u, t, nr, nc):
-                continue
-            break
-
-    for t in range(min(nr, nc)):
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-
+        _, p, q = min(entries)
+        for mat in (s, u):
+            mat[t], mat[p] = mat[p], mat[t]
+        for row in s + v:
+            row[t], row[q] = row[q], row[t]
+        d = s[t][t]
+        for i in range(t + 1, nr):
+            if f := s[i][t] // d:
+                for mat in (s, u):
+                    mat[i] = [x - f * y for x, y in zip(mat[i], mat[t])]
+        for j in range(t + 1, nc):
+            if f := s[t][j] // d:
+                for row in s + v:
+                    row[j] -= f * row[t]
+        if any(s[i][t] for i in range(t + 1, nr)) or any(s[t][t + 1 :]):
+            continue
+        p = next((i for i in range(t + 1, nr) if any(x % d for x in s[i][t + 1 :])), None)
+        if p is not None:
+            for mat in (s, u):
+                mat[t] = [x + y for x, y in zip(mat[t], mat[p])]
+            continue
+        if d < 0:  # row t is final now
+            s[t], u[t] = [-x for x in s[t]], [-x for x in u[t]]
+        t += 1
     return SnfResult(
         u=IntMatrix(nr, nr, tuple(x for row in u for x in row)),
         s=IntMatrix(nr, nc, tuple(x for row in s for x in row)),

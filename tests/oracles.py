@@ -1,10 +1,12 @@
 """Reference implementations that the fast paths in ``src/`` replaced.
 
 Each function here is the earlier, direct implementation, kept unchanged as
-a test oracle: the Smith-form cokernel and the one that eliminated unit
-entries by least Markowitz cost before it, the stand-alone Bareiss
-determinant, the (line, point index) incidence graph and the plumbing graph
-rebuilt and re-sorted from it, the row-list plumbing matrix and the
+a test oracle: the Smith normal form that ran each stage through four
+helpers (pivot, column, row, non-divisible entry), the Smith-form cokernel
+and the one that eliminated unit entries by least Markowitz cost before it,
+both on that Smith form, the stand-alone Bareiss determinant, the (line,
+point index) incidence graph and the plumbing graph rebuilt and re-sorted
+from it, the row-list plumbing matrix and the
 ``homology`` JSON document dumped whole with it, the ``json.dumps`` call
 that every command's JSON went through (and the ``_emit`` that made it on
 the whole document), the ``report`` document with every product list
@@ -50,7 +52,7 @@ import click
 from plumbline import plumbing
 from plumbline.arrangement import Arrangement, nbc_set
 from plumbline.boundary_ring import IntersectionRing, IsomorphismReport
-from plumbline.exact_linalg import IntMatrix, RatMatrix, SparseIntMatrix, _bareiss, clear_denominators, rank, snf
+from plumbline.exact_linalg import IntMatrix, RatMatrix, SnfResult, SparseIntMatrix, _bareiss, clear_denominators, rank
 from plumbline.os_algebra import DegreeError, DoubledAlgebra, GradedAlgebra, dual_label
 from plumbline.plumbing import PlumbingGraph, h1_boundary
 from plumbline.resonance import (
@@ -61,6 +63,133 @@ from plumbline.resonance import (
     sample_point,
     trial_seed,
 )
+
+
+def _identity_lists(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _row_axpy(mat: list[list[int]], dst: int, src: int, c: int) -> None:
+    # mat[dst] += c * mat[src]
+    row_d, row_s = mat[dst], mat[src]
+    for j in range(len(row_d)):
+        row_d[j] += c * row_s[j]
+
+
+def _col_axpy(mat: list[list[int]], dst: int, src: int, c: int) -> None:
+    for row in mat:
+        row[dst] += c * row[src]
+
+
+def _swap_cols(mat: list[list[int]], j1: int, j2: int) -> None:
+    for row in mat:
+        row[j1], row[j2] = row[j2], row[j1]
+
+
+def _bring_pivot(s, u, v, t: int, nr: int, nc: int) -> bool:
+    """Move a least-|value| nonzero entry of s[t:, t:] to position (t, t)."""
+    best = None
+    for i in range(t, nr):
+        row = s[i]
+        for j in range(t, nc):
+            x = row[j]
+            if x != 0 and (best is None or abs(x) < best[0]):
+                best = (abs(x), i, j)
+    if best is None:
+        return False
+    _, i, j = best
+    if i != t:
+        s[t], s[i] = s[i], s[t]
+        u[t], u[i] = u[i], u[t]
+    if j != t:
+        _swap_cols(s, t, j)
+        _swap_cols(v, t, j)
+    return True
+
+
+def _reduce_column(s, u, t: int, nr: int) -> bool:
+    """Clear column t below the pivot; True if the pivot was replaced."""
+    for i in range(t + 1, nr):
+        if s[i][t] == 0:
+            continue
+        q = s[i][t] // s[t][t]
+        if q:
+            _row_axpy(s, i, t, -q)
+            _row_axpy(u, i, t, -q)
+        if s[i][t]:
+            # Remainder is a strictly smaller pivot candidate.
+            s[t], s[i] = s[i], s[t]
+            u[t], u[i] = u[i], u[t]
+            return True
+    return False
+
+
+def _reduce_row(s, v, t: int, nc: int) -> bool:
+    """Clear row t right of the pivot; True if the pivot was replaced."""
+    for j in range(t + 1, nc):
+        if s[t][j] == 0:
+            continue
+        q = s[t][j] // s[t][t]
+        if q:
+            _col_axpy(s, j, t, -q)
+            _col_axpy(v, j, t, -q)
+        if s[t][j]:
+            _swap_cols(s, t, j)
+            _swap_cols(v, t, j)
+            return True
+    return False
+
+
+def _absorb_nondivisible(s, u, t: int, nr: int, nc: int) -> bool:
+    """Pull a residue entry into row t when the pivot fails to divide it."""
+    d = s[t][t]
+    for i in range(t + 1, nr):
+        row = s[i]
+        for j in range(t + 1, nc):
+            if row[j] % d:
+                _row_axpy(s, t, i, 1)
+                _row_axpy(u, t, i, 1)
+                return True
+    return False
+
+
+def snf(m: IntMatrix) -> SnfResult:
+    """Smith normal form of an integer matrix.
+
+    Pivot selection always takes a nonzero entry of least absolute value in
+    the remaining submatrix, which keeps coefficient growth mild. Row
+    operations are mirrored on U, column operations on V, so the invariant
+    U @ m @ V = S holds throughout. Each stage ends only when the pivot
+    divides every entry of the remaining submatrix, which forces the
+    divisibility chain d_1 | d_2 | ... on the diagonal.
+    """
+    nr, nc = m.rows, m.cols
+    s = m.to_rows()
+    u = _identity_lists(nr)
+    v = _identity_lists(nc)
+
+    for t in range(min(nr, nc)):
+        if not _bring_pivot(s, u, v, t, nr, nc):
+            break
+        while True:
+            if _reduce_column(s, u, t, nr):
+                continue
+            if _reduce_row(s, v, t, nc):
+                continue
+            if _absorb_nondivisible(s, u, t, nr, nc):
+                continue
+            break
+
+    for t in range(min(nr, nc)):
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+            u[t] = [-x for x in u[t]]
+
+    return SnfResult(
+        u=IntMatrix(nr, nr, tuple(x for row in u for x in row)),
+        s=IntMatrix(nr, nc, tuple(x for row in s for x in row)),
+        v=IntMatrix(nc, nc, tuple(x for row in v for x in row)),
+    )
 
 
 def cokernel(m: IntMatrix) -> tuple[int, tuple[int, ...]]:

@@ -1,16 +1,19 @@
 """The ring check and the boundary homology on every labelled arrangement
 of 3-6 lines, and on the Fano plane.
 
-Every command that prints structure constants or checks them runs on each
-of these arrangements in-process and exits 0; ``os``, ``double`` and
-``ring`` print what the label-keyed oracles print.
+Every command but ``random`` and ``validate`` runs on each of these
+arrangements in-process and exits 0; ``os``, ``double`` and ``ring`` print
+what the label-keyed oracles print, ``homology`` a free rank of #nbc + n,
+and ``resonance generic`` and ``resonance eval`` at (1, ..., 1; 0) the
+Betti floor.
 
 The incidence graph has one independent cycle per nbc pair, and H1 of the
 boundary manifold is free of rank (number of nbc pairs) + n: both are
 checked on each arrangement, the non-realizable ones included. The
 cokernel of each plumbing matrix must equal the Markowitz-order oracle's,
 and its unit pivots must clear the whole matrix, so that ``snf`` is never
-called. The generic first Betti number of the double must sit on the
+called; ``snf`` of the dense matrix must still give V - n ones and n
+zeros. The generic first Betti number of the double must sit on the
 proved floor, and the exact rank of Delta(1, ..., 1) must be r1 - 1 off
 pencils, the lemma that proves it."""
 
@@ -42,7 +45,7 @@ from plumbline import (
     verify_double_isomorphism,
 )
 from plumbline import boundary_ring, cli, exact_linalg, resonance
-from plumbline.exact_linalg import cokernel
+from plumbline.exact_linalg import cokernel, snf
 
 from conftest import ALL_FIXTURES, load_fixture
 
@@ -97,11 +100,24 @@ def test_every_command(v, tmp_path):
             "double": oracles.double_by_label(oracles.os_algebra_by_label(arr)),
             "ring": oracles.intersection_ring_by_label(arr),
         }
-        for command in ("os", "double", "ring", "verify", "report"):
-            result = runner.invoke(cli.main, [command, str(path)])
+        alg = os_algebra(arr)
+        point = json.dumps({"a": [1] * alg.rank(1), "b": [0] * alg.rank(2)})
+        out = {}
+        for command in ("os", "double", "ring", "verify", "report", "nbc", "homology",
+                        "resonance generic", "resonance eval", "resonance classify"):
+            args = command.split() + [str(path)] + (["--point", point] if command == "resonance eval" else [])
+            result = runner.invoke(cli.main, args)
             assert result.exit_code == 0, (command, arr.points)
             if command in want:
                 assert result.stdout == oracles.emit_json(want[command].to_json()) + "\n", (command, arr.points)
+            out[command] = json.loads(result.stdout)
+        assert out["nbc"]["b1"] == len(out["nbc"]["nbc"]) == len(nbc_set(arr)), arr.points
+        assert out["homology"]["free_rank"] == len(nbc_set(arr)) + arr.n, arr.points
+        # The floor is the generic value and the value at (1, ..., 1; 0).
+        floor = list(resonance._betti_floor(alg))
+        assert out["resonance generic"]["betti"] == out["resonance eval"]["betti"] == floor, arr.points
+        cls = out["resonance classify"]
+        assert (cls["class"], cls["beta"], cls["n"]) == (classify(arr).value, beta(arr), arr.n), arr.points
 
 
 def test_plumbing_cokernel_never_reaches_snf(monkeypatch):
@@ -119,6 +135,20 @@ def test_plumbing_cokernel_never_reaches_snf(monkeypatch):
         assert cokernel(plumbing_matrix(incidence_graph(arr))) == (arr.n, ()), arr.points
 
 
+def _plumbing_snf_is_free(arr):
+    """The Smith form of the dense plumbing matrix, which ``cokernel`` never
+    needs here: V - n ones, then n zeros."""
+    m = plumbing_matrix(incidence_graph(arr))
+    assert cokernel(m) == (arr.n, ())
+    assert snf(m.to_dense()).diagonal == (1,) * (m.rows - arr.n) + (0,) * arr.n, arr.points
+
+
+@pytest.mark.parametrize("v", range(3, 7))
+def test_snf_of_every_plumbing_matrix(v):
+    for arr in census(v):
+        _plumbing_snf_is_free(arr)
+
+
 def test_fano_plane():
     arr = validate([list(pt) for pt in FANO], 7)
     assert [len(pt) for pt in arr.points] == [3] * 7
@@ -127,3 +157,4 @@ def test_fano_plane():
     _generic_point_lemma_holds(arr)
     res = h1_boundary(arr)
     assert (res.free_rank, res.torsion) == (14, ())
+    _plumbing_snf_is_free(arr)

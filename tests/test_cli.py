@@ -415,6 +415,21 @@ class TestUsageErrors:
         result = runner.invoke(main, ["resonance", "eval", fixture_path("two_triples"), "--point", over])
         assert result.exit_code == 2
 
+    def test_point_of_one_digit_ints_is_not_capped(self, runner, tmp_path):
+        # a = 0 and b = (1, ..., 1) on 128 generic lines: 8128 coordinates and
+        # no denominator, so no entry grows past one digit.
+        arr = random_arrangement(random.Random(1), 128, 0)
+        path = tmp_path / "generic128.json"
+        path.write_text(json.dumps(plumbline.to_json(arr)))
+        dbl = plumbline.double(plumbline.os_algebra(arr))
+        r1, r2 = dbl.base.rank(1), dbl.base.rank(2)
+        assert r1 + r2 == 8128
+        point = {"a": [0] * r1, "b": [1] * r2}
+        result = runner.invoke(main, ["resonance", "eval", str(path), "--point", json.dumps(point)])
+        assert result.exit_code == 0, all_output(result)
+        pt = plumbline.AomotoPoint(tuple(point["a"]), tuple(point["b"]))
+        assert json.loads(result.output) == {"betti": list(plumbline.betti_numbers(dbl, pt))}
+
 
 # Runs the CLI and then reports the child's own peak RSS (KB on Linux) on
 # stderr. Linux carries ru_maxrss across exec, so a child of a large test

@@ -1,36 +1,38 @@
 """The fast paths against the implementations they replaced.
 
-``oracles`` holds the earlier code unchanged: the Smith-form cokernel and
-the least-Markowitz-cost unit elimination (both checked against the one
-ordered pass of ``cokernel``), the stand-alone Bareiss determinant, the
-two-step incidence and plumbing graphs, the row-list plumbing matrix and
-the ``homology`` document dumped whole with it, the triple-loop and
-one-pass doubles, the Orlik-Solomon algebra and intersection ring with
-per-product labels, the label-keyed algebras, rings and ring check that
-the positional ones replaced, the pair-loop cohomology ring, the pair-loop
-ring verifier and the both-orders verifier, the resonance complex with
-Betti numbers from dense rational ranks, and the dense witness and block
-rank (with their rank modulo a prime and left kernel, whose unit tests are
-here) that sparse elimination replaced. Betti numbers must agree three ways
-at integer, rational, a = 0, b = 0, generic and local-component points, on
-the fixtures, the 3-6-line census with Fano, random arrangements and an
-algebra that is not Orlik-Solomon. The package's algebras and rings
-store structure constants by basis position; ``oracles.relabel`` reads
-them into the label-keyed classes that the oracles build and read.
-Each property runs on the shipped fixtures and on random arrangements of
-3-12 lines (3-30 for the label-keyed builders and the ring check, 3-10 for
-resonance) at densities 0-1, or on random integer matrices or weighted
-graphs, and requires identical results. The plumbing matrix is compared
-through its dense view, and ``cokernel`` must agree on the sparse and the
-dense matrix. Rings and algebras must also store their products in the same
-order, vectors included, which ``to_json`` and the resonance table ``_mu``
-read; that is also checked on every arrangement of 3-6 lines. The verifier
-is also run on rings with one product dropped, changed or added;
-``test_census.py`` runs it on every arrangement of 3-6 lines, and the
-incidence graph is compared on that census here. The CLI's writer of
-product lists is compared with ``json.dumps`` of the ``to_json`` documents
-for ``os``, ``double``, ``ring`` and ``report`` on the fixtures, that census
-and arrangements of 10-16 lines, where label and position order differ.
+``oracles`` holds the earlier code unchanged: the Smith normal form that
+ran each stage through four helpers (checked against the one loop of
+``snf``), the Smith-form cokernel and the least-Markowitz-cost unit
+elimination (both checked against the one ordered pass of ``cokernel``),
+the stand-alone Bareiss determinant, the two-step incidence and plumbing
+graphs, the row-list plumbing matrix and the ``homology`` document dumped
+whole with it, the triple-loop and one-pass doubles, the Orlik-Solomon
+algebra and intersection ring with per-product labels, the label-keyed
+algebras, rings and ring check that the positional ones replaced, the
+pair-loop cohomology ring, the pair-loop ring verifier and the both-orders
+verifier, the resonance complex with Betti numbers from dense rational
+ranks, and the dense witness and block rank (with their rank modulo a prime
+and left kernel, whose unit tests are here) that sparse elimination
+replaced. Betti numbers must agree three ways at integer, rational, a = 0,
+b = 0, generic and local-component points, on the fixtures, the 3-6-line
+census with Fano, random arrangements and an algebra that is not
+Orlik-Solomon. The package's algebras and rings store structure constants
+by basis position; ``oracles.relabel`` reads them into the label-keyed
+classes that the oracles build and read. Each property runs on the shipped
+fixtures and on random arrangements of 3-12 lines (3-30 for the label-keyed
+builders and the ring check, 3-10 for resonance) at densities 0-1, or on
+random integer matrices or weighted graphs, and requires identical results.
+The plumbing matrix is compared through its dense view, and ``cokernel``
+must agree on the sparse and the dense matrix. Rings and algebras must also
+store their products in the same order, vectors included, which ``to_json``
+and the resonance table ``_mu`` read; that is also checked on every
+arrangement of 3-6 lines. The verifier is also run on rings with one
+product dropped, changed or added; ``test_census.py`` runs it on every
+arrangement of 3-6 lines, and the incidence graph is compared on that
+census here. The CLI's writer of product lists is compared with
+``json.dumps`` of the ``to_json`` documents for ``os``, ``double``,
+``ring`` and ``report`` on the fixtures, that census and arrangements of
+10-16 lines, where label and position order differ.
 """
 import json
 import random
@@ -40,7 +42,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -68,7 +70,7 @@ from plumbline import (
 )
 from plumbline import arrangement, boundary_ring, cli, exact_linalg, resonance
 from plumbline.cli import random_arrangement
-from plumbline.exact_linalg import IntMatrix, RatMatrix, cokernel, det, echelon, rank
+from plumbline.exact_linalg import IntMatrix, RatMatrix, cokernel, det, echelon, rank, snf
 from plumbline.os_algebra import DoubledAlgebra, GradedAlgebra, ProductList
 from plumbline.plumbing import PlumbingGraph, h1_boundary, h1_plumbed, incidence_graph, plumbing_matrix
 
@@ -339,10 +341,10 @@ def test_plumbing_cokernel_torsion_and_free_part():
 
 
 @st.composite
-def int_matrices(draw, values):
-    """Matrices of 0-7 rows and 0-7 columns, zero dimensions included."""
-    nr = draw(st.integers(0, 7))
-    nc = draw(st.integers(0, 7))
+def int_matrices(draw, values, size=7):
+    """Matrices of 0-size rows and 0-size columns, zero dimensions included."""
+    nr = draw(st.integers(0, size))
+    nc = draw(st.integers(0, size))
     entries = draw(st.lists(values, min_size=nr * nc, max_size=nr * nc))
     return IntMatrix(nr, nc, tuple(entries))
 
@@ -399,6 +401,26 @@ class TestCokernelMatchesSmithForm:
     def test_torsion_behind_units(self):
         m = IntMatrix.from_rows([[1, 1, 0], [1, 3, 0], [0, 0, 6]])
         assert cokernel(m) == oracles.cokernel_markowitz(m) == oracles.cokernel(m) == (0, (2, 6))
+
+
+_BIG = st.integers(-(10**6), 10**6)
+_ZERO = st.just(0)
+
+
+class TestSnfMatchesOracle:
+    # The one-loop Smith form against the one that ran each stage through
+    # four helpers: the same diagonal, and its own U and V unimodular with
+    # U @ m @ V = S, on dense matrices and on ones about three quarters zero.
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices(_BIG, size=8) | int_matrices(_BIG | _ZERO | _ZERO | _ZERO, size=8))
+    @example(IntMatrix(0, 0, ()))
+    @example(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    def test_random(self, m):
+        for a in (m, m.transpose()):
+            res = snf(a)
+            assert res.s == oracles.snf(a).s
+            assert res.u @ a @ res.v == res.s
+            assert abs(det(res.u)) == abs(det(res.v)) == 1
 
 
 @st.composite
