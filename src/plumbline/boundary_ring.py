@@ -24,17 +24,15 @@ Orlik-Solomon algebra under the basis correspondence
     PD(F_i) -> e_i,   PD(tau_(j,k)) -> dual f_(j,k),
     PD(t_i) -> dual e_i,   PD(g_(j,k)) -> f_(j,k).
 
-Both rings store structure constants by flat basis position, and so the
-correspondence is a fixed permutation of positions: the identity on
-degrees 0, 1 and 3, and on degree 2 a swap of two blocks, since the
-cohomology ring lists PD(t) before PD(g) and the double lists f before ~e.
-It compares the canonical products only: degree 1 x 1 with the lower basis
-index first, and degree 1 x 2. Both rings store just these and answer every
-other order through graded commutativity, y x = (-1)^(deg x * deg y) x y,
-and the correspondence keeps the position of each degree-one class, so the
-reverse orders agree whenever the canonical ones do. The products are
-compared as two int-keyed dicts, once; labels are read only to list a
-mismatch.
+Both rings store structure constants by flat basis position, and list
+their bases in the same order: degree two of the cohomology ring puts
+PD(g) before PD(t), as the double puts f before ~e. So the correspondence
+is the identity on flat positions. The check compares the canonical
+products only: degree 1 x 1 with the lower basis index first, and degree
+1 x 2. Both rings store just these and answer every other order through
+graded commutativity, y x = (-1)^(deg x * deg y) x y, so the reverse
+orders agree whenever the canonical ones do. The products are compared as
+two int-keyed dicts, once; labels are read only to list a mismatch.
 
 The two sides are computed by independent routes (geometric tables versus
 the doubling construction), so agreement here is a genuine cross-check, not
@@ -164,31 +162,33 @@ def cohomology_ring(arr: Arrangement) -> GradedAlgebra:
 
     Degree-one classes are the Poincare duals of the H_2 basis and carry the
     labels ~t_i, ~g_(j,k); degree-two classes are the duals of the H_1 basis,
-    labelled ~F_i, ~tau_(j,k); the top class is the dual of a point, "pt".
-    Cup products of degree-one classes are the intersection products of the
-    dual surfaces, rewritten through duality; degree one cups degree two as
-    the identity pairing into pt.
+    labelled ~tau_(j,k) and then ~F_i, in the order of the double; the top
+    class is the dual of a point, "pt". Cup products of degree-one classes
+    are the intersection products of the dual surfaces, rewritten through
+    duality; degree one cups degree two as the identity pairing into pt.
     """
-    return _cohomology_of(intersection_ring(arr))
+    return _cohomology_of(intersection_ring(arr), arr.n)
 
 
-def _cohomology_of(ring: IntersectionRing) -> GradedAlgebra:
-    """``cohomology_ring`` of the arrangement whose intersection ring is ``ring``."""
-    # PD(F_i) = ~t_i and PD(tau) = ~g in degree one; PD(t_i) = ~F_i and
-    # PD(g) = ~tau in degree two. The H_1 and H_2 bases are in dual order,
-    # so H_2 index i is flat position 1 + i and H_1 index i is 1 + h + i.
+def _cohomology_of(ring: IntersectionRing, n: int) -> GradedAlgebra:
+    """``cohomology_ring`` of the arrangement of n lines whose intersection ring is ``ring``."""
+    # PD(F_i) = ~t_i and PD(tau) = ~g in degree one; PD(g) = ~tau and then
+    # PD(t_i) = ~F_i in degree two. H_2 index i is flat position 1 + i, and
+    # H_1 index z, the dual of H_2 index z, is pd[z].
     h = len(ring.h1_labels)
+    pd = [1 + h + (z - n) % h for z in range(h)]
     products: dict[tuple[int, int], dict[int, int]] = {}
     for (x, y), vec in ring.products.items():
         if vec and x < y:
             row = products[(x + 1, y + 1)] = {}
             for z, c in vec.items():  # a loop, not a comprehension: no frame per product
-                row[z + h + 1] = c
+                row[pd[z]] = c
     for p in range(1, h + 1):
         # complementary degrees pair as the identity, into the top class
-        products[(p, p + h)] = {2 * h + 1: 1}
+        products[(p, pd[p - 1])] = {2 * h + 1: 1}
 
-    basis = (("1",), tuple(map(dual_label, ring.h1_labels)), tuple(map(dual_label, ring.h2_labels)), ("pt",))
+    h2 = ring.h2_labels
+    basis = (("1",), tuple(map(dual_label, ring.h1_labels)), tuple(map(dual_label, h2[n:] + h2[:n])), ("pt",))
     return GradedAlgebra(basis, products)
 
 
@@ -223,14 +223,13 @@ def verify_double_isomorphism(arr: Arrangement) -> IsomorphismReport:
     """Compare the structure constants of the two rings on degrees 1 x 1, 1 x 2 and 2 x 1.
 
     Builds the cohomology ring from the geometric product tables and the
-    double of the Orlik-Solomon algebra from the doubling construction, maps
-    the cohomology basis onto the double's basis, and compares the canonical
-    products: degree 1 x 1 with the lower index first, and degree 1 x 2.
-    Both rings derive every other order from these by the same rule,
-    y x = (-1)^(deg x * deg y) x y, and the map keeps degree-one positions,
-    so two rings that agree on canonical products agree on every ordered
-    pair. Returns a report rather than raising, so callers can surface the
-    exact mismatching pairs.
+    double of the Orlik-Solomon algebra from the doubling construction, and
+    compares the canonical products, position by position, since the two
+    bases share one order: degree 1 x 1 with the lower index first, and
+    degree 1 x 2. Both rings derive every other order from these by the
+    same rule, y x = (-1)^(deg x * deg y) x y, so two rings that agree on
+    canonical products agree on every ordered pair. Returns a report rather
+    than raising, so callers can surface the exact mismatching pairs.
 
     A mismatch is listed for both orders of its pair, the reverse with the
     sign of that rule. Mismatches come in pair order: degrees 1 x 1, 1 x 2,
@@ -241,28 +240,19 @@ def verify_double_isomorphism(arr: Arrangement) -> IsomorphismReport:
 
 def _compare(coh: GradedAlgebra, dbl: DoubledAlgebra) -> IsomorphismReport:
     """``verify_double_isomorphism`` of an arrangement's cohomology ring and double."""
-    # phi is the module docstring's correspondence, by flat position.
-    r1, r2 = dbl.base.rank(1), dbl.base.rank(2)
-    o2 = 1 + r1 + r2  # the first degree-two position in both rings
-    phi = (*range(o2), *range(o2 + r2, o2 + r1 + r2), *range(o2, o2 + r2), o2 + r1 + r2)
-    lhs: dict[tuple[int, int], dict[int, int]] = {}
-    for (x, y), vec in _canonical_products(coh).items():
-        row = lhs[(x, phi[y])] = {}
-        for z, c in vec.items():
-            row[phi[z]] = c
-    # lhs holds canonical products only, so equal to all of dbl's, it is
-    # equal to dbl's canonical ones; the filter runs only when that fails.
-    if lhs == dbl.products or lhs == (rhs := _canonical_products(dbl)):
+    # Equal tables have equal canonical products; the filter runs only when
+    # the tables differ.
+    if coh.products == dbl.products or (lhs := _canonical_products(coh)) == (rhs := _canonical_products(dbl)):
         return IsomorphismReport(ok=True, mismatches=())
 
     # Labels only from here on: each mismatch in both orders, sorted by
-    # (degree, degree, position, position) of the cohomology classes.
-    back = {p: q for q, p in enumerate(phi)}
+    # (degree, degree, position, position).
+    o2 = 1 + coh.rank(1)  # the first degree-two position
     found = []
     for key in lhs.keys() | rhs.keys():
         left, right = lhs.get(key, {}), rhs.get(key, {})
         if left != right:
-            x, y = key[0], back[key[1]]
+            x, y = key
             dy = 1 if y < o2 else 2
             found.append(((1, dy, x, y), 1, left, right))
             found.append(((dy, 1, y, x), -1 if dy == 1 else 1, left, right))

@@ -384,7 +384,7 @@ def build_report(arr: Arrangement, seed: int, trials: int) -> dict:
         "double": dbl.json_doc(),
         "homology": h1.to_json(),
         "intersection_ring": ring.json_doc(),
-        "isomorphism": _compare(_cohomology_of(ring), dbl).to_json(),
+        "isomorphism": _compare(_cohomology_of(ring, arr.n), dbl).to_json(),
         "resonance": res,
     }
 
@@ -423,13 +423,14 @@ def _digits(v: int | str) -> int:
 
 def _parse_point(doc: dict) -> AomotoPoint:
     """The point of a --point document, which must hold at most MAX_DIGITS
-    digits in all: the lcm of every denominator scales the whole point. A
+    digits in all: the lcm of every denominator scales the whole point. An
+    int 0 stays zero when it is scaled and is left out of the count. A
     point of ints only has no denominator, so there an int from -9 to 9
-    stays one digit and is left out of the count."""
+    stays one digit and is left out too."""
     for what in "ab":
         if not all(type(v) in (int, str) for v in doc[what]):
             _fail(EXIT_IO, f'bad {what} coordinate: write an integer or a string such as "1/3" or "0.1"')
-    coords = doc["a"] + doc["b"]
+    coords = [v for v in doc["a"] + doc["b"] if v != 0]
     if all(type(v) is int for v in coords):
         coords = [v for v in coords if not -9 <= v <= 9]
     if any(total > MAX_DIGITS for total in accumulate(map(_digits, coords))):

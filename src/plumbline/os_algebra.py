@@ -128,9 +128,6 @@ class GradedAlgebra:
         o2, items = 1 + self.rank(1), self.products.items()  # o2: first degree-two position; pairs have x <= y
         return tuple((x - 1, y - 1, z - o2, c) for (x, y), v in items if 0 < x <= y < o2 for z, c in v.items())
 
-    def degree_of(self, label: str) -> int:
-        return self._position[label][0]
-
     def basis_product(self, x: str, y: str) -> dict[str, int]:
         """Structure constants of x y as a sparse vector, sign included."""
         dx, px = self._position[x]

@@ -17,6 +17,9 @@ per product (the ring scanning every line against every nbc pair), the
 pair-loop cohomology ring (with the label parsing it used for Poincare
 duality), the pair-loop ring verifier (with the label map it used) and the
 verifier that compared both orders of every stored product, the
+positional cohomology ring that listed PD(t) before PD(g) in degree two
+and the ring check that mapped it onto the double through a permutation
+of positions (``cohomology_of_t_first`` and ``compare_by_permutation``), the
 label-keyed ``GradedAlgebra``, ``DoubledAlgebra`` and ``IntersectionRing``
 (here ``LabelledAlgebra``, ``LabelledDoubledAlgebra`` and
 ``LabelledIntersectionRing``, which every oracle above builds) with the
@@ -31,7 +34,9 @@ the dense witness and block rank that sparse elimination replaced
 the Bareiss ``left_kernel`` and the integer ``_restricted_phi``). The
 property tests in ``test_oracles.py`` check that the package's versions
 give the same results, reading the package's positional algebras and
-rings through ``relabel``.
+rings through ``relabel``. The cohomology rings built here list degree two
+as PD(t) and then PD(g); ``in_double_order`` rotates one into the
+package's order, that of the double, PD(g) first.
 Nothing in ``src/`` imports this module.
 """
 
@@ -51,7 +56,7 @@ import click
 
 from plumbline import plumbing
 from plumbline.arrangement import Arrangement, nbc_set
-from plumbline.boundary_ring import IntersectionRing, IsomorphismReport
+from plumbline.boundary_ring import IntersectionRing, IsomorphismReport, _canonical_products
 from plumbline.exact_linalg import IntMatrix, RatMatrix, SnfResult, SparseIntMatrix, _bareiss, clear_denominators, rank
 from plumbline.os_algebra import DegreeError, DoubledAlgebra, GradedAlgebra, dual_label
 from plumbline.plumbing import PlumbingGraph, h1_boundary
@@ -402,7 +407,7 @@ def build_report(arr: Arrangement, seed: int, trials: int) -> dict:
         "double": dbl.to_json(),
         "homology": h1.to_json(),
         "intersection_ring": ring.to_json(),
-        "isomorphism": _compare(_cohomology_of(ring), dbl).to_json(),
+        "isomorphism": _compare(_cohomology_of(ring, arr.n), dbl).to_json(),
         "resonance": res,
     }
 
@@ -683,11 +688,75 @@ def cohomology_of_by_label(ring: LabelledIntersectionRing) -> LabelledAlgebra:
     return LabelledAlgebra(basis, products)
 
 
+def cohomology_of_t_first(ring: IntersectionRing) -> GradedAlgebra:
+    """``cohomology_ring`` of the arrangement whose intersection ring is ``ring``."""
+    # PD(F_i) = ~t_i and PD(tau) = ~g in degree one; PD(t_i) = ~F_i and
+    # PD(g) = ~tau in degree two. The H_1 and H_2 bases are in dual order,
+    # so H_2 index i is flat position 1 + i and H_1 index i is 1 + h + i.
+    h = len(ring.h1_labels)
+    products: dict[tuple[int, int], dict[int, int]] = {}
+    for (x, y), vec in ring.products.items():
+        if vec and x < y:
+            row = products[(x + 1, y + 1)] = {}
+            for z, c in vec.items():  # a loop, not a comprehension: no frame per product
+                row[z + h + 1] = c
+    for p in range(1, h + 1):
+        # complementary degrees pair as the identity, into the top class
+        products[(p, p + h)] = {2 * h + 1: 1}
+
+    basis = (("1",), tuple(map(dual_label, ring.h1_labels)), tuple(map(dual_label, ring.h2_labels)), ("pt",))
+    return GradedAlgebra(basis, products)
+
+
+def compare_by_permutation(coh: GradedAlgebra, dbl: DoubledAlgebra) -> IsomorphismReport:
+    """``verify_double_isomorphism`` of an arrangement's cohomology ring and double."""
+    # phi is the module docstring's correspondence, by flat position.
+    r1, r2 = dbl.base.rank(1), dbl.base.rank(2)
+    o2 = 1 + r1 + r2  # the first degree-two position in both rings
+    phi = (*range(o2), *range(o2 + r2, o2 + r1 + r2), *range(o2, o2 + r2), o2 + r1 + r2)
+    lhs: dict[tuple[int, int], dict[int, int]] = {}
+    for (x, y), vec in _canonical_products(coh).items():
+        row = lhs[(x, phi[y])] = {}
+        for z, c in vec.items():
+            row[phi[z]] = c
+    # lhs holds canonical products only, so equal to all of dbl's, it is
+    # equal to dbl's canonical ones; the filter runs only when that fails.
+    if lhs == dbl.products or lhs == (rhs := _canonical_products(dbl)):
+        return IsomorphismReport(ok=True, mismatches=())
+
+    # Labels only from here on: each mismatch in both orders, sorted by
+    # (degree, degree, position, position) of the cohomology classes.
+    back = {p: q for q, p in enumerate(phi)}
+    found = []
+    for key in lhs.keys() | rhs.keys():
+        left, right = lhs.get(key, {}), rhs.get(key, {})
+        if left != right:
+            x, y = key[0], back[key[1]]
+            dy = 1 if y < o2 else 2
+            found.append(((1, dy, x, y), 1, left, right))
+            found.append(((dy, 1, y, x), -1 if dy == 1 else 1, left, right))
+    found.sort(key=lambda m: m[0])
+    labels, dbl_labels = coh._labels, dbl._labels
+    return IsomorphismReport(ok=False, mismatches=tuple(
+        (labels[x], labels[y], {dbl_labels[z]: sign * c for z, c in left.items()},
+         {dbl_labels[z]: sign * c for z, c in right.items()})
+        for (_, _, x, y), sign, left, right in found
+    ))
+
+
+# Cohomology label prefix -> double label prefix; ~tau is tested before ~t.
+_DOUBLE_PREFIX = (("~tau", "f"), ("~t", "e"), ("~g", "~f"), ("~F", "~e"))
+
+
 def basis_map_by_label(coh: LabelledAlgebra, dbl: LabelledDoubledAlgebra) -> dict[str, str]:
-    """The module docstring's correspondence, by position: both bases follow nbc_set order."""
-    unit, deg1, deg2, top = dbl.basis
-    r2 = dbl.base.rank(2)  # degree two lists f before ~e, the reverse of PD(t) before PD(g)
-    return dict(zip(sum(coh.basis, ()), unit + deg1 + deg2[r2:] + deg2[:r2] + top, strict=True))
+    """The module docstring's correspondence, by label, so in either order of
+    degree two: ~t_i -> e_i, ~g -> ~f, ~tau -> f, ~F_i -> ~e_i, 1 -> 1 and
+    pt -> ~1, as ``_label_map`` gives it."""
+    out = {coh.unit: dbl.unit, coh.basis[3][0]: dual_label(dbl.base.unit)}
+    for lab in coh.basis[1] + coh.basis[2]:
+        old, new = next(pair for pair in _DOUBLE_PREFIX if lab.startswith(pair[0]))
+        out[lab] = new + lab[len(old):]
+    return out
 
 
 def canonical_products_by_label(alg: LabelledAlgebra) -> dict[tuple[str, str], dict[str, int]]:
@@ -728,6 +797,15 @@ def compare_by_label(coh: LabelledAlgebra, dbl: LabelledDoubledAlgebra) -> Isomo
                                {lab: sign * c for lab, c in right.items()}))
     mismatches.sort(key=lambda m: (pos[m[0]][0], pos[m[1]][0], pos[m[0]][1], pos[m[1]][1]))
     return IsomorphismReport(ok=False, mismatches=tuple(mismatches))
+
+
+def in_double_order(coh: LabelledAlgebra, n: int) -> LabelledAlgebra:
+    """A cohomology ring of an arrangement of n lines built here, whose degree
+    two lists PD(t) and then PD(g), in the package's order, that of the
+    double: degree two rotated left by n, PD(g) first. Products are keyed by
+    label and stay as they are."""
+    unit, deg1, deg2, top = coh.basis
+    return LabelledAlgebra((unit, deg1, deg2[n:] + deg2[:n], top), coh.products)
 
 
 def relabel(obj: GradedAlgebra | IntersectionRing) -> LabelledAlgebra | LabelledIntersectionRing:

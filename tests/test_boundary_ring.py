@@ -119,9 +119,10 @@ class TestCohomologyRing:
             "~t1", "~t2", "~t3", "~t4",
             "~g(1,2)", "~g(1,3)", "~g(1,4)", "~g(2,4)",
         )
+        # Degree two in the double's order: ~tau(j,k) matches f(j,k), ~F_i matches ~e_i.
         assert coh.basis[2] == (
-            "~F1", "~F2", "~F3", "~F4",
             "~tau(1,2)", "~tau(1,3)", "~tau(1,4)", "~tau(2,4)",
+            "~F1", "~F2", "~F3", "~F4",
         )
         assert coh.basis[3] == ("pt",)
 

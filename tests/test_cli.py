@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -405,8 +406,9 @@ class TestUsageErrors:
         assert "more than 4300 digits in all" in all_output(result)
 
     def test_point_of_4300_digits_evaluates(self, runner):
-        # Two 1074-digit ints, two strings of 1074 digits each and four zeros.
-        big, den = "9" * 1074, "7" * 1073
+        # Two 1075-digit ints and two strings of 1075 digits each; the four
+        # zeros are not charged.
+        big, den = "9" * 1075, "7" * 1074
         point = '{"a": [' + big + ', "1/' + den + '", 0, 0], "b": [-' + big + ', "3/' + den + '", 0, 0]}'
         result = runner.invoke(main, ["resonance", "eval", fixture_path("two_triples"), "--point", point])
         assert result.exit_code == 0
@@ -415,20 +417,29 @@ class TestUsageErrors:
         result = runner.invoke(main, ["resonance", "eval", fixture_path("two_triples"), "--point", over])
         assert result.exit_code == 2
 
-    def test_point_of_one_digit_ints_is_not_capped(self, runner, tmp_path):
-        # a = 0 and b = (1, ..., 1) on 128 generic lines: 8128 coordinates and
-        # no denominator, so no entry grows past one digit.
+    @staticmethod
+    def _evaluates_on_generic128(runner, tmp_path, b_first, b_rest):
+        """``resonance eval`` at a = 0 and b = (b_first, b_rest, ..., b_rest)
+        on 128 generic lines, 8128 coordinates, prints that point's Betti numbers."""
         arr = random_arrangement(random.Random(1), 128, 0)
         path = tmp_path / "generic128.json"
         path.write_text(json.dumps(plumbline.to_json(arr)))
         dbl = plumbline.double(plumbline.os_algebra(arr))
         r1, r2 = dbl.base.rank(1), dbl.base.rank(2)
         assert r1 + r2 == 8128
-        point = {"a": [0] * r1, "b": [1] * r2}
+        point = {"a": [0] * r1, "b": [b_first] + [b_rest] * (r2 - 1)}
         result = runner.invoke(main, ["resonance", "eval", str(path), "--point", json.dumps(point)])
         assert result.exit_code == 0, all_output(result)
-        pt = plumbline.AomotoPoint(tuple(point["a"]), tuple(point["b"]))
+        pt = plumbline.AomotoPoint(*(tuple(map(Fraction, point[k])) for k in "ab"))
         assert json.loads(result.output) == {"betti": list(plumbline.betti_numbers(dbl, pt))}
+
+    def test_point_of_one_digit_ints_is_not_capped(self, runner, tmp_path):
+        # No denominator, so no entry grows past one digit.
+        self._evaluates_on_generic128(runner, tmp_path, 1, 1)
+
+    def test_zero_coordinates_are_not_charged(self, runner, tmp_path):
+        # The lcm 3 scales the point, and each of the 8127 zeros stays zero.
+        self._evaluates_on_generic128(runner, tmp_path, "1/3", 0)
 
 
 # Runs the CLI and then reports the child's own peak RSS (KB on Linux) on
@@ -653,7 +664,7 @@ class TestOncePerOp:
         del products[(index["F2"], index["tau(1,2)"])]
         fake = plumbline.IntersectionRing(real.h1_labels, real.h2_labels, products)
         dbl = plumbline.double(plumbline.os_algebra(two_triples))
-        coh = oracles.cohomology_of_by_label(oracles.relabel(fake))
+        coh = oracles.in_double_order(oracles.cohomology_of_by_label(oracles.relabel(fake)), two_triples.n)
         want = oracles.compare(coh, oracles.relabel(dbl)).to_json()
         assert len(want["mismatches"]) == 4
         monkeypatch.setattr("plumbline.boundary_ring.intersection_ring", lambda arr: fake)

@@ -10,15 +10,20 @@ whole with it, the triple-loop and one-pass doubles, the Orlik-Solomon
 algebra and intersection ring with per-product labels, the label-keyed
 algebras, rings and ring check that the positional ones replaced, the
 pair-loop cohomology ring, the pair-loop ring verifier and the both-orders
-verifier, the resonance complex with Betti numbers from dense rational
-ranks, and the dense witness and block rank (with their rank modulo a prime
-and left kernel, whose unit tests are here) that sparse elimination
-replaced. Betti numbers must agree three ways at integer, rational, a = 0,
+verifier, the cohomology ring in its old basis order and the ring check
+that read it through a permutation of positions (the new check must list
+the same mismatches, only the 1 x 2 pairs in the new order), the
+resonance complex with Betti numbers from dense rational ranks, and the
+dense witness and block rank (with their rank modulo a prime and left
+kernel, whose unit tests are here) that sparse elimination replaced. Betti numbers must agree three ways at integer, rational, a = 0,
 b = 0, generic and local-component points, on the fixtures, the 3-6-line
 census with Fano, random arrangements and an algebra that is not
 Orlik-Solomon. The package's algebras and rings store structure constants
 by basis position; ``oracles.relabel`` reads them into the label-keyed
-classes that the oracles build and read. Each property runs on the shipped
+classes that the oracles build and read. The package's cohomology ring
+lists degree two in the double's order, PD(g) before PD(t); where an
+oracle lists PD(t) first, the tests rotate its degree two by the number of
+lines, exactly (``oracles.in_double_order``), before they compare. Each property runs on the shipped
 fixtures and on random arrangements of 3-12 lines (3-30 for the label-keyed
 builders and the ring check, 3-10 for resonance) at densities 0-1, or on
 random integer matrices or weighted graphs, and requires identical results.
@@ -147,7 +152,8 @@ def _same_product_order(arr):
     ring = intersection_ring(arr)
     _same_items(ring, oracles.intersection_ring_by_label(arr))
     _same_items(ring, oracles.intersection_ring(arr))
-    _same_items(boundary_ring._cohomology_of(ring), oracles.cohomology_of_by_label(oracles.relabel(ring)))
+    old_coh = oracles.cohomology_of_by_label(oracles.relabel(ring))
+    _same_items(boundary_ring._cohomology_of(ring, arr.n), oracles.in_double_order(old_coh, arr.n))
 
 
 def _same_compare(arr):
@@ -158,8 +164,28 @@ def _same_compare(arr):
     assert new.ok
 
 
+def _t_first(coh: GradedAlgebra, n: int) -> GradedAlgebra:
+    """The package's cohomology ring, by flat position, in the order of
+    ``oracles.cohomology_of_t_first``: degree two rotated right by n, PD(t)
+    before PD(g). H_1 index z moves from 1 + h + (z - n) % h to 1 + h + z."""
+    h = coh.rank(1)
+    old = list(range(2 * h + 2))  # package position -> oracle position
+    for z in range(h):
+        old[1 + h + (z - n) % h] = 1 + h + z
+    unit, deg1, deg2, top = coh.basis
+    products = {(old[x], old[y]): {old[z]: c for z, c in vec.items()} for (x, y), vec in coh.products.items()}
+    return GradedAlgebra((unit, deg1, deg2[h - n:] + deg2[: h - n], top), products)
+
+
+def _in_package_order(mismatches, coh: GradedAlgebra) -> tuple:
+    """``mismatches`` in the order the package lists them: by the degrees,
+    then the positions, of each pair's classes in ``coh``."""
+    pos = coh._position
+    return tuple(sorted(mismatches, key=lambda m: (pos[m[0]][0], pos[m[1]][0], pos[m[0]][1], pos[m[1]][1])))
+
+
 def _same_cohomology_ring(arr):
-    new, old = cohomology_ring(arr), oracles.cohomology_ring(arr)
+    new, old = cohomology_ring(arr), oracles.in_double_order(oracles.cohomology_ring(arr), arr.n)
     assert oracles.relabel(new) == old
     assert new.to_json() == old.to_json()
 
@@ -298,6 +324,51 @@ def test_compare_ignores_products_past_the_top_degree(two_triples):
         new = boundary_ring._compare(fake_coh, fake_dbl)
         assert new.ok
         assert new == oracles.compare_by_label(oracles.relabel(fake_coh), oracles.relabel(fake_dbl))
+
+
+def _same_as_permutation_path(coh, dbl):
+    """The ring check on the shared basis order against the one it replaced,
+    which read the cohomology ring in its old order through a permutation:
+    the same ``ok`` and the same mismatches. Only the 1 x 2 pairs may come in
+    another order, that of the new degree-two basis; 1 x 1 pairs keep theirs."""
+    n = dbl.base.rank(1)
+    new, old = boundary_ring._compare(coh, dbl), oracles.compare_by_permutation(_t_first(coh, n), dbl)
+    assert new.ok == old.ok
+    assert new.mismatches == _in_package_order(old.mismatches, coh)
+    deg1 = set(coh.basis[1])
+    assert [m for m in new.mismatches if {m[0], m[1]} <= deg1] == [m for m in old.mismatches if {m[0], m[1]} <= deg1]
+    return new
+
+
+def _same_as_permutation_path_on(arr):
+    ring, dbl = intersection_ring(arr), double(os_algebra(arr))
+    coh = boundary_ring._cohomology_of(ring, arr.n)
+    assert _t_first(coh, arr.n) == oracles.cohomology_of_t_first(ring)
+    assert _same_as_permutation_path(coh, dbl).ok
+
+
+def _one_table(arr):
+    # The two rings list their bases in one order, so the geometric tables and
+    # the doubling construction give one table, position for position.
+    assert cohomology_ring(arr).products == double(os_algebra(arr)).products
+
+
+test_permutation_path_fixture, test_permutation_path_random = fixture_and_random(
+    _same_as_permutation_path_on, wide_arrangements
+)
+test_one_table_fixture, test_one_table_random = fixture_and_random(_one_table, wide_arrangements)
+
+
+def test_permutation_path_and_one_table_census_and_fano():
+    for arr in [arr for v in range(3, 7) for arr in census(v)] + [validate([list(pt) for pt in FANO], 7)]:
+        _same_as_permutation_path_on(arr)
+        _one_table(arr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tampered_rings())
+def test_permutation_path_tampered(rings):
+    _same_as_permutation_path(*rings)
 
 
 def test_double_of_a_non_canonical_product():
@@ -464,11 +535,13 @@ def _check_flips(arr, flips):
         mp.setattr(oracles, "double", lambda alg: oracles.relabel(fake))
         report = verify_double_isomorphism(arr)
         expected = oracles.verify_double_isomorphism(arr)
+    # The oracle lists pairs in its basis order, PD(t) before PD(g) in degree two.
+    want = _in_package_order(expected.mismatches, cohomology_ring(arr))
     assert not report.ok
-    assert len(report.mismatches) == len(expected.mismatches) > 0
-    for got, want in zip(report.mismatches, expected.mismatches):
-        assert got == want
-    assert report.to_json() == expected.to_json()
+    assert len(report.mismatches) == len(want) > 0
+    for got, mismatch in zip(report.mismatches, want):
+        assert got == mismatch
+    assert report.to_json() == boundary_ring.IsomorphismReport(ok=False, mismatches=want).to_json()
 
 
 class TestMutatedDouble:
