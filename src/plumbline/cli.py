@@ -426,7 +426,7 @@ def _parse_point(doc: dict) -> AomotoPoint:
     digits in all: the lcm of every denominator scales the whole point. An
     int 0 stays zero when it is scaled and is left out of the count. A
     point of ints only has no denominator, so there an int from -9 to 9
-    stays one digit and is left out too."""
+    stays one digit and is left out too. Only strings become ``Fraction``."""
     for what in "ab":
         if not all(type(v) in (int, str) for v in doc[what]):
             _fail(EXIT_IO, f'bad {what} coordinate: write an integer or a string such as "1/3" or "0.1"')
@@ -436,7 +436,7 @@ def _parse_point(doc: dict) -> AomotoPoint:
     if any(total > MAX_DIGITS for total in accumulate(map(_digits, coords))):
         _fail(EXIT_IO, f"--point: more than {MAX_DIGITS} digits in all")
     try:
-        return AomotoPoint(tuple(map(Fraction, doc["a"])), tuple(map(Fraction, doc["b"])))
+        return AomotoPoint(*(tuple(v if type(v) is int else Fraction(v) for v in doc[k]) for k in "ab"))
     except (ValueError, ZeroDivisionError) as exc:
         _fail(EXIT_IO, f"bad coordinate: {exc}")
 

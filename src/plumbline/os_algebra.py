@@ -23,7 +23,8 @@ A1 multiplies a dualized degree-two generator into dualized degree-one
 generators through the structure constants of A, and the remaining pairing
 of complementary degrees is the identity on dual bases. Doubles of algebras
 whose degree-one part multiplies to zero (pencils) have an identically zero
-product on degree one.
+product on degree one. A double is a view of A: its table is built from the
+structure constants of A only when it is first read.
 """
 
 from __future__ import annotations
@@ -155,11 +156,44 @@ class GradedAlgebra:
         return doc
 
 
-@dataclass(frozen=True, eq=True)
 class DoubledAlgebra(GradedAlgebra):
-    """The double of a top-degree-two algebra; keeps a handle on the base."""
+    """The double of a top-degree-two algebra as a view of ``base``, the one
+    field it stores: ``basis`` and ``products``, laid out as ``double`` says,
+    are built from the base when first read. The resonance complex reads
+    only ``base``, so it builds no doubled table."""
 
     base: GradedAlgebra
+
+    def __init__(self, base: GradedAlgebra) -> None:
+        object.__setattr__(self, "base", base)
+
+    @cached_property
+    def basis(self) -> tuple[tuple[str, ...], ...]:
+        unit, a, b = self.base.unit, self.base.basis[1], self.base.basis[2]  # A1 and A2
+        return ((unit,), a + tuple(map(dual_label, b)), b + tuple(map(dual_label, a)), (dual_label(unit),))
+
+    @cached_property
+    def products(self) -> dict[tuple[int, int], dict[int, int]]:
+        alg = self.base
+        r1, r2 = alg.rank(1), alg.rank(2)
+        shift = r1 + 2 * r2  # A1 position -> its dual's position
+        top = 2 * (r1 + r2) + 1
+        products: dict[tuple[int, int], dict[int, int]] = {}
+        for (x, y), vec in alg.products.items():
+            if not (0 < x <= r1 and 0 < y <= r1):
+                continue
+            row = products[(x, y)] = {}
+            for f, c in vec.items():
+                row[f + r2] = c
+                if c and x < y:  # a pair in the other order is never read by basis_product
+                    products.setdefault((y, f), {})[x + shift] = c
+                    products.setdefault((x, f), {})[y + shift] = -c
+        # Complementary degrees pair as the identity on dual bases.
+        for p in range(1, r1 + 1):
+            products[(p, p + shift)] = {top: 1}
+        for p in range(r1 + 1, r1 + r2 + 1):
+            products[(p, p + r2)] = {top: 1}
+        return products
 
 
 def os_algebra(arr: Arrangement) -> GradedAlgebra:
@@ -200,33 +234,9 @@ def double(alg: GradedAlgebra) -> DoubledAlgebra:
     pass: x y = c f gives y ~f -> c ~x and x ~f -> -c ~y. The intersection
     ring's F_a . F_b table copies the Orlik-Solomon case split of
     ``os_algebra``, so on that block ``verify_double_isomorphism`` compares
-    two transcriptions of one rule.
+    two transcriptions of one rule. The result is a view of ``alg`` that
+    builds these tables when they are first read.
     """
     if alg.top_degree != 2:
         raise DegreeError("doubling requires a graded algebra with top degree 2")
-    a_labels = alg.basis[1]
-    b_labels = alg.basis[2]
-    r1, r2 = len(a_labels), len(b_labels)
-    shift = r1 + 2 * r2  # A1 position -> its dual's position
-    top = 2 * (r1 + r2) + 1
-
-    products: dict[tuple[int, int], dict[int, int]] = {}
-    for (x, y), vec in alg.products.items():
-        if not (0 < x <= r1 and 0 < y <= r1):
-            continue
-        row = products[(x, y)] = {}
-        for f, c in vec.items():
-            row[f + r2] = c
-            if c and x < y:  # a pair in the other order is never read by basis_product
-                products.setdefault((y, f), {})[x + shift] = c
-                products.setdefault((x, f), {})[y + shift] = -c
-    # Complementary degrees pair as the identity on dual bases.
-    for p in range(1, r1 + 1):
-        products[(p, p + shift)] = {top: 1}
-    for p in range(r1 + 1, r1 + r2 + 1):
-        products[(p, p + r2)] = {top: 1}
-
-    dual_a = tuple(map(dual_label, a_labels))
-    dual_b = tuple(map(dual_label, b_labels))
-    basis = ((alg.unit,), a_labels + dual_b, b_labels + dual_a, (dual_label(alg.unit),))
-    return DoubledAlgebra(basis=basis, products=products, base=alg)
+    return DoubledAlgebra(alg)

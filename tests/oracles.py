@@ -12,6 +12,8 @@ that every command's JSON went through (and the ``_emit`` that made it on
 the whole document), the ``report`` document with every product list
 built as one dict per product by ``to_json``, the triple-loop double and the
 one-pass double that followed it (with a label call per product), the
+positional double that built its whole table when it was made
+(``eager_double``; ``double_with_products`` gives a tampered double), the
 Orlik-Solomon algebra and the intersection ring that formatted each label
 per product (the ring scanning every line against every nbc pair), the
 pair-loop cohomology ring (with the label parsing it used for Poincare
@@ -931,6 +933,61 @@ def double_one_pass(alg: LabelledAlgebra) -> LabelledDoubledAlgebra:
     basis = ((alg.unit,), deg1, deg2, (top,))
     return LabelledDoubledAlgebra(basis=basis, products=products, base=alg)
 
+
+def eager_double(alg: GradedAlgebra) -> GradedAlgebra:
+    """The double of a graded algebra with top degree two.
+
+    Degree 1 is the degree-one basis of ``alg`` followed by the duals of its
+    degree-two basis; degree 2 is the degree-two basis followed by the duals
+    of the degree-one basis; degree 3 is the dual of the unit. Both middle
+    degrees have rank N = r1 + r2. By flat position, with p a position of
+    ``alg``: an element of A1 keeps p and its dual sits at p + r1 + 2 r2; the
+    dual of an element of A2 keeps p and the element itself moves to p + r2.
+
+    The a_j ~f_k block is read off the stored degree-one products in one
+    pass: x y = c f gives y ~f -> c ~x and x ~f -> -c ~y. The intersection
+    ring's F_a . F_b table copies the Orlik-Solomon case split of
+    ``os_algebra``, so on that block ``verify_double_isomorphism`` compares
+    two transcriptions of one rule.
+    """
+    if alg.top_degree != 2:
+        raise DegreeError("doubling requires a graded algebra with top degree 2")
+    a_labels = alg.basis[1]
+    b_labels = alg.basis[2]
+    r1, r2 = len(a_labels), len(b_labels)
+    shift = r1 + 2 * r2  # A1 position -> its dual's position
+    top = 2 * (r1 + r2) + 1
+
+    products: dict[tuple[int, int], dict[int, int]] = {}
+    for (x, y), vec in alg.products.items():
+        if not (0 < x <= r1 and 0 < y <= r1):
+            continue
+        row = products[(x, y)] = {}
+        for f, c in vec.items():
+            row[f + r2] = c
+            if c and x < y:  # a pair in the other order is never read by basis_product
+                products.setdefault((y, f), {})[x + shift] = c
+                products.setdefault((x, f), {})[y + shift] = -c
+    # Complementary degrees pair as the identity on dual bases.
+    for p in range(1, r1 + 1):
+        products[(p, p + shift)] = {top: 1}
+    for p in range(r1 + 1, r1 + r2 + 1):
+        products[(p, p + r2)] = {top: 1}
+
+    dual_a = tuple(map(dual_label, a_labels))
+    dual_b = tuple(map(dual_label, b_labels))
+    basis = ((alg.unit,), a_labels + dual_b, b_labels + dual_a, (dual_label(alg.unit),))
+    return GradedAlgebra(basis, products)
+
+
+def double_with_products(dbl: DoubledAlgebra, products: dict) -> DoubledAlgebra:
+    """A double of ``dbl.base`` whose table reads as ``products``, for the
+    tests that tamper the doubling side of the ring check. The package's
+    double takes only its base and builds its table on first read; this
+    fills that read in advance."""
+    fake = DoubledAlgebra(dbl.base)
+    vars(fake)["products"] = products
+    return fake
 
 def intersection_ring(arr: Arrangement) -> LabelledIntersectionRing:
     """The intersection ring of the boundary manifold, from the closed tables."""

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import functools
 import json
 import os
 import random
@@ -441,6 +442,12 @@ class TestUsageErrors:
         # The lcm 3 scales the point, and each of the 8127 zeros stays zero.
         self._evaluates_on_generic128(runner, tmp_path, "1/3", 0)
 
+    def test_point_keeps_int_coordinates(self):
+        # Only a string goes through Fraction; an int reaches the complex as it is.
+        pt = cli._parse_point({"a": [1, "1/2", 0, -1], "b": [0, "3", 10**50, "0.25"]})
+        assert pt.a + pt.b == (1, Fraction(1, 2), 0, -1, 0, 3, 10**50, Fraction(1, 4))
+        assert [type(v) for v in pt.a + pt.b] == [int, Fraction, int, int, int, Fraction, int, Fraction]
+
 
 # Runs the CLI and then reports the child's own peak RSS (KB on Linux) on
 # stderr. Linux carries ru_maxrss across exec, so a child of a large test
@@ -498,6 +505,27 @@ def test_report_64_lines_stays_small(runner, tmp_path):
     assert proc.stdout.endswith(b'    "seed": 0,\n    "trials": 5\n  }\n}\n')
     maxrss_mb = int(proc.stderr.decode().rsplit("maxrss ", 1)[1]) / 1024
     assert maxrss_mb < 38
+
+
+def test_resonance_generic_256_lines_stays_small(tmp_path):
+    # r1 = 255 and r2 = 32385. The generic Betti numbers read only the
+    # Orlik-Solomon table: with the doubled table also built the child
+    # peaked near 101 MB, without it near 52 MB. No timing assertion.
+    doc = {"lines": 256, "points": []}
+    path = tmp_path / "generic256.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", MAXRSS_CHILD, "resonance", "generic", str(path)],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    arr = from_json(doc)
+    r1, r2 = arr.n, len(plumbline.nbc_set(arr))
+    b = r1 + r2 - 1 - 2 * (r1 - 1)
+    assert json.loads(proc.stdout)["betti"] == [0, b, b, 0]
+    maxrss_mb = int(proc.stderr.decode().rsplit("maxrss ", 1)[1]) / 1024
+    assert maxrss_mb < 75
 
 
 @pytest.mark.parametrize("command", [["report"], ["os"], ["double"], ["ring"], ["homology"]])
@@ -642,6 +670,39 @@ class TestOncePerOp:
         calls = self.count_calls(monkeypatch, name)
         assert runner.invoke(main, ["report", fixture_path("two_triples")]).exit_code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "command, builds",
+        [
+            (["resonance", "eval", "--point", '{"a": [1, 2, 0, -1], "b": [0, 1, 1, 3]}'], 0),
+            (["resonance", "eval", "--point", '{"a": ["1/2", "-2/3", 0, 5], "b": ["3/7", 1, "-1/4", 0]}'], 0),
+            (["resonance", "eval", "--point", '{"a": [0, 0, 0, 0], "b": [1, 0, 2, 0]}'], 0),
+            (["resonance", "eval", "--point", '{"a": [1, -1, 0, 0], "b": [0, 1, 1, 3]}'], 0),
+            (["resonance", "generic"], 0),
+            (["report"], 1),
+            (["verify"], 1),
+            (["double"], 1),
+        ],
+        ids=["eval-integer", "eval-rational", "eval-zero-a", "eval-multiple-point", "generic", "report", "verify",
+             "double"],
+    )
+    def test_double_table_is_built_only_where_read(self, runner, monkeypatch, command, builds):
+        # The resonance complex reads only the double's base; the commands
+        # that print or compare the doubled table build it once.
+        table = vars(plumbline.DoubledAlgebra)["products"]
+        built = []
+
+        def spy(dbl):
+            built.append(dbl)
+            return table.func(dbl)
+
+        prop = functools.cached_property(spy)
+        prop.__set_name__(plumbline.DoubledAlgebra, "products")
+        monkeypatch.setattr(plumbline.DoubledAlgebra, "products", prop)
+        calls = self.count_calls(monkeypatch, "double")
+        assert runner.invoke(main, command + [fixture_path("two_triples")]).exit_code == 0
+        assert len(calls) == 1
+        assert [dbl.base for dbl in built] == [calls[0][0][0]] * builds
 
     def test_report_still_compares_two_constructions(self, runner, monkeypatch, two_triples):
         # Flip one sign in the geometric table that report builds; its check must notice.

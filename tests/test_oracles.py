@@ -6,7 +6,9 @@ ran each stage through four helpers (checked against the one loop of
 elimination (both checked against the one ordered pass of ``cokernel``),
 the stand-alone Bareiss determinant, the two-step incidence and plumbing
 graphs, the row-list plumbing matrix and the ``homology`` document dumped
-whole with it, the triple-loop and one-pass doubles, the Orlik-Solomon
+whole with it, the triple-loop and one-pass doubles, the positional double
+that built its table when it was made (the view built on first read must
+equal it, on the census with Fano too), the Orlik-Solomon
 algebra and intersection ring with per-product labels, the label-keyed
 algebras, rings and ring check that the positional ones replaced, the
 pair-loop cohomology ring, the pair-loop ring verifier and the both-orders
@@ -131,6 +133,18 @@ def _same_double(arr):
     assert new.to_json() == old.to_json()
 
 
+def _same_view(arr):
+    # The double built on first read from its base is the one that was built
+    # whole when it was made, with each vector in the same insertion order.
+    alg = os_algebra(arr)
+    view, eager = double(alg), oracles.eager_double(alg)
+    assert vars(view).keys() == {"base"}
+    assert view.basis == eager.basis
+    assert [(k, list(v.items())) for k, v in view.products.items()] == [
+        (k, list(v.items())) for k, v in eager.products.items()
+    ]
+
+
 def _same_items(new, old):
     """``relabel(new)`` is ``old``, with the products and each vector in
     ``old``'s insertion order, which ``_mu`` and every ``to_json`` read."""
@@ -228,6 +242,7 @@ def _homology_stdout_is_oracle(arr):
 
 
 test_double_fixture, test_double_random = fixture_and_random(_same_double)
+test_double_view_fixture, test_double_view_random = fixture_and_random(_same_view)
 test_cohomology_ring_fixture, test_cohomology_ring_random = fixture_and_random(_same_cohomology_ring)
 test_verify_fixture, test_verify_random = fixture_and_random(_same_report)
 test_incidence_graph_fixture, test_incidence_graph_random = fixture_and_random(_same_incidence_graph)
@@ -242,6 +257,11 @@ test_compare_fixture, test_compare_random = fixture_and_random(_same_compare, wi
 def test_incidence_graph_census(v):
     for arr in census(v):
         _same_incidence_graph(arr)
+
+
+def test_double_view_census_and_fano():
+    for arr in [arr for v in range(3, 7) for arr in census(v)] + [validate([list(pt) for pt in FANO], 7)]:
+        _same_view(arr)
 
 
 @pytest.mark.parametrize("v", range(3, 7))
@@ -276,7 +296,7 @@ def tampered_rings(draw):
     if side == "cohomology":
         coh = GradedAlgebra(coh.basis, products)
     else:
-        dbl = DoubledAlgebra(basis=dbl.basis, products=products, base=dbl.base)
+        dbl = oracles.double_with_products(dbl, products)
     return coh, dbl
 
 
@@ -319,7 +339,7 @@ def test_compare_ignores_products_past_the_top_degree(two_triples):
     extra = {(1, top): {top: 1}}
     for fake_coh, fake_dbl in (
         (GradedAlgebra(coh.basis, {**coh.products, **extra}), dbl),
-        (coh, DoubledAlgebra(basis=dbl.basis, products={**dbl.products, **extra}, base=dbl.base)),
+        (coh, oracles.double_with_products(dbl, {**dbl.products, **extra})),
     ):
         new = boundary_ring._compare(fake_coh, fake_dbl)
         assert new.ok
@@ -524,7 +544,7 @@ def _flipped(dbl: DoubledAlgebra, flips) -> DoubledAlgebra:
     products = dict(dbl.products)
     for key, lab in flips:
         products[key] = {**products[key], lab: -products[key][lab]}
-    return DoubledAlgebra(basis=dbl.basis, products=products, base=dbl.base)
+    return oracles.double_with_products(dbl, products)
 
 
 def _check_flips(arr, flips):
