@@ -16,23 +16,22 @@ class, given by closed-form tables:
 The product is antisymmetric (surfaces in a 3-manifold meet their own class
 trivially), and H_1 pairs with H_2 as the identity on dual bases.
 
-``cohomology_ring`` transports these tables through Poincare duality to cup
-products, and ``verify_double_isomorphism`` checks, structure constant by
-structure constant, that the resulting ring is the double of the
-Orlik-Solomon algebra under the basis correspondence
+One positional table holds both rings. ``intersection_ring`` puts each
+class at the flat position of its Poincare dual in ``cohomology_ring``,
+whose basis is in the order of the double of the Orlik-Solomon algebra.
+With r2 nbc pairs and h = n + r2:
 
-    PD(F_i) -> e_i,   PD(tau_(j,k)) -> dual f_(j,k),
-    PD(t_i) -> dual e_i,   PD(g_(j,k)) -> f_(j,k).
+    position     1..n    n+1..h      h+1..h+r2    h+r2+1..2h
+    homology     F_i     tau_(j,k)   g_(j,k)      t_i
+    cohomology   ~t_i    ~g_(j,k)    ~tau_(j,k)   ~F_i
+    double       e_i     ~f_(j,k)    f_(j,k)      ~e_i
 
-Both rings store structure constants by flat basis position, and list
-their bases in the same order: degree two of the cohomology ring puts
-PD(g) before PD(t), as the double puts f before ~e. So the correspondence
-is the identity on flat positions. The check compares the canonical
-products only: degree 1 x 1 with the lower basis index first, and degree
-1 x 2. Both rings store just these and answer every other order through
-graded commutativity, y x = (-1)^(deg x * deg y) x y, so the reverse
-orders agree whenever the canonical ones do. The products are compared as
-two int-keyed dicts, once; labels are read only to list a mismatch.
+So Poincare duality and the correspondence PD(F_i) -> e_i, PD(tau) -> ~f,
+PD(g) -> f, PD(t_i) -> ~e_i are the identity on positions: the cohomology
+ring is the intersection table, vector for vector, plus the h pairings into
+the top class at 2h + 1. ``verify_double_isomorphism`` checks that this
+ring is the double, structure constant by structure constant, in one
+comparison of two int-keyed dicts; labels are read only to list a mismatch.
 
 The two sides are computed by independent routes (geometric tables versus
 the doubling construction), so agreement here is a genuine cross-check, not
@@ -57,82 +56,72 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=True)
-class IntersectionRing:
+class IntersectionRing(GradedAlgebra):
     """H_1, H_2, the intersection product, and the intersection pairing.
 
-    ``products`` maps ordered pairs of H_2 basis indices (lower index
-    first) to sparse vectors over H_1 basis indices; the label queries
-    extend it antisymmetrically, and diagonal products are zero. The
-    H_1 x H_2 pairing is the identity on dual bases (t_i with F_i, g_(j,k)
-    with tau_(j,k)): ``h1_labels[i]`` is dual to ``h2_labels[i]``.
+    A graded algebra on (("M",), H_2, H_1), homology graded by codimension,
+    laid out as the module docstring's table says. ``n`` is the number of
+    lines. The labels list H_1 as t_1..t_n and then the g, so that
+    ``h1_labels[i]`` is dual to ``h2_labels[i]``.
     """
 
-    h1_labels: tuple[str, ...]
-    h2_labels: tuple[str, ...]
-    products: dict[tuple[int, int], dict[int, int]]
+    n: int
+
+    @property
+    def h2_labels(self) -> tuple[str, ...]:
+        return self.basis[1]
 
     @cached_property
-    def _h2_index(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.h2_labels)}
+    def h1_labels(self) -> tuple[str, ...]:
+        r2 = self.rank(1) - self.n
+        return self.basis[2][r2:] + self.basis[2][:r2]
 
     def product(self, x: str, y: str) -> dict[str, int]:
         """Intersection of two H_2 basis classes as a sparse H_1 vector."""
-        ix = self._h2_index[x]
-        iy = self._h2_index[y]
-        if ix == iy:
-            return {}
-        sign = -1 if ix > iy else 1
-        h1 = self.h1_labels
-        return {h1[z]: sign * c for z, c in self.products.get((min(ix, iy), max(ix, iy)), {}).items()}
+        for lab in (x, y):
+            if self._position[lab][0] != 1:
+                raise KeyError(lab)
+        return self.basis_product(x, y)
 
     def pairing(self, h1: str, h2: str) -> int:
         """Intersection number of an H_1 class with an H_2 class."""
-        if h1 not in self._dual_of:
+        if self._position[h1][0] != 2:
             raise KeyError(h1)
-        if h2 not in self._h2_index:
+        d2, p2 = self._position[h2]
+        if d2 != 1:
             raise KeyError(h2)
-        return 1 if self._dual_of[h1] == h2 else 0
-
-    @cached_property
-    def _dual_of(self) -> dict[str, str]:
-        return dict(zip(self.h1_labels, self.h2_labels))
+        return int(h1 == self.h1_labels[p2 - 1])
 
     def json_doc(self) -> dict:
         """``to_json`` with the intersection products left as a ``ProductList``."""
         return {
             "h1": list(self.h1_labels),
             "h2": list(self.h2_labels),
-            "products": ProductList(self.products, self.h2_labels, self.h1_labels),
+            "products": ProductList(self.products, self._labels, self._labels),
         }
-
-    def to_json(self) -> dict:
-        doc = self.json_doc()
-        doc["products"] = doc["products"].to_json()
-        return doc
 
 
 def intersection_ring(arr: Arrangement) -> IntersectionRing:
-    """The intersection ring of the boundary manifold, from the closed tables.
-
-    F_i and t_i have index i - 1, and tau and g of the q-th nbc pair n + q.
-    """
+    """The intersection ring of the boundary manifold, from the closed tables."""
     n = arr.n
     points = arr.points
     pair_index = arr._pair_index  # (a, b) -> its point, as point_of gives it for a < b
     pairs = nbc_set(arr)
-    g = {(p.j, p.k): n + q for q, p in enumerate(pairs)}
+    h = n + len(pairs)
+    pos = list(range(2 * h + 1))  # one int per position, shared by every vector that holds it
+    tau, t = pos[n + 1 :], pos[2 * h - n :]  # tau of the q-th nbc pair is tau[q], t_i is t[i]
+    g = {(p.j, p.k): pos[h + 1 + q] for q, p in enumerate(pairs)}
 
     products: dict[tuple[int, int], dict[int, int]] = {}
-
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             k = points[pair_index[(a, b)]][0]
             if k == 0:
                 continue
             if k == a:
-                products[(a - 1, b - 1)] = {g[(a, b)]: 1}
+                products[(a, b)] = {g[(a, b)]: 1}
             else:
-                products[(a - 1, b - 1)] = {g[(k, b)]: 1, g[(k, a)]: -1}
+                products[(a, b)] = {g[(k, b)]: 1, g[(k, a)]: -1}
 
     # F_i . tau is zero unless line i lies in the pair's point: list, for
     # each line, the pairs whose point contains it, in nbc order.
@@ -144,49 +133,35 @@ def intersection_ring(arr: Arrangement) -> IntersectionRing:
         for q in through[i]:
             k = pairs[q].k
             if i == k:
-                vec = products[(i - 1, n + q)] = {}
+                vec = products[(i, tau[q])] = {}
                 for m in points[pairs[q].point]:
                     if m != i:
-                        vec[m - 1] = 1
+                        vec[t[m]] = 1
             else:
-                products[(i - 1, n + q)] = {k - 1: -1}
+                products[(i, tau[q])] = {t[k]: -1}
 
-    # Position i of h1 is dual to position i of h2: t_i <-> F_i, g <-> tau.
     h2 = tuple(f"F{i}" for i in range(1, n + 1)) + tuple(f"tau({p.j},{p.k})" for p in pairs)
-    h1 = tuple(f"t{i}" for i in range(1, n + 1)) + tuple(f"g({p.j},{p.k})" for p in pairs)
-    return IntersectionRing(h1, h2, products)
+    h1 = tuple(f"g({p.j},{p.k})" for p in pairs) + tuple(f"t{i}" for i in range(1, n + 1))
+    return IntersectionRing((("M",), h2, h1), products, n)
 
 
 def cohomology_ring(arr: Arrangement) -> GradedAlgebra:
-    """The cohomology ring of the boundary manifold, degrees 0..3.
-
-    Degree-one classes are the Poincare duals of the H_2 basis and carry the
-    labels ~t_i, ~g_(j,k); degree-two classes are the duals of the H_1 basis,
-    labelled ~tau_(j,k) and then ~F_i, in the order of the double; the top
-    class is the dual of a point, "pt". Cup products of degree-one classes
-    are the intersection products of the dual surfaces, rewritten through
-    duality; degree one cups degree two as the identity pairing into pt.
-    """
-    return _cohomology_of(intersection_ring(arr), arr.n)
+    """The cohomology ring of the boundary manifold, degrees 0..3, laid out
+    as the module docstring's table says; degree three is "pt", the dual of
+    a point. Cup products of degree-one classes are the intersection
+    products of the dual surfaces; degree one cups degree two as the
+    identity pairing into pt."""
+    return _cohomology_of(intersection_ring(arr))
 
 
-def _cohomology_of(ring: IntersectionRing, n: int) -> GradedAlgebra:
-    """``cohomology_ring`` of the arrangement of n lines whose intersection ring is ``ring``."""
-    # PD(F_i) = ~t_i and PD(tau) = ~g in degree one; PD(g) = ~tau and then
-    # PD(t_i) = ~F_i in degree two. H_2 index i is flat position 1 + i, and
-    # H_1 index z, the dual of H_2 index z, is pd[z].
-    h = len(ring.h1_labels)
-    pd = [1 + h + (z - n) % h for z in range(h)]
-    products: dict[tuple[int, int], dict[int, int]] = {}
-    for (x, y), vec in ring.products.items():
-        if vec and x < y:
-            row = products[(x + 1, y + 1)] = {}
-            for z, c in vec.items():  # a loop, not a comprehension: no frame per product
-                row[pd[z]] = c
+def _cohomology_of(ring: IntersectionRing) -> GradedAlgebra:
+    """``cohomology_ring`` of the arrangement whose intersection ring is
+    ``ring``: its table, vector objects included, plus the pairings."""
+    h, n = ring.rank(1), ring.n
+    products = dict(ring.products)
+    pt = {2 * h + 1: 1}
     for p in range(1, h + 1):
-        # complementary degrees pair as the identity, into the top class
-        products[(p, pd[p - 1])] = {2 * h + 1: 1}
-
+        products[(p, p + h - n + (h if p <= n else 0))] = pt  # complementary degrees pair as the identity
     h2 = ring.h2_labels
     basis = (("1",), tuple(map(dual_label, ring.h1_labels)), tuple(map(dual_label, h2[n:] + h2[:n])), ("pt",))
     return GradedAlgebra(basis, products)

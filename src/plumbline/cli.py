@@ -4,7 +4,7 @@ Every command reads an arrangement JSON file ({"lines": N, "points": [...]}),
 computes exactly, and writes JSON (default) or a plain-text table to stdout.
 Exit codes: 0 on success, 1 when the mathematics rejects the input (an
 incidence axiom fails, or a verification reports a mismatch), 2 for I/O,
-parse, and usage errors.
+parse, and usage errors, and when the input is too large for memory.
 """
 
 from __future__ import annotations
@@ -225,7 +225,16 @@ def _kv_table(doc: dict, prefix: str = "") -> str:
     return "\n".join(lines)
 
 
-@click.group()
+class _Group(click.Group):
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except MemoryError:
+            pass  # out of the handler, the traceback and the frames it holds are freed
+        _fail(EXIT_IO, "out of memory: the input is too large")
+
+
+@click.group(cls=_Group)
 @click.option("--seed", default=0, show_default=True, help="Seed for `random`; echoed in the resonance output.")
 @click.option(
     "--trials", default=5, show_default=True, type=click.IntRange(min=1),
@@ -384,7 +393,7 @@ def build_report(arr: Arrangement, seed: int, trials: int) -> dict:
         "double": dbl.json_doc(),
         "homology": h1.to_json(),
         "intersection_ring": ring.json_doc(),
-        "isomorphism": _compare(_cohomology_of(ring, arr.n), dbl).to_json(),
+        "isomorphism": _compare(_cohomology_of(ring), dbl).to_json(),
         "resonance": res,
     }
 

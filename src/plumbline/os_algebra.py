@@ -93,10 +93,11 @@ class GradedAlgebra:
     first; within a degree, lower basis index first) is integer order.
     ``products`` maps canonically ordered pairs of positions to sparse
     integer vectors over the positions of the target degree. Pairs that
-    multiply to zero are omitted. Labels are read only by the label queries
-    and ``to_json``. Queries for non-canonical pairs are answered through
-    graded commutativity: x y = (-1)^(deg x * deg y) y x, and odd squares
-    vanish.
+    multiply to zero are omitted. Vectors may be shared between pairs and
+    between algebras, and are never mutated. Labels are read only by the
+    label queries and ``to_json``. Queries for non-canonical pairs are
+    answered through graded commutativity: x y = (-1)^(deg x * deg y) y x,
+    and odd squares vanish.
     """
 
     basis: tuple[tuple[str, ...], ...]
@@ -232,10 +233,10 @@ def double(alg: GradedAlgebra) -> DoubledAlgebra:
 
     The a_j ~f_k block is read off the stored degree-one products in one
     pass: x y = c f gives y ~f -> c ~x and x ~f -> -c ~y. The intersection
-    ring's F_a . F_b table copies the Orlik-Solomon case split of
-    ``os_algebra``, so on that block ``verify_double_isomorphism`` compares
-    two transcriptions of one rule. The result is a view of ``alg`` that
-    builds these tables when they are first read.
+    ring stores F_a . F_b where this table stores e_a e_b, by a copy of the
+    case split of ``os_algebra``, so on that block ``verify_double_isomorphism``
+    compares two transcriptions of one rule. The result is a view of ``alg``
+    that builds these tables when they are first read.
     """
     if alg.top_degree != 2:
         raise DegreeError("doubling requires a graded algebra with top degree 2")

@@ -22,6 +22,10 @@ verifier that compared both orders of every stored product, the
 positional cohomology ring that listed PD(t) before PD(g) in degree two
 and the ring check that mapped it onto the double through a permutation
 of positions (``cohomology_of_t_first`` and ``compare_by_permutation``), the
+positional intersection ring with separate H_2 and H_1 index spaces and the
+cohomology ring that rewrote each of its vectors through a list of dual
+positions (``IndexedIntersectionRing``, ``intersection_ring_by_index`` and
+``cohomology_of_by_index``), the
 label-keyed ``GradedAlgebra``, ``DoubledAlgebra`` and ``IntersectionRing``
 (here ``LabelledAlgebra``, ``LabelledDoubledAlgebra`` and
 ``LabelledIntersectionRing``, which every oracle above builds) with the
@@ -60,7 +64,7 @@ from plumbline import plumbing
 from plumbline.arrangement import Arrangement, nbc_set
 from plumbline.boundary_ring import IntersectionRing, IsomorphismReport, _canonical_products
 from plumbline.exact_linalg import IntMatrix, RatMatrix, SnfResult, SparseIntMatrix, _bareiss, clear_denominators, rank
-from plumbline.os_algebra import DegreeError, DoubledAlgebra, GradedAlgebra, dual_label
+from plumbline.os_algebra import DegreeError, DoubledAlgebra, GradedAlgebra, ProductList, dual_label
 from plumbline.plumbing import PlumbingGraph, h1_boundary
 from plumbline.resonance import (
     AomotoPoint,
@@ -409,7 +413,7 @@ def build_report(arr: Arrangement, seed: int, trials: int) -> dict:
         "double": dbl.to_json(),
         "homology": h1.to_json(),
         "intersection_ring": ring.to_json(),
-        "isomorphism": _compare(_cohomology_of(ring, arr.n), dbl).to_json(),
+        "isomorphism": _compare(_cohomology_of(ring), dbl).to_json(),
         "resonance": res,
     }
 
@@ -690,7 +694,130 @@ def cohomology_of_by_label(ring: LabelledIntersectionRing) -> LabelledAlgebra:
     return LabelledAlgebra(basis, products)
 
 
-def cohomology_of_t_first(ring: IntersectionRing) -> GradedAlgebra:
+@dataclass(frozen=True, eq=True)
+class IndexedIntersectionRing:
+    """H_1, H_2, the intersection product, and the intersection pairing.
+
+    ``products`` maps ordered pairs of H_2 basis indices (lower index
+    first) to sparse vectors over H_1 basis indices; the label queries
+    extend it antisymmetrically, and diagonal products are zero. The
+    H_1 x H_2 pairing is the identity on dual bases (t_i with F_i, g_(j,k)
+    with tau_(j,k)): ``h1_labels[i]`` is dual to ``h2_labels[i]``.
+    """
+
+    h1_labels: tuple[str, ...]
+    h2_labels: tuple[str, ...]
+    products: dict[tuple[int, int], dict[int, int]]
+
+    @cached_property
+    def _h2_index(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.h2_labels)}
+
+    def product(self, x: str, y: str) -> dict[str, int]:
+        """Intersection of two H_2 basis classes as a sparse H_1 vector."""
+        ix = self._h2_index[x]
+        iy = self._h2_index[y]
+        if ix == iy:
+            return {}
+        sign = -1 if ix > iy else 1
+        h1 = self.h1_labels
+        return {h1[z]: sign * c for z, c in self.products.get((min(ix, iy), max(ix, iy)), {}).items()}
+
+    def pairing(self, h1: str, h2: str) -> int:
+        """Intersection number of an H_1 class with an H_2 class."""
+        if h1 not in self._dual_of:
+            raise KeyError(h1)
+        if h2 not in self._h2_index:
+            raise KeyError(h2)
+        return 1 if self._dual_of[h1] == h2 else 0
+
+    @cached_property
+    def _dual_of(self) -> dict[str, str]:
+        return dict(zip(self.h1_labels, self.h2_labels))
+
+    def json_doc(self) -> dict:
+        """``to_json`` with the intersection products left as a ``ProductList``."""
+        return {
+            "h1": list(self.h1_labels),
+            "h2": list(self.h2_labels),
+            "products": ProductList(self.products, self.h2_labels, self.h1_labels),
+        }
+
+    def to_json(self) -> dict:
+        doc = self.json_doc()
+        doc["products"] = doc["products"].to_json()
+        return doc
+
+
+def intersection_ring_by_index(arr: Arrangement) -> IndexedIntersectionRing:
+    """The intersection ring of the boundary manifold, from the closed tables.
+
+    F_i and t_i have index i - 1, and tau and g of the q-th nbc pair n + q.
+    """
+    n = arr.n
+    points = arr.points
+    pair_index = arr._pair_index  # (a, b) -> its point, as point_of gives it for a < b
+    pairs = nbc_set(arr)
+    g = {(p.j, p.k): n + q for q, p in enumerate(pairs)}
+
+    products: dict[tuple[int, int], dict[int, int]] = {}
+
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            k = points[pair_index[(a, b)]][0]
+            if k == 0:
+                continue
+            if k == a:
+                products[(a - 1, b - 1)] = {g[(a, b)]: 1}
+            else:
+                products[(a - 1, b - 1)] = {g[(k, b)]: 1, g[(k, a)]: -1}
+
+    # F_i . tau is zero unless line i lies in the pair's point: list, for
+    # each line, the pairs whose point contains it, in nbc order.
+    through: list[list[int]] = [[] for _ in range(n + 1)]
+    for q, p in enumerate(pairs):
+        for m in points[p.point]:
+            through[m].append(q)
+    for i in range(1, n + 1):
+        for q in through[i]:
+            k = pairs[q].k
+            if i == k:
+                vec = products[(i - 1, n + q)] = {}
+                for m in points[pairs[q].point]:
+                    if m != i:
+                        vec[m - 1] = 1
+            else:
+                products[(i - 1, n + q)] = {k - 1: -1}
+
+    # Position i of h1 is dual to position i of h2: t_i <-> F_i, g <-> tau.
+    h2 = tuple(f"F{i}" for i in range(1, n + 1)) + tuple(f"tau({p.j},{p.k})" for p in pairs)
+    h1 = tuple(f"t{i}" for i in range(1, n + 1)) + tuple(f"g({p.j},{p.k})" for p in pairs)
+    return IndexedIntersectionRing(h1, h2, products)
+
+
+def cohomology_of_by_index(ring: IndexedIntersectionRing, n: int) -> GradedAlgebra:
+    """``cohomology_ring`` of the arrangement of n lines whose intersection ring is ``ring``."""
+    # PD(F_i) = ~t_i and PD(tau) = ~g in degree one; PD(g) = ~tau and then
+    # PD(t_i) = ~F_i in degree two. H_2 index i is flat position 1 + i, and
+    # H_1 index z, the dual of H_2 index z, is pd[z].
+    h = len(ring.h1_labels)
+    pd = [1 + h + (z - n) % h for z in range(h)]
+    products: dict[tuple[int, int], dict[int, int]] = {}
+    for (x, y), vec in ring.products.items():
+        if vec and x < y:
+            row = products[(x + 1, y + 1)] = {}
+            for z, c in vec.items():  # a loop, not a comprehension: no frame per product
+                row[pd[z]] = c
+    for p in range(1, h + 1):
+        # complementary degrees pair as the identity, into the top class
+        products[(p, pd[p - 1])] = {2 * h + 1: 1}
+
+    h2 = ring.h2_labels
+    basis = (("1",), tuple(map(dual_label, ring.h1_labels)), tuple(map(dual_label, h2[n:] + h2[:n])), ("pt",))
+    return GradedAlgebra(basis, products)
+
+
+def cohomology_of_t_first(ring: IndexedIntersectionRing) -> GradedAlgebra:
     """``cohomology_ring`` of the arrangement whose intersection ring is ``ring``."""
     # PD(F_i) = ~t_i and PD(tau) = ~g in degree one; PD(t_i) = ~F_i and
     # PD(g) = ~tau in degree two. The H_1 and H_2 bases are in dual order,
@@ -810,14 +937,21 @@ def in_double_order(coh: LabelledAlgebra, n: int) -> LabelledAlgebra:
     return LabelledAlgebra((unit, deg1, deg2[n:] + deg2[:n], top), coh.products)
 
 
-def relabel(obj: GradedAlgebra | IntersectionRing) -> LabelledAlgebra | LabelledIntersectionRing:
+def relabel(
+    obj: GradedAlgebra | IndexedIntersectionRing,
+) -> LabelledAlgebra | LabelledIntersectionRing:
     """A package algebra, double or intersection ring, whose structure
     constants refer to basis positions, as the label-keyed class that it
     replaced: each position is read through the basis labels, and products
-    and vectors keep their insertion order."""
-    if isinstance(obj, IntersectionRing):
+    and vectors keep their insertion order. An ``IndexedIntersectionRing``
+    is read through its separate H_2 and H_1 index spaces. The package's
+    ``IntersectionRing`` is a ``GradedAlgebra``, so it is tested for first."""
+    if isinstance(obj, (IntersectionRing, IndexedIntersectionRing)):
         h1, h2 = obj.h1_labels, obj.h2_labels
-        products = {(h2[x], h2[y]): {h1[z]: c for z, c in vec.items()} for (x, y), vec in obj.products.items()}
+        xy, z_labels = (obj._labels, obj._labels) if isinstance(obj, IntersectionRing) else (h2, h1)
+        products = {
+            (xy[x], xy[y]): {z_labels[z]: c for z, c in vec.items()} for (x, y), vec in obj.products.items()
+        }
         return LabelledIntersectionRing(h1, h2, products)
     labels = sum(obj.basis, ())
     products = {(labels[x], labels[y]): {labels[z]: c for z, c in vec.items()} for (x, y), vec in obj.products.items()}

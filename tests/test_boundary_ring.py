@@ -1,5 +1,7 @@
 """Tests for the intersection ring, cohomology ring, and the ring verifier."""
 
+import dataclasses
+
 import pytest
 
 from plumbline import (
@@ -11,6 +13,7 @@ from plumbline import (
     verify_double_isomorphism,
 )
 from plumbline.arrangement import nbc_set
+from plumbline.os_algebra import GradedAlgebra
 
 from conftest import load_fixture
 
@@ -21,6 +24,12 @@ def ring_two_triples(two_triples):
 
 
 class TestIntersectionRing:
+    def test_is_a_graded_algebra_with_the_number_of_lines(self, ring_two_triples):
+        assert issubclass(IntersectionRing, GradedAlgebra)
+        assert [f.name for f in dataclasses.fields(IntersectionRing)] == ["basis", "products", "n"]
+        assert ring_two_triples.n == 4
+        assert ring_two_triples.basis[0] == ("M",)
+
     def test_two_triples_bases(self, ring_two_triples):
         assert ring_two_triples.h1_labels == (
             "t1", "t2", "t3", "t4",
@@ -74,9 +83,12 @@ class TestIntersectionRing:
             ring_two_triples.pairing("F1", "t1")
 
     def test_products_stored_on_ordered_pairs(self, any_fixture):
+        # H_2 at flat positions 1..h, H_1 at h+1..2h: each class where its dual sits in the cohomology ring.
         ring = intersection_ring(any_fixture)
-        for x, y in ring.products:
-            assert 0 <= x < y < len(ring.h2_labels)
+        h = len(ring.h2_labels)
+        for (x, y), vec in ring.products.items():
+            assert 1 <= x < y <= h
+            assert all(h < z <= 2 * h for z in vec)
 
     def test_json_shape(self, ring_two_triples):
         doc = ring_two_triples.to_json()
@@ -154,12 +166,12 @@ class TestVerifier:
     def test_detects_tampered_table(self, two_triples, monkeypatch):
         # Flip one sign in the geometric table; the verifier must notice.
         real = intersection_ring(two_triples)
-        f1_f2 = (real._h2_index["F1"], real._h2_index["F2"])
+        f1_f2 = (real._position["F1"][1], real._position["F2"][1])
         products = dict(real.products)
         products[f1_f2] = {
             z: -c for z, c in products[f1_f2].items()
         }
-        fake = IntersectionRing(real.h1_labels, real.h2_labels, products)
+        fake = dataclasses.replace(real, products=products)
         monkeypatch.setattr(
             "plumbline.boundary_ring.intersection_ring", lambda arr: fake
         )
@@ -174,11 +186,11 @@ class TestVerifier:
 
     def test_detects_dropped_pairing(self, two_triples, monkeypatch):
         real = intersection_ring(two_triples)
-        f1_f2 = (real._h2_index["F1"], real._h2_index["F2"])
+        f1_f2 = (real._position["F1"][1], real._position["F2"][1])
         products = {
             pair: vec for pair, vec in real.products.items() if pair != f1_f2
         }
-        fake = IntersectionRing(real.h1_labels, real.h2_labels, products)
+        fake = dataclasses.replace(real, products=products)
         monkeypatch.setattr(
             "plumbline.boundary_ring.intersection_ring", lambda arr: fake
         )

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import functools
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -105,6 +107,23 @@ class TestValidateCommand:
         bad.write_text('{"lines": "five", "points": []}')
         result = runner.invoke(main, ["validate", str(bad)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(("command", "lines"), [("validate", 1_000_000), ("nbc", 3000)])
+    def test_out_of_memory_exits_2(self, tmp_path, command, lines):
+        # In a child whose address space is capped at 512 MB these inputs run
+        # out of memory: an error line and exit 2, not a MemoryError traceback.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"lines": lines, "points": []}))
+        limit = 512 * 2**20
+        proc = subprocess.run(
+            [sys.executable, "-m", "plumbline.cli", command, str(path)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src")),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: out of memory: the input is too large\n"
 
 
 class TestQueryCommands:
@@ -707,9 +726,9 @@ class TestOncePerOp:
     def test_report_still_compares_two_constructions(self, runner, monkeypatch, two_triples):
         # Flip one sign in the geometric table that report builds; its check must notice.
         real = plumbline.intersection_ring(two_triples)
-        f1_f2 = (real._h2_index["F1"], real._h2_index["F2"])
+        f1_f2 = (real._position["F1"][1], real._position["F2"][1])
         products = {**real.products, f1_f2: {z: -c for z, c in real.products[f1_f2].items()}}
-        fake = plumbline.IntersectionRing(real.h1_labels, real.h2_labels, products)
+        fake = dataclasses.replace(real, products=products)
         monkeypatch.setattr("plumbline.cli.intersection_ring", lambda arr: fake)
         result = runner.invoke(main, ["report", fixture_path("two_triples")])
         assert result.exit_code == 1
@@ -719,11 +738,11 @@ class TestOncePerOp:
         # A flipped sign and a dropped product: verify and report exit 1 and
         # list the mismatches that the both-orders verifier lists.
         real = plumbline.intersection_ring(two_triples)
-        index = real._h2_index
+        index = {lab: p for lab, (_, p) in real._position.items()}
         f1_f2 = (index["F1"], index["F2"])
         products = {**real.products, f1_f2: {z: -c for z, c in real.products[f1_f2].items()}}
         del products[(index["F2"], index["tau(1,2)"])]
-        fake = plumbline.IntersectionRing(real.h1_labels, real.h2_labels, products)
+        fake = dataclasses.replace(real, products=products)
         dbl = plumbline.double(plumbline.os_algebra(two_triples))
         coh = oracles.in_double_order(oracles.cohomology_of_by_label(oracles.relabel(fake)), two_triples.n)
         want = oracles.compare(coh, oracles.relabel(dbl)).to_json()

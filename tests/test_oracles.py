@@ -15,6 +15,10 @@ pair-loop cohomology ring, the pair-loop ring verifier and the both-orders
 verifier, the cohomology ring in its old basis order and the ring check
 that read it through a permutation of positions (the new check must list
 the same mismatches, only the 1 x 2 pairs in the new order), the
+intersection ring with separate H_2 and H_1 index spaces and the
+cohomology ring rebuilt from it vector by vector (the ring on one flat
+basis must answer every product and pairing query alike, and its
+cohomology ring must hold its vectors as the same objects), the
 resonance complex with Betti numbers from dense rational ranks, and the
 dense witness and block rank (with their rank modulo a prime and left
 kernel, whose unit tests are here) that sparse elimination replaced. Betti numbers must agree three ways at integer, rational, a = 0,
@@ -167,7 +171,7 @@ def _same_product_order(arr):
     _same_items(ring, oracles.intersection_ring_by_label(arr))
     _same_items(ring, oracles.intersection_ring(arr))
     old_coh = oracles.cohomology_of_by_label(oracles.relabel(ring))
-    _same_items(boundary_ring._cohomology_of(ring, arr.n), oracles.in_double_order(old_coh, arr.n))
+    _same_items(boundary_ring._cohomology_of(ring), oracles.in_double_order(old_coh, arr.n))
 
 
 def _same_compare(arr):
@@ -361,9 +365,8 @@ def _same_as_permutation_path(coh, dbl):
 
 
 def _same_as_permutation_path_on(arr):
-    ring, dbl = intersection_ring(arr), double(os_algebra(arr))
-    coh = boundary_ring._cohomology_of(ring, arr.n)
-    assert _t_first(coh, arr.n) == oracles.cohomology_of_t_first(ring)
+    coh, dbl = cohomology_ring(arr), double(os_algebra(arr))
+    assert _t_first(coh, arr.n) == oracles.cohomology_of_t_first(oracles.intersection_ring_by_index(arr))
     assert _same_as_permutation_path(coh, dbl).ok
 
 
@@ -383,6 +386,68 @@ def test_permutation_path_and_one_table_census_and_fano():
     for arr in [arr for v in range(3, 7) for arr in census(v)] + [validate([list(pt) for pt in FANO], 7)]:
         _same_as_permutation_path_on(arr)
         _one_table(arr)
+
+
+def _answer(query, *args):
+    """What ``query(*args)`` returns, or the arguments of the KeyError it raises."""
+    try:
+        return query(*args)
+    except KeyError as exc:
+        return KeyError, exc.args
+
+
+def _same_as_index_ring(arr):
+    """The intersection ring on one flat basis against the one with separate
+    H_2 and H_1 index spaces that it replaced: the same label-keyed ring and
+    JSON, the same answer (or KeyError) to every product and pairing query,
+    and the same cohomology ring, products and vectors in one insertion
+    order."""
+    new, old = intersection_ring(arr), oracles.intersection_ring_by_index(arr)
+    _same_items(new, oracles.relabel(old))
+    assert new.to_json() == old.to_json()
+    h1, h2 = old.h1_labels, old.h2_labels
+    assert (new.h1_labels, new.h2_labels) == (h1, h2)
+    for x in h2:
+        for y in h2:
+            assert new.product(x, y) == old.product(x, y)
+    for x in h1:
+        for y in h2:
+            assert new.pairing(x, y) == old.pairing(x, y)
+    probe = (h2[0], h2[-1], h1[0], h1[-1], "M", "1", "nope")
+    for x in probe:
+        for y in probe:
+            assert _answer(new.product, x, y) == _answer(old.product, x, y)
+            assert _answer(new.pairing, x, y) == _answer(old.pairing, x, y)
+    coh, old_coh = boundary_ring._cohomology_of(new), oracles.cohomology_of_by_index(old, arr.n)
+    assert coh.basis == old_coh.basis
+    assert [(k, list(v.items())) for k, v in coh.products.items()] == [
+        (k, list(v.items())) for k, v in old_coh.products.items()
+    ]
+
+
+def _cohomology_shares_the_ring_vectors(arr):
+    # Each class of the intersection ring sits at its dual's position, so the
+    # cohomology ring keeps every intersection vector, the same object, and
+    # adds only the h pairings into the top class.
+    ring = intersection_ring(arr)
+    coh = boundary_ring._cohomology_of(ring)
+    assert all(coh.products[key] is vec for key, vec in ring.products.items())
+    h = ring.rank(1)
+    added = [coh.products[key] for key in coh.products.keys() - ring.products.keys()]
+    assert len(added) == h
+    assert all(vec == {2 * h + 1: 1} for vec in added)
+
+
+test_index_ring_fixture, test_index_ring_random = fixture_and_random(_same_as_index_ring)
+test_shared_vectors_fixture, test_shared_vectors_random = fixture_and_random(
+    _cohomology_shares_the_ring_vectors, wide_arrangements
+)
+
+
+def test_index_ring_and_shared_vectors_census_and_fano():
+    for arr in [arr for v in range(3, 7) for arr in census(v)] + [validate([list(pt) for pt in FANO], 7)]:
+        _same_as_index_ring(arr)
+        _cohomology_shares_the_ring_vectors(arr)
 
 
 @settings(max_examples=300, deadline=None)
