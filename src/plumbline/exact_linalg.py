@@ -24,6 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from math import gcd, lcm
 from typing import Iterable, Sequence, TypeVar
 
@@ -158,14 +159,38 @@ class SparseIntMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.nonzeros) != self.rows:
             raise ValueError("one tuple of nonzeros per row required")
-        for row in self.nonzeros:
-            if not row:
-                continue
-            js, xs = zip(*row)
-            if set(map(type, js + xs)) != {int}:
-                raise TypeError("sparse entries must be (column, value) pairs of int")
-            if 0 in xs or not (0 <= js[0] and js[-1] < self.cols and all(map(operator.lt, js, js[1:]))):
-                raise ValueError("sparse values must be nonzero, columns increasing and within range")
+        if not self._well_formed():
+            for row in self.nonzeros:
+                if not row:
+                    continue
+                js, xs = zip(*row)
+                if set(map(type, js + xs)) != {int}:
+                    raise TypeError("sparse entries must be (column, value) pairs of int")
+                if 0 in xs or not (0 <= js[0] and js[-1] < self.cols and all(map(operator.lt, js, js[1:]))):
+                    raise ValueError("sparse values must be nonzero, columns increasing and within range")
+
+    def _well_formed(self) -> bool:
+        """The whole check at once, over the flattened entries: each a pair
+        of ints, the value nonzero, the column in range, and columns
+        increasing within each row (the mask drops each row's last entry,
+        whose successor starts the next row). False on anything else; the
+        row-by-row check then names what is wrong."""
+        try:
+            lens = tuple(map(len, self.nonzeros))
+            flat = tuple(chain.from_iterable(self.nonzeros))
+            if set(map(len, flat)) - {2}:
+                return False
+        except TypeError:
+            return False
+        if not flat:
+            return True
+        vals = tuple(chain.from_iterable(flat))
+        js, xs = vals[::2], vals[1::2]
+        if set(map(type, vals)) != {int} or 0 in xs or min(js) < 0 or max(js) >= self.cols:
+            return False
+        masks = {k: (True,) * (k - 1) + (False,) if k else () for k in set(lens)}
+        mask = tuple(chain.from_iterable(map(masks.__getitem__, lens)))
+        return all(map(operator.lt, compress(js, mask), compress(js[1:], mask)))
 
     def to_dense(self) -> IntMatrix:
         entries = [0] * (self.rows * self.cols)
@@ -347,51 +372,64 @@ def cokernel(m: IntMatrix | SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
     its nonzeros only, so the cost follows them and not rows x cols.
 
     Unit entries (+-1) are eliminated in one pass over sparse copies of the
-    rows, shortest row first (ties by row index): each row pivots on its
-    unit entry whose column has the fewest nonzeros, and that column is
-    cleared. Each step is unimodular and splits off an invariant factor 1.
-    A row with no unit entry when it is reached is never revisited but left
-    for ``snf``, which gets only what remains and is not called when that
-    is all zero. In a plumbing matrix [[D_L, B], [B^T, -I]] the point rows
-    are the short ones (a double point's has 3 nonzeros) and each pivots
-    on its -1. That leaves the all-ones J on the lines, and one pivot
-    clears J, so nothing reaches ``snf`` and the cokernel is Z^n.
+    rows, shortest row first (ties by row index). Each column keeps an
+    append-only list of rows, a superset of the rows that hold it: a row
+    is appended only when an update creates an entry in that column, and
+    nothing is ever removed, so clearing a column skips a listed row that
+    has pivoted or no longer holds it. Each row pivots on the unit entry
+    whose column has the shortest list, found in one loop over the row,
+    and that column is cleared. Each step is unimodular and splits off an
+    invariant factor 1; the invariant factors of what is left do not
+    depend on which units were taken or in what order, since any order
+    gives the same quotient group. A row with no unit entry when it is
+    reached is never revisited but left for ``snf``, which gets only what
+    remains and is not called when that is all zero. In a plumbing matrix
+    [[D_L, B], [B^T, -I]] the point rows are the short ones (a double
+    point's has 3 nonzeros) and each pivots on its -1, whose column no
+    update ever lists a row in. That leaves the all-ones J on the lines,
+    and one pivot clears J, so nothing reaches ``snf`` and the cokernel is
+    Z^n.
     """
     rows: dict[int, dict[int, int]]
     if isinstance(m, SparseIntMatrix):
         rows = dict(enumerate(map(dict, m.nonzeros)))
     else:
         rows = {i: {j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)}
-    cols: dict[int, set[int]] = {j: set() for j in range(m.cols)}
+    cols: list[list[int] | None] = [[] for _ in range(m.cols)]
     for i, row in rows.items():
         for j in row:
-            cols[j].add(i)
+            cols[j].append(i)
 
     for p in sorted(rows, key=lambda i: len(rows[i])):
         prow = rows[p]
-        units = [j for j, x in prow.items() if x in (1, -1)]
-        if not units:
+        q, best = -1, 0
+        for j, x in prow.items():
+            if (x == 1 or x == -1) and (q < 0 or len(cols[j]) < best):
+                q, best = j, len(cols[j])
+        if q < 0:
             continue
-        q = min(units, key=lambda j: len(cols[j]))
         del rows[p]
         u = prow.pop(q)  # +-1, its own inverse
-        for i in cols.pop(q) - {p}:
-            row = rows[i]
-            f = row.pop(q) * u
+        for i in cols[q]:
+            row = rows.get(i)
+            f = row.pop(q, 0) * u if row else 0  # 0: i has pivoted or no longer holds q
+            if not f:
+                continue
             for j, x in prow.items():
-                y = row.get(j, 0) - f * x
-                if y:
-                    row[j] = y
-                    cols[j].add(i)
-                else:
+                fx = f * x
+                y = row.get(j)
+                if y is None:
+                    row[j] = -fx
+                    cols[j].append(i)
+                elif y == fx:
                     del row[j]
-                    cols[j].discard(i)
-        for j in prow:
-            cols[j].discard(p)
+                else:
+                    row[j] = y - fx
+        cols[q] = None  # no row holds q now, and no later update creates it
 
     if not any(rows.values()):
         return len(rows), ()
-    left = sorted(cols)
+    left = [j for j, c in enumerate(cols) if c is not None]
     rest = IntMatrix(len(rows), len(left), tuple(row.get(j, 0) for row in rows.values() for j in left))
     nonzero = [d for d in snf(rest).diagonal if d]
     free = len(rows) - len(nonzero)

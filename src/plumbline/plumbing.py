@@ -28,6 +28,7 @@ of rows at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .arrangement import Arrangement, InternalContradiction
 from .exact_linalg import SparseIntMatrix, cokernel
@@ -46,45 +47,62 @@ __all__ = [
 @dataclass(frozen=True)
 class PlumbingGraph:
     """A vertex-weighted simple graph on vertices 0..len(weights) - 1; edges
-    are index pairs (i, j), i < j."""
+    are index pairs (i, j), i < j, and weights are ``int`` (not ``bool``)."""
 
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         nv = len(self.weights)
-        seen = set()
-        for i, j in self.edges:
-            if not (0 <= i < j < nv):
-                raise ValueError(f"bad edge ({i}, {j})")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
+        try:
+            ok = all(0 <= i < j < nv for i, j in self.edges) and len(set(self.edges)) == len(self.edges)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:  # edge by edge, to name the first bad one
+            seen = set()
+            for i, j in self.edges:
+                if not (0 <= i < j < nv):
+                    raise ValueError(f"bad edge ({i}, {j})")
+                if (i, j) in seen:
+                    raise ValueError(f"duplicate edge ({i}, {j})")
+                seen.add((i, j))
+        if not set(map(type, self.weights)) <= {int}:
+            raise TypeError("plumbing weights must be int")
 
     @property
     def n_vertices(self) -> int:
         return len(self.weights)
 
-    def is_connected(self) -> bool:
+    @cached_property
+    def n_components(self) -> int:
+        """The number of connected components, by depth-first search."""
         nv = self.n_vertices
-        if nv == 0:
-            return True
-        adj: dict[int, list[int]] = {i: [] for i in range(nv)}
+        adj: list[list[int]] = [[] for _ in range(nv)]
         for i, j in self.edges:
             adj[i].append(j)
             adj[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == nv
+        seen = [False] * nv
+        count = 0
+        for root in range(nv):
+            if seen[root]:
+                continue
+            count += 1
+            seen[root] = True
+            stack = [root]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+        return count
+
+    def is_connected(self) -> bool:
+        return self.n_components <= 1
 
     @property
     def b1(self) -> int:
-        return len(self.edges) - self.n_vertices + 1
+        """The first Betti number E - V + c, c the number of components."""
+        return len(self.edges) - self.n_vertices + self.n_components
 
 
 @dataclass(frozen=True)

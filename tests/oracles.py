@@ -2,12 +2,15 @@
 
 Each function here is the earlier, direct implementation, kept unchanged as
 a test oracle: the Smith normal form that ran each stage through four
-helpers (pivot, column, row, non-divisible entry), the Smith-form cokernel
-and the one that eliminated unit entries by least Markowitz cost before it,
-both on that Smith form, the stand-alone Bareiss determinant, the (line,
-point index) incidence graph and the plumbing graph rebuilt and re-sorted
-from it, the row-list plumbing matrix and the
-``homology`` JSON document dumped whole with it, the ``json.dumps`` call
+helpers (pivot, column, row, non-divisible entry), the Smith-form cokernel,
+the one that eliminated unit entries by least Markowitz cost after it and
+the one pass that kept an exact set of rows per column after that
+(``cokernel_exact_sets``), all on that Smith form, the row-by-row
+constructor checks of ``SparseIntMatrix`` and ``PlumbingGraph``
+(``check_sparse_rows`` and ``check_plumbing_graph``), the stand-alone
+Bareiss determinant, the (line, point index) incidence graph and the
+plumbing graph rebuilt and re-sorted from it, the row-list plumbing matrix
+and the ``homology`` JSON document dumped whole with it, the ``json.dumps`` call
 that every command's JSON went through (and the ``_emit`` that made it on
 the whole document), the ``report`` document with every product list
 built as one dict per product by ``to_json``, the triple-loop double and the
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from operator import lt, mul
 from typing import Sequence
 
 import click
@@ -280,6 +283,98 @@ def cokernel_markowitz(m: IntMatrix | SparseIntMatrix) -> tuple[int, tuple[int, 
     free = len(rows) - len(nonzero)
     torsion = tuple(d for d in nonzero if d > 1)
     return free, torsion
+
+
+
+def cokernel_exact_sets(m: IntMatrix | SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
+    """Invariants of coker(m : Z^cols -> Z^rows) = Z^rows / im(m).
+
+    Returns (free_rank, torsion) where torsion lists the invariant factors
+    greater than 1 in divisibility order. A ``SparseIntMatrix`` is read by
+    its nonzeros only, so the cost follows them and not rows x cols.
+
+    Unit entries (+-1) are eliminated in one pass over sparse copies of the
+    rows, shortest row first (ties by row index): each row pivots on its
+    unit entry whose column has the fewest nonzeros, and that column is
+    cleared. Each step is unimodular and splits off an invariant factor 1.
+    A row with no unit entry when it is reached is never revisited but left
+    for ``snf``, which gets only what remains and is not called when that
+    is all zero. In a plumbing matrix [[D_L, B], [B^T, -I]] the point rows
+    are the short ones (a double point's has 3 nonzeros) and each pivots
+    on its -1. That leaves the all-ones J on the lines, and one pivot
+    clears J, so nothing reaches ``snf`` and the cokernel is Z^n.
+    """
+    rows: dict[int, dict[int, int]]
+    if isinstance(m, SparseIntMatrix):
+        rows = dict(enumerate(map(dict, m.nonzeros)))
+    else:
+        rows = {i: {j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)}
+    cols: dict[int, set[int]] = {j: set() for j in range(m.cols)}
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+
+    for p in sorted(rows, key=lambda i: len(rows[i])):
+        prow = rows[p]
+        units = [j for j, x in prow.items() if x in (1, -1)]
+        if not units:
+            continue
+        q = min(units, key=lambda j: len(cols[j]))
+        del rows[p]
+        u = prow.pop(q)  # +-1, its own inverse
+        for i in cols.pop(q) - {p}:
+            row = rows[i]
+            f = row.pop(q) * u
+            for j, x in prow.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    row[j] = y
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        for j in prow:
+            cols[j].discard(p)
+
+    if not any(rows.values()):
+        return len(rows), ()
+    left = sorted(cols)
+    rest = IntMatrix(len(rows), len(left), tuple(row.get(j, 0) for row in rows.values() for j in left))
+    nonzero = [d for d in snf(rest).diagonal if d]
+    free = len(rows) - len(nonzero)
+    torsion = tuple(d for d in nonzero if d > 1)
+    return free, torsion
+
+
+def check_sparse_rows(rows: int, cols: int, nonzeros) -> None:
+    """``SparseIntMatrix``'s check, one row at a time."""
+    if rows < 0 or cols < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
+    if len(nonzeros) != rows:
+        raise ValueError("one tuple of nonzeros per row required")
+    for row in nonzeros:
+        if not row:
+            continue
+        js, xs = zip(*row)
+        if set(map(type, js + xs)) != {int}:
+            raise TypeError("sparse entries must be (column, value) pairs of int")
+        if 0 in xs or not (0 <= js[0] and js[-1] < cols and all(map(lt, js, js[1:]))):
+            raise ValueError("sparse values must be nonzero, columns increasing and within range")
+
+
+def check_plumbing_graph(weights, edges) -> None:
+    """``PlumbingGraph``'s check, one edge and then one weight at a time."""
+    nv = len(weights)
+    seen = set()
+    for i, j in edges:
+        if not (0 <= i < j < nv):
+            raise ValueError(f"bad edge ({i}, {j})")
+        if (i, j) in seen:
+            raise ValueError(f"duplicate edge ({i}, {j})")
+        seen.add((i, j))
+    for w in weights:
+        if type(w) is not int:
+            raise TypeError("plumbing weights must be int")
 
 
 def det(m: IntMatrix) -> int:

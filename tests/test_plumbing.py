@@ -1,5 +1,7 @@
 """Tests for plumbing graphs and first homology of plumbed manifolds."""
 
+from fractions import Fraction
+
 import pytest
 
 from plumbline import (
@@ -64,6 +66,26 @@ class TestPlumbingGraph:
         with pytest.raises(ValueError):
             PlumbingGraph((0, 0), ((0, 2),))
 
+    def test_b1_counts_components(self):
+        # b1 = E - V + c: the empty graph has no cycle, nor do two isolated
+        # vertices; two disjoint triangles have one cycle each.
+        assert PlumbingGraph((), ()).b1 == 0
+        assert PlumbingGraph((0, 0), ()).b1 == 0
+        triangles = PlumbingGraph((0,) * 6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+        assert (triangles.n_components, triangles.b1) == (2, 2)
+        assert not triangles.is_connected()
+
+    def test_components(self):
+        assert PlumbingGraph((), ()).n_components == 0
+        assert PlumbingGraph((), ()).is_connected()
+        assert PlumbingGraph((0, 0, 0), ((0, 2),)).n_components == 2
+        assert PlumbingGraph((0, 0, 0), ((0, 2), (1, 2))).n_components == 1
+
+    @pytest.mark.parametrize("weight", [1.5, True, False, Fraction(1, 2), "1", None])
+    def test_rejects_non_int_weight(self, weight):
+        with pytest.raises(TypeError, match="plumbing weights must be int"):
+            PlumbingGraph((0, weight), ((0, 1),))
+
     def test_matrix_examples(self):
         single = PlumbingGraph((-1,), ())
         assert plumbing_matrix(single).to_dense().to_rows() == [[-1]]
@@ -105,6 +127,10 @@ class TestH1Plumbed:
         res = h1_plumbed(g)
         assert res.graph_b1 == 1
         assert res.free_rank == res.coker_free_rank + 1
+
+    def test_empty_graph(self):
+        res = h1_plumbed(PlumbingGraph((), ()))
+        assert (res.free_rank, res.torsion, res.graph_b1) == (0, (), 0)
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
