@@ -276,8 +276,9 @@ def nbc(ctx: click.Context, path: str) -> None:
     arr = _load_arrangement(path)
     pairs = nbc_set(arr)
     graph = incidence_graph(arr)
-    doc = {"nbc": [[p.j, p.k] for p in pairs], "b1": graph.b1}
-    _emit(ctx, doc, lambda: "\n".join([f"b1: {graph.b1}"] + [f"({p.j},{p.k})" for p in pairs]))
+    b1 = len(graph.edges) - graph.n_vertices + 1  # E - V + 1: any two lines meet, so the graph is connected
+    doc = {"nbc": [[p.j, p.k] for p in pairs], "b1": b1}
+    _emit(ctx, doc, lambda: "\n".join([f"b1: {b1}"] + [f"({p.j},{p.k})" for p in pairs]))
 
 
 @main.command("os")

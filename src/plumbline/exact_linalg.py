@@ -24,7 +24,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
 from math import gcd, lcm
 from typing import Iterable, Sequence, TypeVar
 
@@ -159,38 +158,14 @@ class SparseIntMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.nonzeros) != self.rows:
             raise ValueError("one tuple of nonzeros per row required")
-        if not self._well_formed():
-            for row in self.nonzeros:
-                if not row:
-                    continue
-                js, xs = zip(*row)
-                if set(map(type, js + xs)) != {int}:
-                    raise TypeError("sparse entries must be (column, value) pairs of int")
-                if 0 in xs or not (0 <= js[0] and js[-1] < self.cols and all(map(operator.lt, js, js[1:]))):
-                    raise ValueError("sparse values must be nonzero, columns increasing and within range")
-
-    def _well_formed(self) -> bool:
-        """The whole check at once, over the flattened entries: each a pair
-        of ints, the value nonzero, the column in range, and columns
-        increasing within each row (the mask drops each row's last entry,
-        whose successor starts the next row). False on anything else; the
-        row-by-row check then names what is wrong."""
-        try:
-            lens = tuple(map(len, self.nonzeros))
-            flat = tuple(chain.from_iterable(self.nonzeros))
-            if set(map(len, flat)) - {2}:
-                return False
-        except TypeError:
-            return False
-        if not flat:
-            return True
-        vals = tuple(chain.from_iterable(flat))
-        js, xs = vals[::2], vals[1::2]
-        if set(map(type, vals)) != {int} or 0 in xs or min(js) < 0 or max(js) >= self.cols:
-            return False
-        masks = {k: (True,) * (k - 1) + (False,) if k else () for k in set(lens)}
-        mask = tuple(chain.from_iterable(map(masks.__getitem__, lens)))
-        return all(map(operator.lt, compress(js, mask), compress(js[1:], mask)))
+        for row in self.nonzeros:
+            if not row:
+                continue
+            js, xs = zip(*row)
+            if set(map(type, js + xs)) != {int}:
+                raise TypeError("sparse entries must be (column, value) pairs of int")
+            if 0 in xs or not (0 <= js[0] and js[-1] < self.cols and all(map(operator.lt, js, js[1:]))):
+                raise ValueError("sparse values must be nonzero, columns increasing and within range")
 
     def to_dense(self) -> IntMatrix:
         entries = [0] * (self.rows * self.cols)

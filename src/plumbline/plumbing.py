@@ -54,18 +54,13 @@ class PlumbingGraph:
 
     def __post_init__(self) -> None:
         nv = len(self.weights)
-        try:
-            ok = all(0 <= i < j < nv for i, j in self.edges) and len(set(self.edges)) == len(self.edges)
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:  # edge by edge, to name the first bad one
-            seen = set()
-            for i, j in self.edges:
-                if not (0 <= i < j < nv):
-                    raise ValueError(f"bad edge ({i}, {j})")
-                if (i, j) in seen:
-                    raise ValueError(f"duplicate edge ({i}, {j})")
-                seen.add((i, j))
+        seen = set()
+        for i, j in self.edges:
+            if not (0 <= i < j < nv):
+                raise ValueError(f"bad edge ({i}, {j})")
+            if (i, j) in seen:
+                raise ValueError(f"duplicate edge ({i}, {j})")
+            seen.add((i, j))
         if not set(map(type, self.weights)) <= {int}:
             raise TypeError("plumbing weights must be int")
 

@@ -5,9 +5,7 @@ a test oracle: the Smith normal form that ran each stage through four
 helpers (pivot, column, row, non-divisible entry), the Smith-form cokernel,
 the one that eliminated unit entries by least Markowitz cost after it and
 the one pass that kept an exact set of rows per column after that
-(``cokernel_exact_sets``), all on that Smith form, the row-by-row
-constructor checks of ``SparseIntMatrix`` and ``PlumbingGraph``
-(``check_sparse_rows`` and ``check_plumbing_graph``), the stand-alone
+(``cokernel_exact_sets``), all on that Smith form, the stand-alone
 Bareiss determinant, the (line, point index) incidence graph and the
 plumbing graph rebuilt and re-sorted from it, the row-list plumbing matrix
 and the ``homology`` JSON document dumped whole with it, the ``json.dumps`` call
@@ -58,7 +56,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
-from operator import lt, mul
+from operator import mul
 from typing import Sequence
 
 import click
@@ -344,37 +342,6 @@ def cokernel_exact_sets(m: IntMatrix | SparseIntMatrix) -> tuple[int, tuple[int,
     free = len(rows) - len(nonzero)
     torsion = tuple(d for d in nonzero if d > 1)
     return free, torsion
-
-
-def check_sparse_rows(rows: int, cols: int, nonzeros) -> None:
-    """``SparseIntMatrix``'s check, one row at a time."""
-    if rows < 0 or cols < 0:
-        raise ValueError("matrix dimensions must be nonnegative")
-    if len(nonzeros) != rows:
-        raise ValueError("one tuple of nonzeros per row required")
-    for row in nonzeros:
-        if not row:
-            continue
-        js, xs = zip(*row)
-        if set(map(type, js + xs)) != {int}:
-            raise TypeError("sparse entries must be (column, value) pairs of int")
-        if 0 in xs or not (0 <= js[0] and js[-1] < cols and all(map(lt, js, js[1:]))):
-            raise ValueError("sparse values must be nonzero, columns increasing and within range")
-
-
-def check_plumbing_graph(weights, edges) -> None:
-    """``PlumbingGraph``'s check, one edge and then one weight at a time."""
-    nv = len(weights)
-    seen = set()
-    for i, j in edges:
-        if not (0 <= i < j < nv):
-            raise ValueError(f"bad edge ({i}, {j})")
-        if (i, j) in seen:
-            raise ValueError(f"duplicate edge ({i}, {j})")
-        seen.add((i, j))
-    for w in weights:
-        if type(w) is not int:
-            raise TypeError("plumbing weights must be int")
 
 
 def det(m: IntMatrix) -> int:
