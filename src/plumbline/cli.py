@@ -182,31 +182,24 @@ def _write_products(products: ProductList, nl: str, out: _Text) -> None:
 
 def _write_entries(g: PlumbingGraph, nl: str, out: _Text) -> None:
     """The V^2 entries of the plumbing matrix of ``g``, row-major, as strings.
-    Each row is cut from one row of zeros, its O(degree) nonzeros spliced
-    in, and the rows go to ``out`` in blocks of about BLOCK characters."""
+    Each row is cut from one row of zeros, its ``g.nonzeros`` spliced in,
+    and the rows go to ``out`` in blocks of about BLOCK characters."""
     nv = g.n_vertices
     if not nv:
         out.append("[]")
         return
     sep = "," + nl + "  "
-    zero = '"0"' + sep
-    width = len(zero)
-    zeros = zero * nv
+    width = 3 + len(sep)  # a '"0"' and its separator
+    zeros = ('"0"' + sep) * nv
     per = max(1, BLOCK // len(zeros))  # rows per block
-    nonzeros = [[(i, f'"{w}"')] for i, w in enumerate(g.weights)]
-    for i, j in g.edges:
-        nonzeros[i].append((j, '"1"'))
-        nonzeros[j].append((i, '"1"'))
     out.append("[" + sep[1:])
     parts: list[str] = []
-    for r, row in enumerate(nonzeros, 1):
+    for r, row in enumerate(g.nonzeros, 1):
         at = 0
-        for j, entry in sorted(row):
-            parts += (zeros[at : j * width], entry, sep)
-            at = (j + 1) * width
-        parts.append(zeros[at:])
-        if r == nv:
-            del parts[-2:]  # the last row ends on its diagonal entry: no separator after it
+        for j, x in row:
+            parts += (zeros[at : j * width], '"1"' if x == 1 else f'"{x}"')
+            at = j * width + 3
+        parts.append(zeros[at:] if r < nv else zeros[at : -len(sep)])  # no separator after the last entry
         if r % per == 0 or r == nv:
             out.add("".join(parts))
             parts.clear()

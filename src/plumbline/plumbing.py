@@ -18,11 +18,11 @@ on every call and a violation raises ``InternalContradiction`` rather than
 returning silently.
 
 The matrix has V^2 entries but at most V + 2E nonzeros (E edges), so
-nothing on the way from graph to cokernel is V x V: ``plumbing_matrix``
-returns the nonzeros as a ``SparseIntMatrix``, which ``cokernel`` takes as
-it is, and a result keeps the graph, not the matrix. ``homology`` writes
-the V^2 entries of its output straight from the weights and edges, a block
-of rows at a time.
+nothing on the way from graph to cokernel is V x V. ``PlumbingGraph.nonzeros``
+is their one row form, built once: the component search walks it,
+``plumbing_matrix`` checks it as a ``SparseIntMatrix``, which ``cokernel``
+takes as it is, and ``homology`` splices it into rows of zeros, a block of
+rows at a time. A result keeps the graph, not the matrix.
 """
 
 from __future__ import annotations
@@ -69,23 +69,32 @@ class PlumbingGraph:
         return len(self.weights)
 
     @cached_property
-    def n_components(self) -> int:
-        """The number of connected components, by depth-first search."""
-        nv = self.n_vertices
-        adj: list[list[int]] = [[] for _ in range(nv)]
+    def nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Row i of the plumbing matrix as ``(column, value)`` pairs in increasing
+        column order, the form of ``SparseIntMatrix.nonzeros``: the weight on the
+        diagonal when it is nonzero, and a 1 for each edge."""
+        rows = [[(i, w)] if w else [] for i, w in enumerate(self.weights)]
         for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = [False] * nv
+            rows[i].append((j, 1))
+            rows[j].append((i, 1))
+        for row in rows:
+            row.sort()
+        return tuple(map(tuple, rows))
+
+    @cached_property
+    def n_components(self) -> int:
+        """The number of connected components, by depth-first search over ``nonzeros``."""
+        rows = self.nonzeros
+        seen = [False] * len(rows)
         count = 0
-        for root in range(nv):
+        for root in range(len(rows)):
             if seen[root]:
                 continue
             count += 1
             seen[root] = True
             stack = [root]
             while stack:
-                for w in adj[stack.pop()]:
+                for w, _ in rows[stack.pop()]:
                     if not seen[w]:
                         seen[w] = True
                         stack.append(w)
@@ -106,8 +115,8 @@ class H1Result:
 
     ``free_rank`` already includes the b1 of the graph; ``torsion`` lists
     invariant factors greater than 1 in divisibility order. ``graph`` is the
-    plumbing graph it was computed from: its O(V + E) weights and edges give
-    the V x V matrix that ``homology`` prints.
+    plumbing graph it was computed from: its O(V + E) ``nonzeros`` give the
+    V x V matrix that ``homology`` prints.
     """
 
     free_rank: int
@@ -143,16 +152,9 @@ def incidence_graph(arr: Arrangement) -> PlumbingGraph:
 
 
 def plumbing_matrix(g: PlumbingGraph) -> SparseIntMatrix:
-    """Symmetric matrix with vertex weights on the diagonal, 1 on edges,
-    kept as its V + 2E nonzeros."""
-    rows = [[(i, w)] if w else [] for i, w in enumerate(g.weights)]
-    for i, j in g.edges:
-        rows[i].append((j, 1))
-        rows[j].append((i, 1))
-    for row in rows:
-        row.sort()
-    nv = g.n_vertices
-    return SparseIntMatrix(nv, nv, tuple(map(tuple, rows)))
+    """Symmetric matrix with vertex weights on the diagonal, 1 on edges:
+    the graph's ``nonzeros``, checked as a ``SparseIntMatrix``."""
+    return SparseIntMatrix(g.n_vertices, g.n_vertices, g.nonzeros)
 
 
 def h1_plumbed(g: PlumbingGraph) -> H1Result:

@@ -88,7 +88,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .arrangement import Arrangement, ArrangementClass, InternalContradiction, classify, nbc_set
 from .exact_linalg import RatMatrix, clear_denominators, echelon, kernel_dim, rank
@@ -128,8 +128,7 @@ _EXACT_TYPES = frozenset({int, Fraction})  # not bool: True is read as 1, and a 
 @dataclass(frozen=True)
 class AomotoPoint:
     """A degree-one point of the double: coordinates (a, b), exact rationals,
-    ``int`` or ``Fraction``; any other type raises ``TypeError``. ``make``
-    converts each to ``Fraction``, reading a string such as "1/2" exactly."""
+    ``int`` or ``Fraction``; any other type raises ``TypeError``."""
 
     a: tuple[int | Fraction, ...]
     b: tuple[int | Fraction, ...]
@@ -138,13 +137,6 @@ class AomotoPoint:
         for coords, what in ((self.a, "a"), (self.b, "b")):
             if not _EXACT_TYPES.issuperset(map(type, coords)):
                 raise TypeError(f"{what} may hold only int and Fraction coordinates")
-
-    @staticmethod
-    def make(a: Iterable, b: Iterable) -> "AomotoPoint":
-        def exact(x):  # a float or bool is left as it is, for __post_init__ to refuse
-            return Fraction(x) if type(x) in (int, Fraction, str) else x
-
-        return AomotoPoint(tuple(map(exact, a)), tuple(map(exact, b)))
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.a) and all(x == 0 for x in self.b)

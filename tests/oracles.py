@@ -8,7 +8,11 @@ the one pass that kept an exact set of rows per column after that
 (``cokernel_exact_sets``), all on that Smith form, the stand-alone
 Bareiss determinant, the (line, point index) incidence graph and the
 plumbing graph rebuilt and re-sorted from it, the row-list plumbing matrix
-and the ``homology`` JSON document dumped whole with it, the ``json.dumps`` call
+and the ``homology`` JSON document dumped whole with it, the three builders
+that each made the plumbing matrix's rows from the weights and edges before
+``PlumbingGraph.nonzeros`` (``plumbing_matrix_sorted_rows``, the component
+search over adjacency lists ``n_components_by_adjacency`` and the
+``homology`` writer ``write_entries_from_edges``), the ``json.dumps`` call
 that every command's JSON went through (and the ``_emit`` that made it on
 the whole document), the ``report`` document with every product list
 built as one dict per product by ``to_json``, the triple-loop double and the
@@ -61,7 +65,7 @@ from typing import Sequence
 
 import click
 
-from plumbline import plumbing
+from plumbline import cli, plumbing
 from plumbline.arrangement import Arrangement, nbc_set
 from plumbline.boundary_ring import IntersectionRing, IsomorphismReport, _canonical_products
 from plumbline.exact_linalg import IntMatrix, RatMatrix, SnfResult, SparseIntMatrix, _bareiss, clear_denominators, rank
@@ -428,6 +432,76 @@ def plumbing_matrix(g: PlumbingGraph) -> IntMatrix:
         rows[i][j] = 1
         rows[j][i] = 1
     return IntMatrix.from_rows(rows)
+
+
+def plumbing_matrix_sorted_rows(g: PlumbingGraph) -> SparseIntMatrix:
+    """Symmetric matrix with vertex weights on the diagonal, 1 on edges,
+    kept as its V + 2E nonzeros."""
+    rows = [[(i, w)] if w else [] for i, w in enumerate(g.weights)]
+    for i, j in g.edges:
+        rows[i].append((j, 1))
+        rows[j].append((i, 1))
+    for row in rows:
+        row.sort()
+    nv = g.n_vertices
+    return SparseIntMatrix(nv, nv, tuple(map(tuple, rows)))
+
+
+def n_components_by_adjacency(g: PlumbingGraph) -> int:
+    """The number of connected components, by depth-first search."""
+    nv = g.n_vertices
+    adj: list[list[int]] = [[] for _ in range(nv)]
+    for i, j in g.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = [False] * nv
+    count = 0
+    for root in range(nv):
+        if seen[root]:
+            continue
+        count += 1
+        seen[root] = True
+        stack = [root]
+        while stack:
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return count
+
+
+def write_entries_from_edges(g: PlumbingGraph, nl: str, out: cli._Text) -> None:
+    """The V^2 entries of the plumbing matrix of ``g``, row-major, as strings.
+    Each row is cut from one row of zeros, its O(degree) nonzeros spliced
+    in, and the rows go to ``out`` in blocks of about BLOCK characters.
+    It reads ``cli.BLOCK``, so a test that patches it changes both writers."""
+    nv = g.n_vertices
+    if not nv:
+        out.append("[]")
+        return
+    sep = "," + nl + "  "
+    zero = '"0"' + sep
+    width = len(zero)
+    zeros = zero * nv
+    per = max(1, cli.BLOCK // len(zeros))  # rows per block
+    nonzeros = [[(i, f'"{w}"')] for i, w in enumerate(g.weights)]
+    for i, j in g.edges:
+        nonzeros[i].append((j, '"1"'))
+        nonzeros[j].append((i, '"1"'))
+    out.append("[" + sep[1:])
+    parts: list[str] = []
+    for r, row in enumerate(nonzeros, 1):
+        at = 0
+        for j, entry in sorted(row):
+            parts += (zeros[at : j * width], entry, sep)
+            at = (j + 1) * width
+        parts.append(zeros[at:])
+        if r == nv:
+            del parts[-2:]  # the last row ends on its diagonal entry: no separator after it
+        if r % per == 0 or r == nv:
+            out.add("".join(parts))
+            parts.clear()
+    out.append(nl + "]")
 
 
 def homology_json(arr: Arrangement) -> str:
@@ -1338,6 +1412,12 @@ def compare(coh: LabelledAlgebra, dbl: LabelledDoubledAlgebra) -> IsomorphismRep
     pos = coh._position
     mismatches.sort(key=lambda m: (pos[m[0]][0], pos[m[1]][0], pos[m[0]][1], pos[m[1]][1]))
     return IsomorphismReport(ok=not mismatches, mismatches=tuple(mismatches))
+
+
+def exact_point(a, b) -> AomotoPoint:
+    """The point (a, b) with every coordinate read by ``Fraction``, so that a
+    string such as "1/2" is exact."""
+    return AomotoPoint(tuple(map(Fraction, a)), tuple(map(Fraction, b)))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import random
@@ -502,6 +503,7 @@ def test_homology_48_lines_stays_small(runner, tmp_path):
     assert proc.returncode == 0, proc.stderr.decode()
     assert len(proc.stdout) == 15_214_123
     assert proc.stdout.startswith(b'{\n  "b1_graph": 1081,') and proc.stdout.endswith(b'  "torsion": []\n}\n')
+    assert hashlib.sha1(proc.stdout).hexdigest() == "33af26209d7b7573160aac96b6272f6cedeb6be2"  # about 15 blocks
     maxrss_mb = int(proc.stderr.decode().rsplit("maxrss ", 1)[1]) / 1024
     assert maxrss_mb < 150
 

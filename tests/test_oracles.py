@@ -505,6 +505,51 @@ def test_plumbing_cokernel_weighted_graphs(g):
     assert (res.coker_free_rank, res.torsion) == cokernel(dense)
 
 
+# The one row form, PlumbingGraph.nonzeros, against the three builders it replaced.
+
+
+@st.composite
+def any_weighted_graphs(draw):
+    """Graphs on 0-30 vertices, connected or not, with isolated vertices,
+    weights of either sign or zero and the edges in drawn, unsorted order."""
+    nv = draw(st.integers(0, 30))
+    weight = st.integers(-3, 3) | st.integers(-(10**20), 10**20)
+    weights = tuple(draw(st.lists(weight, min_size=nv, max_size=nv)))
+    pairs = [(i, j) for j in range(nv) for i in range(j)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * nv)) if pairs else []
+    return PlumbingGraph(weights, tuple(draw(st.permutations(edges))))
+
+
+def _same_rows(g):
+    assert plumbing_matrix(g) == oracles.plumbing_matrix_sorted_rows(g)
+    assert g.n_components == oracles.n_components_by_adjacency(g)
+    for block in (cli.BLOCK, 200):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "BLOCK", block)
+            new, old = cli._Text(), cli._Text()
+            cli._write_entries(g, "\n    ", new)
+            oracles.write_entries_from_edges(g, "\n    ", old)
+        assert list(new) == list(old)  # the same text, cut into the same blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_weighted_graphs())
+@example(PlumbingGraph((), ()))
+@example(PlumbingGraph((0,), ()))
+@example(PlumbingGraph((0, 5, 0, -1), ((1, 2),)))
+@example(PlumbingGraph((1, -2, 0), ((1, 2), (0, 2), (0, 1))))
+def test_plumbing_rows_match_old_builders(g):
+    _same_rows(g)
+
+
+test_plumbing_rows_fixture, test_plumbing_rows_random = fixture_and_random(lambda arr: _same_rows(incidence_graph(arr)))
+
+
+def test_plumbing_rows_census_and_fano():
+    for arr in [arr for v in range(3, 7) for arr in census(v)] + [validate([list(pt) for pt in FANO], 7)]:
+        _same_rows(incidence_graph(arr))
+
+
 def test_plumbing_cokernel_torsion_and_free_part():
     # A triangle of -2 vertices: coker is Z plus Z/3, and the cycle adds b1 = 1.
     mixed = PlumbingGraph((-2, -2, -2), ((0, 1), (0, 2), (1, 2)))
@@ -704,10 +749,10 @@ def _points(arr, dbl, rng: random.Random) -> list[AomotoPoint]:
         return [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(m)]
 
     pts = [
-        AomotoPoint.make(ints(r1), ints(r2)),
-        AomotoPoint.make(rats(r1), rats(r2)),
-        AomotoPoint.make([0] * r1, ints(r2)),
-        AomotoPoint.make([0] * r1, [0] * r2),
+        oracles.exact_point(ints(r1), ints(r2)),
+        oracles.exact_point(rats(r1), rats(r2)),
+        oracles.exact_point([0] * r1, ints(r2)),
+        oracles.exact_point([0] * r1, [0] * r2),
     ]
     multiple = [p for p in arr.points if len(p) >= 3]
     if multiple:
@@ -718,7 +763,7 @@ def _points(arr, dbl, rng: random.Random) -> list[AomotoPoint]:
             a[i - 1] = rng.randint(1, 9) * rng.choice([-1, 1])
         if 0 not in point:
             a[lines[-1] - 1] -= sum(a[i - 1] for i in lines)
-        pts += [AomotoPoint.make(a, [0] * r2), AomotoPoint.make(a, ints(r2))]
+        pts += [oracles.exact_point(a, [0] * r2), oracles.exact_point(a, ints(r2))]
     return pts
 
 
@@ -793,7 +838,7 @@ class TestWitnessTeeth:
         arr = load_fixture("two_triples")
         dbl = double(os_algebra(arr))
         # e1 - e2 lies on the local component of the triple point {1, 2, 3}.
-        pt = AomotoPoint.make([1, -1, 0, 0], [0, 0, 0, 0])
+        pt = oracles.exact_point([1, -1, 0, 0], [0, 0, 0, 0])
         assert betti_numbers(dbl, pt) == oracles.betti_numbers(oracles.relabel(dbl), pt) == (0, 3, 3, 0)
         monkeypatch.setattr("plumbline.resonance.echelon", _witness(True))
         assert betti_numbers(dbl, pt) == (0, 1, 1, 0)
@@ -827,11 +872,11 @@ def _block_rank_points(arr, dbl, rng: random.Random) -> list[AomotoPoint]:
             a[lines[-1] - 1] -= sum(a[i - 1] for i in lines)
         return a
 
-    pts = [AomotoPoint.make([0] * r1, rats(r2)), AomotoPoint.make(rats(r1), [0] * r2)]
+    pts = [oracles.exact_point([0] * r1, rats(r2)), oracles.exact_point(rats(r1), [0] * r2)]
     multiple = [p for p in arr.points if len(p) >= 3]
     for k in (1, 2)[: len(multiple)]:
         a = [sum(xs) for xs in zip(*(local(p) for p in rng.sample(multiple, k)))]
-        pts.append(AomotoPoint.make(a, rats(r2)))
+        pts.append(oracles.exact_point(a, rats(r2)))
     return pts
 
 
@@ -871,7 +916,7 @@ class TestBlockRank:
         # with x4: K Phi K^T has rank 2, so rank d2 = 2 + 2 and b1 = 6 - 1 - 4.
         alg = NON_ISOTROPIC
         dbl = double(alg)
-        pt = AomotoPoint.make([1, 0, 0, 0], [0, 1])
+        pt = oracles.exact_point([1, 0, 0, 0], [0, 1])
         s, kernel = oracles.left_kernel(delta_matrix(alg, pt.a))
         assert s == 1
         # The integer Phi that the dense block rank builds; IntMatrix refuses Fraction entries.
@@ -890,7 +935,7 @@ def _every_kind(arr, dbl, rng: random.Random) -> list[AomotoPoint]:
     """Integer, rational, a = 0, b = 0, zero and generic points, and points on
     the local components of one or two multiple points."""
     r1, r2 = dbl.base.rank(1), dbl.base.rank(2)
-    generic = [AomotoPoint.make([1] * r1, b) for b in ([0] * r2, [rng.randint(-9, 9) for _ in range(r2)])]
+    generic = [oracles.exact_point([1] * r1, b) for b in ([0] * r2, [rng.randint(-9, 9) for _ in range(r2)])]
     return _points(arr, dbl, rng) + _block_rank_points(arr, dbl, rng) + generic
 
 
@@ -904,9 +949,9 @@ def _same_three_ways(dbl: DoubledAlgebra, points) -> None:
 
 
 def _non_isotropic_points(dbl, rng: random.Random) -> list[AomotoPoint]:
-    pts = [AomotoPoint.make(a, b) for a in ([1, 0, 0, 0], [0, 0, 1, 1], [0] * 4, [1, 1, 1, 1])
+    pts = [oracles.exact_point(a, b) for a in ([1, 0, 0, 0], [0, 0, 1, 1], [0] * 4, [1, 1, 1, 1])
            for b in ([0, 0], [0, 1], [1, 0], [2, -3])]
-    return pts + [AomotoPoint.make([rng.randint(-3, 3) for _ in range(4)], [rng.randint(-3, 3) for _ in range(2)])
+    return pts + [oracles.exact_point([rng.randint(-3, 3) for _ in range(4)], [rng.randint(-3, 3) for _ in range(2)])
                   for _ in range(20)]
 
 
@@ -1052,7 +1097,7 @@ def _floor_holds(arr, seed: int):
     assert pencil == (r2 == 0)
     assert rank(delta_matrix(dbl.base, (1,) * r1)) == (0 if pencil else r1 - 1)
     for b in ([0] * r2, [rng.randint(-9, 9) for _ in range(r2)]):
-        assert oracles.betti_numbers(old_dbl, AomotoPoint.make([1] * r1, b)) == floor, b
+        assert oracles.betti_numbers(old_dbl, oracles.exact_point([1] * r1, b)) == floor, b
 
 
 class TestBettiFloor:
