@@ -18,7 +18,6 @@ double point for every pair of lines not covered by a listed point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
@@ -64,8 +63,43 @@ class ArrangementClass(Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Frozen:
+    """An immutable record, without generated code; ``_fields`` are the annotations of its bases, then its body."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = getattr(cls, "_fields", ()) + tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, k = self._fields, len(args)
+        if kwargs or k != len(fields):  # by name: each field after the positional ones, once
+            if k > len(fields) or kwargs.keys() != set(fields[k:]):
+                raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)}) once each")
+            args += tuple(kwargs[f] for f in fields[k:])
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)  # not __dict__.update, which slows every later read
+        self.__post_init__()
+
+    def __post_init__(self) -> None: ...  # a subclass checks its fields here
+
+    def __setattr__(self, name: str, *value) -> None:  # a cached_property writes __dict__ and still works
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+class Arrangement(Frozen):
     """A validated arrangement: ``n_lines`` lines and a complete point family.
 
     ``points`` is lexicographically sorted; each point is a strictly

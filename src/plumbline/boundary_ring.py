@@ -40,10 +40,9 @@ a tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .arrangement import Arrangement, nbc_set
+from .arrangement import Arrangement, Frozen, nbc_set
 from .os_algebra import DoubledAlgebra, GradedAlgebra, ProductList, double, dual_label, os_algebra
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=True)
 class IntersectionRing(GradedAlgebra):
     """H_1, H_2, the intersection product, and the intersection pairing.
 
@@ -167,8 +165,7 @@ def _cohomology_of(ring: IntersectionRing) -> GradedAlgebra:
     return GradedAlgebra(basis, products)
 
 
-@dataclass(frozen=True)
-class IsomorphismReport:
+class IsomorphismReport(Frozen):
     """Outcome of comparing the cohomology ring with the doubled algebra."""
 
     ok: bool

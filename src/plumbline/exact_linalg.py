@@ -22,10 +22,11 @@ unit pivots leave.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, TypeVar
+
+from .arrangement import Frozen
 
 __all__ = [
     "IntMatrix",
@@ -44,8 +45,7 @@ __all__ = [
 _M = TypeVar("_M", bound="_Matrix")
 
 
-@dataclass(frozen=True)
-class _Matrix:
+class _Matrix(Frozen):
     """Immutable dense matrix, row-major.
 
     A subclass sets ``_coerce``, which ``from_rows`` applies to every entry,
@@ -140,8 +140,7 @@ class RatMatrix(_Matrix):
     _types = frozenset({int, Fraction})
 
 
-@dataclass(frozen=True)
-class SparseIntMatrix:
+class SparseIntMatrix(Frozen):
     """Immutable sparse integer matrix: ``nonzeros[i]`` holds row i's nonzero
     entries as ``(column, value)`` pairs in increasing column order.
 
@@ -175,8 +174,7 @@ class SparseIntMatrix:
         return IntMatrix(self.rows, self.cols, tuple(entries))
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Frozen):
     """Smith normal form ``u @ a @ v == s`` with unimodular ``u`` and ``v``.
 
     ``s`` is diagonal with nonnegative entries d_1 | d_2 | ... ; zero entries

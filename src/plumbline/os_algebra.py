@@ -29,11 +29,10 @@ structure constants of A only when it is first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .arrangement import Arrangement, nbc_set
+from .arrangement import Arrangement, Frozen, nbc_set
 
 __all__ = [
     "DegreeError",
@@ -55,8 +54,7 @@ def dual_label(label: str) -> str:
     return "~" + label
 
 
-@dataclass(frozen=True)
-class ProductList:
+class ProductList(Frozen):
     """A positional product table as it is printed.
 
     ``table`` maps pairs of positions to sparse vectors over positions;
@@ -83,8 +81,7 @@ class ProductList:
         return [{"x": xy[x], "y": xy[y], "value": {z[k]: c for k, c in vec.items()}} for (x, y), vec in self.rows()]
 
 
-@dataclass(frozen=True, eq=True)
-class GradedAlgebra:
+class GradedAlgebra(Frozen):
     """A finite graded algebra given by basis labels and structure constants.
 
     ``basis[d]`` lists the basis labels in degree d; degree 0 is spanned by

@@ -27,10 +27,9 @@ rows at a time. A result keeps the graph, not the matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .arrangement import Arrangement, InternalContradiction
+from .arrangement import Arrangement, Frozen, InternalContradiction
 from .exact_linalg import SparseIntMatrix, cokernel
 
 __all__ = [
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PlumbingGraph:
+class PlumbingGraph(Frozen):
     """A vertex-weighted simple graph on vertices 0..len(weights) - 1; edges
     are index pairs (i, j), i < j, and weights are ``int`` (not ``bool``)."""
 
@@ -109,8 +107,7 @@ class PlumbingGraph:
         return len(self.edges) - self.n_vertices + self.n_components
 
 
-@dataclass(frozen=True)
-class H1Result:
+class H1Result(Frozen):
     """First homology of a plumbed manifold, split by origin.
 
     ``free_rank`` already includes the b1 of the graph; ``torsion`` lists
@@ -123,7 +120,7 @@ class H1Result:
     torsion: tuple[int, ...]
     graph_b1: int
     coker_free_rank: int
-    graph: PlumbingGraph = field(compare=False, repr=False)
+    graph: PlumbingGraph
 
     def to_json(self) -> dict:
         return {

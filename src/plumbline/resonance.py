@@ -85,12 +85,11 @@ which for a != 0 happens exactly when Delta(a) has rank r1 - 1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .arrangement import Arrangement, ArrangementClass, InternalContradiction, classify, nbc_set
+from .arrangement import Arrangement, ArrangementClass, Frozen, InternalContradiction, classify, nbc_set
 from .exact_linalg import RatMatrix, clear_denominators, echelon, kernel_dim, rank
 from .os_algebra import DoubledAlgebra, GradedAlgebra
 
@@ -125,8 +124,7 @@ class ChainConditionViolated(RuntimeError):
 _EXACT_TYPES = frozenset({int, Fraction})  # not bool: True is read as 1, and a float as its binary value
 
 
-@dataclass(frozen=True)
-class AomotoPoint:
+class AomotoPoint(Frozen):
     """A degree-one point of the double: coordinates (a, b), exact rationals,
     ``int`` or ``Fraction``; any other type raises ``TypeError``."""
 
@@ -142,8 +140,7 @@ class AomotoPoint:
         return all(x == 0 for x in self.a) and all(x == 0 for x in self.b)
 
 
-@dataclass(frozen=True)
-class AomotoComplex:
+class AomotoComplex(Frozen):
     """The complex at a point as the blocks of d2, Delta(a) by sparse columns and Phi(b)
     by sparse rows (index -> entry, zeros allowed); the dense matrices are views."""
 

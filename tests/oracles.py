@@ -42,12 +42,13 @@ label-keyed structure constants) with Betti numbers from dense rational
 ranks and generic Betti numbers as a minimum over every sampled point, and
 the dense witness and block rank that sparse elimination replaced
 (``block_betti_numbers``, with the dense rank modulo a prime ``rank_mod_p``,
-the Bareiss ``left_kernel`` and the integer ``_restricted_phi``). The
-property tests in ``test_oracles.py`` check that the package's versions
-give the same results, reading the package's positional algebras and
-rings through ``relabel``. The cohomology rings built here list degree two
-as PD(t) and then PD(g); ``in_double_order`` rotates one into the
-package's order, that of the double, PD(g) first.
+the Bareiss ``left_kernel`` and the integer ``_restricted_phi``), and the
+frozen dataclass that each record class was before ``arrangement.Frozen``
+(``dataclass_twin``). The property tests in ``test_oracles.py`` check that
+the package's versions give the same results, reading the package's
+positional algebras and rings through ``relabel``. The cohomology rings
+built here list degree two as PD(t) and then PD(g); ``in_double_order``
+rotates one into the package's order, that of the double, PD(g) first.
 Nothing in ``src/`` imports this module.
 """
 
@@ -56,8 +57,8 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, make_dataclass
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import chain
 from operator import mul
@@ -1258,6 +1259,17 @@ def double_with_products(dbl: DoubledAlgebra, products: dict) -> DoubledAlgebra:
     fake = DoubledAlgebra(dbl.base)
     vars(fake)["products"] = products
     return fake
+
+
+@cache
+def dataclass_twin(cls: type) -> type:
+    """The frozen dataclass on the fields of ``cls``, under its name: the
+    record that ``@dataclass(frozen=True)`` made of each package class before
+    they derived from ``arrangement.Frozen``, without their methods and
+    checks. It generates its ``__init__``, ``__eq__``, ``__hash__``,
+    ``__repr__``, ``__setattr__`` and ``__delattr__`` when it is made."""
+    return make_dataclass(cls.__name__, cls._fields, frozen=True)
+
 
 def intersection_ring(arr: Arrangement) -> LabelledIntersectionRing:
     """The intersection ring of the boundary manifold, from the closed tables."""

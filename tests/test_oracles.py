@@ -46,7 +46,9 @@ arrangement of 3-6 lines, and the incidence graph is compared on that
 census here. The CLI's writer of product lists is compared with
 ``json.dumps`` of the ``to_json`` documents for ``os``, ``double``,
 ``ring`` and ``report`` on the fixtures, that census and arrangements of
-10-16 lines, where label and position order differ.
+10-16 lines, where label and position order differ. Each record class
+behaves as the frozen dataclass on its fields (``oracles.dataclass_twin``)
+on records built from the fixtures and random arrangements.
 """
 import json
 import random
@@ -1438,3 +1440,94 @@ class TestLeftKernel:
             c = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in rows]
             rows.append([sum(ci * row[j] for ci, row in zip(c, rows)) for j in range(m.cols)])
         check_left_kernel(RatMatrix.from_rows(rows))
+
+
+def _records(arr) -> list:
+    """A record of each of the package's twelve record classes, ``_Matrix`` as
+    both of its subclasses, built from ``arr``."""
+    alg = os_algebra(arr)
+    graph = incidence_graph(arr)
+    incidence = IntMatrix.from_rows([[int(line in pt) for pt in arr.points] for line in range(arr.n_lines)])
+    point = AomotoPoint(tuple(range(1, alg.rank(1) + 1)), tuple(Fraction(1, q + 2) for q in range(alg.rank(2))))
+    return [
+        arr,
+        alg,
+        alg.json_doc()["products"],
+        intersection_ring(arr),
+        verify_double_isomorphism(arr),
+        incidence,
+        incidence.to_rational(),
+        plumbing_matrix(graph),
+        snf(incidence),
+        graph,
+        h1_boundary(arr),
+        point,
+        aomoto_complex(double(alg), point),
+    ]
+
+
+def _same_as_dataclass_twin(arr):
+    """Each record behaves as the frozen dataclass on its fields: equality and
+    hash by value within one class, the same repr, no assignment or deletion,
+    and a TypeError for a missing, extra, unknown or repeated field."""
+    records, others = _records(arr), _records(load_fixture("triangle"))
+    assert len({type(x) for x in records}) == 13
+    for x, y in zip(records, others):
+        cls, twin = type(x), oracles.dataclass_twin(type(x))
+        fields, values = cls._fields, x._values()
+        tx, ty = twin(*values), twin(*y._values())
+        assert repr(x) == repr(tx)
+        assert (x == y, x != y) == (tx == ty, tx != ty)
+        by_name = dict(zip(fields, values))
+        assert x == cls(*values) == cls(**by_name) == cls(*values[:1], **dict(zip(fields[1:], values[1:])))
+        try:
+            want = hash(tx)
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(x)
+        else:
+            assert hash(x) == want == hash(cls(*values))
+        for obj in (x, tx):
+            for name in (fields[0], "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, values[0])
+            with pytest.raises(AttributeError):
+                delattr(obj, fields[-1])
+        bad = [
+            (values[:-1], {}),
+            (values + (values[-1],), {}),
+            (values, {"extra": 1}),
+            (values[:-1], {"extra": values[-1]}),
+            (values, {fields[0]: values[0]}),
+        ]
+        for make in (cls, twin):
+            for args, kwargs in bad:
+                with pytest.raises(TypeError):
+                    make(*args, **kwargs)
+        assert x._values() == values  # nothing above changed a field
+
+
+test_dataclass_twin_fixture, test_dataclass_twin_random = fixture_and_random(_same_as_dataclass_twin)
+
+
+def test_matrices_of_two_classes_never_compare_equal():
+    a, b = IntMatrix(1, 2, (1, 2)), RatMatrix(1, 2, (1, 2))
+    assert a._values() == b._values()
+    assert a != b and b != a and not a == b
+
+
+@pytest.mark.parametrize(
+    "cls, args, error",
+    [
+        (IntMatrix, (2, 2, (1, 2, 3)), ValueError),
+        (SparseIntMatrix, (1, 2, (((1, 5), (0, 1)),)), ValueError),
+        (PlumbingGraph, ((0, 0), ((1, 0),)), ValueError),
+        (AomotoPoint, ((0.5,), ()), TypeError),
+    ],
+)
+def test_post_init_checks_still_raise(cls, args, error):
+    # By position and by name: both ways of building a record end in its check.
+    with pytest.raises(error):
+        cls(*args)
+    with pytest.raises(error):
+        cls(**dict(zip(cls._fields, args)))
