@@ -13,7 +13,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -99,6 +99,9 @@ class _Text(list):
         self.size = 0
 
 
+_SCALAR_TEXT = {int: int.__repr__, str: _quote}  # exact types only: a bool is written as true or false
+
+
 def _write(o, nl: str, out: _Text) -> None:
     """Append the text of ``o``; ``nl`` is a newline plus the indent of o's line.
 
@@ -110,7 +113,9 @@ def _write(o, nl: str, out: _Text) -> None:
     ``to_json()`` would be, and a ``PlumbingGraph`` as the row-major entries
     of its plumbing matrix, each a string. Anything else raises
     ``TypeError``: a float, a ``Fraction`` or a non-``str`` key, which
-    ``json.dumps`` would write differently or not at all.
+    ``json.dumps`` would write differently or not at all. A list of exact
+    ``int`` or exact ``str`` items, and a list (not a tuple) of non-empty
+    lists of exact ``int``, is written in one piece.
     """
     if isinstance(o, str):
         out.append(_quote(o))
@@ -138,6 +143,19 @@ def _write(o, nl: str, out: _Text) -> None:
             out.append("[]")
             return
         inner = nl + "  "
+        types = set(map(type, o))
+        if len(types) == 1 and types <= _SCALAR_TEXT.keys():  # all exactly int or all exactly str
+            out.append("[" + inner + ("," + inner).join(map(_SCALAR_TEXT[type(o[0])], o)) + nl + "]")
+            return
+        if type(o) is list and types == {list} and all(o) and set(map(type, chain.from_iterable(o))) == {int}:
+            # Rows of ints, such as the nbc pairs and the points: list.__repr__
+            # writes every int as int.__repr__ does, ", " between two ints and
+            # "], [" between two rows, and three replaces lay that out as above.
+            i2 = inner + "  "
+            rows = repr(o)[2:-2].replace("], [", "\0").replace(", ", "," + i2)
+            rows = rows.replace("\0", inner + "]," + inner + "[" + i2)
+            out.append("[" + inner + "[" + i2 + rows + inner + "]" + nl + "]")
+            return
         sep = "[" + inner
         for item in o:
             out.append(sep)
@@ -218,7 +236,30 @@ def _kv_table(doc: dict, prefix: str = "") -> str:
     return "\n".join(lines)
 
 
-class _Group(click.Group):
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color)
+        ctx.exit()
+
+
+# click's own --help option, built here with its text as a literal: click
+# builds it on first use through gettext, and that one lookup imports locale
+# and searches the disk for catalogues, a large share of a command's first run.
+HELP_OPTION = click.Option(
+    ["--help"], is_flag=True, expose_value=False, is_eager=True,
+    help="Show this message and exit.", callback=_show_help,
+)
+
+
+class _Command(click.Command):
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        return HELP_OPTION if self.add_help_option else None
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+    group_class = type  # a sub-group is a _Group too
+
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
@@ -411,17 +452,36 @@ def resonance() -> None:
     """Resonance varieties of the doubled algebra."""
 
 
+def _plain(v: str) -> bool:
+    """Whether ``v`` is a sign or none, ASCII digits, and optionally a slash
+    and ASCII digits: a fraction that ``int`` reads part by part."""
+    num, slash, den = v.partition("/")
+    if num[:1] in ("+", "-"):
+        num = num[1:]
+    return v.isascii() and num.isdigit() and (den.isdigit() or not slash)
+
+
 def _digits(v: int | str) -> int:
     """An int's decimal length, or for a string the most digits that the
     numerator or denominator of Fraction(v) can have: the digits and point v
     writes plus its exponent, read before Fraction builds anything."""
     if type(v) is int:
         return len(str(abs(v)))
+    if _plain(v):
+        return len(v) - (v[0] in "+-") - ("/" in v)
     mantissa, _, exp = v.lower().partition("e")
     exp = "".join(filter(str.isdecimal, exp)).lstrip("0")
     if len(exp) > 4:
         return MAX_DIGITS + 1
     return sum(c.isdecimal() or c == "." for c in mantissa) + int(exp or 0)
+
+
+def _fraction(v: str) -> Fraction:
+    """``Fraction(v)``; a plain fraction is read with ``int``, without the regex."""
+    if _plain(v):
+        num, _, den = v.partition("/")
+        return Fraction(int(num), int(den or 1))
+    return Fraction(v)
 
 
 def _parse_point(doc: dict) -> AomotoPoint:
@@ -439,7 +499,7 @@ def _parse_point(doc: dict) -> AomotoPoint:
     if any(total > MAX_DIGITS for total in accumulate(map(_digits, coords))):
         _fail(EXIT_IO, f"--point: more than {MAX_DIGITS} digits in all")
     try:
-        return AomotoPoint(*(tuple(v if type(v) is int else Fraction(v) for v in doc[k]) for k in "ab"))
+        return AomotoPoint(*(tuple(v if type(v) is int else _fraction(v) for v in doc[k]) for k in "ab"))
     except (ValueError, ZeroDivisionError) as exc:
         _fail(EXIT_IO, f"bad coordinate: {exc}")
 

@@ -44,7 +44,11 @@ the dense witness and block rank that sparse elimination replaced
 (``block_betti_numbers``, with the dense rank modulo a prime ``rank_mod_p``,
 the Bareiss ``left_kernel`` and the integer ``_restricted_phi``), and the
 frozen dataclass that each record class was before ``arrangement.Frozen``
-(``dataclass_twin``). The property tests in ``test_oracles.py`` check that
+(``dataclass_twin``), the ``--point`` reader that sent every string
+through ``Fraction``'s regex and counted its digits character by character
+(``parse_point`` and ``digits``), and the ``--help`` option that click
+builds itself, through a gettext lookup of its text (``click_help_option``).
+The property tests in ``test_oracles.py`` check that
 the package's versions give the same results, reading the package's
 positional algebras and rings through ``relabel``. The cohomology rings
 built here list degree two as PD(t) and then PD(g); ``in_double_order``
@@ -60,7 +64,7 @@ from collections import Counter
 from dataclasses import dataclass, make_dataclass
 from functools import cache, cached_property
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from operator import mul
 from typing import Sequence
 
@@ -1620,3 +1624,42 @@ def block_betti_numbers(dbl: DoubledAlgebra, pt: AomotoPoint) -> tuple[int, int,
     dims = (1, r1 + r2, r1 + r2, 1)
     ranks = (0, outer, rank_d2, outer, 0)
     return tuple(dims[k] - ranks[k + 1] - ranks[k] for k in range(4))
+
+
+def digits(v: int | str) -> int:
+    """An int's decimal length, or for a string the most digits that the
+    numerator or denominator of Fraction(v) can have: the digits and point v
+    writes plus its exponent, read before Fraction builds anything."""
+    if type(v) is int:
+        return len(str(abs(v)))
+    mantissa, _, exp = v.lower().partition("e")
+    exp = "".join(filter(str.isdecimal, exp)).lstrip("0")
+    if len(exp) > 4:
+        return cli.MAX_DIGITS + 1
+    return sum(c.isdecimal() or c == "." for c in mantissa) + int(exp or 0)
+
+
+def parse_point(doc: dict) -> AomotoPoint:
+    """The point of a --point document, which must hold at most MAX_DIGITS
+    digits in all: the lcm of every denominator scales the whole point. An
+    int 0 stays zero when it is scaled and is left out of the count. A
+    point of ints only has no denominator, so there an int from -9 to 9
+    stays one digit and is left out too. Only strings become ``Fraction``."""
+    for what in "ab":
+        if not all(type(v) in (int, str) for v in doc[what]):
+            cli._fail(cli.EXIT_IO, f'bad {what} coordinate: write an integer or a string such as "1/3" or "0.1"')
+    coords = [v for v in doc["a"] + doc["b"] if v != 0]
+    if all(type(v) is int for v in coords):
+        coords = [v for v in coords if not -9 <= v <= 9]
+    if any(total > cli.MAX_DIGITS for total in accumulate(map(digits, coords))):
+        cli._fail(cli.EXIT_IO, f"--point: more than {cli.MAX_DIGITS} digits in all")
+    try:
+        return AomotoPoint(*(tuple(v if type(v) is int else Fraction(v) for v in doc[k]) for k in "ab"))
+    except (ValueError, ZeroDivisionError) as exc:
+        cli._fail(cli.EXIT_IO, f"bad coordinate: {exc}")
+
+
+def click_help_option(command: click.Command, ctx: click.Context) -> click.Option | None:
+    """The ``--help`` option that click builds for ``command`` when the
+    command class does not override ``get_help_option``."""
+    return click.Command.get_help_option(command, ctx)

@@ -11,6 +11,7 @@ import sys
 import time
 from fractions import Fraction
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -766,3 +767,67 @@ class TestOncePerOp:
 def test_help_runs(runner):
     assert runner.invoke(main, ["--help"]).exit_code == 0
     assert runner.invoke(main, ["resonance", "--help"]).exit_code == 0
+
+
+def _command_paths(group: click.Group = main, path: tuple = ()):
+    """Every command and group under ``group``, with ``group`` itself, by the
+    names that reach it from ``main``."""
+    yield path, group
+    for name, cmd in group.commands.items():
+        if isinstance(cmd, click.Group):
+            yield from _command_paths(cmd, path + (name,))
+        else:
+            yield path + (name,), cmd
+
+
+COMMANDS = dict(_command_paths())
+
+
+@pytest.mark.parametrize("path", COMMANDS, ids=lambda path: "-".join(path) or "main")
+class TestHelpOption:
+    """plumbline builds its own --help option with click's text, so that no
+    command makes the gettext lookup through which click builds it."""
+
+    def test_same_option_as_click(self, path):
+        cmd = COMMANDS[path]
+        ctx = click.Context(cmd, info_name=path[-1] if path else "plumbline")
+        ours, clicks = cmd.get_help_option(ctx), oracles.click_help_option(cmd, ctx)
+        fields = ("name", "opts", "secondary_opts", "is_flag", "is_eager", "expose_value", "help", "default", "hidden")
+        assert [getattr(ours, f) for f in fields] == [getattr(clicks, f) for f in fields]
+        assert ours.help == "Show this message and exit."
+
+    def test_same_help_text(self, runner, monkeypatch, path):
+        ours = runner.invoke(main, [*path, "--help"])
+        monkeypatch.setattr(cli._Command, "get_help_option", oracles.click_help_option)
+        clicks = runner.invoke(main, [*path, "--help"])
+        assert ours.exit_code == clicks.exit_code == 0
+        assert ours.stdout_bytes == clicks.stdout_bytes
+        assert b"Show this message and exit." in ours.stdout_bytes
+
+
+# Counts the gettext lookups of each command in a fresh interpreter: click
+# keeps the help option it builds on the command, so in a process that has
+# run a command before, a lookup would not show again.
+COUNT_LOOKUPS = """
+import gettext, json, sys
+from click.testing import CliRunner
+lookups = []
+for name in ("dgettext", "dngettext"):
+    real = getattr(gettext, name)
+    setattr(gettext, name, lambda *args, real=real: lookups.append(args) or real(*args))
+from plumbline.cli import main
+print(json.dumps([[CliRunner().invoke(main, args).exit_code, len(lookups)] for args in json.loads(sys.argv[1])]))
+"""
+
+
+def test_no_translation_lookups():
+    two = fixture_path("two_triples")
+    extra = {("random",): [], ("resonance", "eval"): [two, "--point", GOLDEN_POINTS["two_triples"]]}
+    runs = [[*path, *extra.get(path, [two])] for path, cmd in COMMANDS.items() if not isinstance(cmd, click.Group)]
+    assert len(runs) == 12
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNT_LOOKUPS, json.dumps(runs)], capture_output=True, env=env, timeout=120, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0]] * len(runs)

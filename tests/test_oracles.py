@@ -53,6 +53,7 @@ on records built from the fixtures and random arrangements.
 import json
 import random
 import tempfile
+from unittest import mock
 from fractions import Fraction
 from pathlib import Path
 
@@ -85,6 +86,7 @@ from plumbline import (
     verify_double_isomorphism,
 )
 from plumbline import arrangement, boundary_ring, cli, exact_linalg, resonance
+from plumbline.arrangement import nbc_set
 from plumbline.cli import random_arrangement
 from plumbline.exact_linalg import IntMatrix, RatMatrix, SparseIntMatrix, cokernel, det, echelon, rank, snf
 from plumbline.os_algebra import DoubledAlgebra, GradedAlgebra, ProductList
@@ -1229,6 +1231,27 @@ class TestJsonWriter:
     def test_examples(self, doc):
         assert _json_text(doc) == oracles.emit_json(doc) + "\n"
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers() | st.integers(-(10**4300 - 1), 10**4300 - 1), max_size=4), max_size=5)
+        | st.lists(st.lists(st.integers(-3, 3) | st.booleans() | json_text, max_size=3), max_size=4)
+        | st.lists(st.integers() | st.booleans(), max_size=5)
+        | st.lists(json_text, max_size=5)
+    )
+    def test_scalar_lists_and_rows(self, doc):
+        # The one-piece paths: a list of exact ints or exact strs, and a list
+        # of non-empty lists of exact ints; a bool or an empty row leaves them.
+        assert _json_text(doc) == oracles.emit_json(doc) + "\n"
+        assert _json_text({"x": doc}) == oracles.emit_json({"x": doc}) + "\n"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [[[0]], ([0],), [(0, 1)], [[0], []], [[1, True]], [[1, 2], [3]], [[-1, 10**4300 - 1]], [True, False],
+         ["a", 1], [["a", "b"], ["c"]], [1, [2]], [[[1]]]],
+    )
+    def test_scalar_list_examples(self, doc):
+        assert _json_text(doc) == oracles.emit_json(doc) + "\n"
+
     def test_bool_is_not_int(self):
         assert _json_text({"ok": True, "n": [1, False]}) == '{\n  "n": [\n    1,\n    false\n  ],\n  "ok": true\n}\n'
 
@@ -1240,6 +1263,23 @@ class TestJsonWriter:
     def test_refuses(self, doc):
         with pytest.raises(TypeError):
             _json_text(doc)
+
+
+def _scalar_lists_are_oracle(arr):
+    """``validate``'s and ``nbc``'s documents and the ``report`` document with
+    every product list built whole: their lists of ints and strs, and of int
+    rows (the points and the nbc pairs), as ``json.dumps`` writes them."""
+    nbc = {"nbc": [[p.j, p.k] for p in nbc_set(arr)], "b1": 0}
+    for doc in (arrangement.to_json(arr), nbc, oracles.build_report(arr, seed=0, trials=1)):
+        assert _json_text(doc) == oracles.emit_json(doc) + "\n"
+
+
+test_scalar_lists_fixtures, test_scalar_lists_random = fixture_and_random(_scalar_lists_are_oracle)
+
+
+def test_scalar_lists_census_and_fano():
+    for arr in [arr for v in range(3, 7) for arr in census(v)] + [validate([list(pt) for pt in FANO], 7)]:
+        _scalar_lists_are_oracle(arr)
 
 
 # The product-list leaves against json.dumps of the to_json trees they replaced.
@@ -1531,3 +1571,58 @@ def test_post_init_checks_still_raise(cls, args, error):
         cls(*args)
     with pytest.raises(error):
         cls(**dict(zip(cls._fields, args)))
+
+
+# The --point reader against the one that sent every string through Fraction's
+# regex: the same point, or the same exit code and error line.
+
+
+class _Failed(Exception):
+    pass
+
+
+def _read_point(parse, doc):
+    """``parse(doc)``'s point with its coordinates' types, or what it passed
+    to ``cli._fail``."""
+    def fail(code, message):
+        raise _Failed(code, message)
+
+    try:
+        with mock.patch.object(cli, "_fail", fail):
+            pt = parse(doc)
+    except _Failed as exc:
+        return exc.args
+    return pt, [type(v) for v in pt.a + pt.b]
+
+
+plain_fractions = st.from_regex(r"[+-]?[0-9]{1,8}(/[0-9]{1,8})?", fullmatch=True)
+hostile_coordinates = (
+    st.from_regex(r"\s?[+-]?[0-9_]{0,4}\.?[0-9_]{0,3}([eE][+-]?[0-9]{1,7})?(/[+-]?[0-9]{0,3})?\s?", fullmatch=True)
+    | st.text(alphabet="0123456789+-/._eE \t\u0663\u00b2\uff11", max_size=10)
+    | st.integers(1, 4400).map(lambda n: "7" * n)
+    | st.integers(1, 2200).map(lambda n: "-" + "3" * n + "/" + "9" * n)
+)
+coordinates = (
+    st.integers(-20, 20) | st.integers() | st.integers(-(10**4299), 10**4299)
+    | plain_fractions | hostile_coordinates | st.booleans() | st.none() | st.floats(allow_nan=False)
+)
+
+
+class TestPointReader:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(coordinates, max_size=6), st.lists(coordinates, max_size=6))
+    @example(["+3/0"], [])
+    @example(["-0/5", "3/-4"], ["1_0"])
+    @example(["\u0663/4"], [" 1/3 "])
+    @example(["1e-999999"], [])
+    @example(["1/" + "7" * 4299], ["1"])
+    @example(["1/" + "7" * 4299], ["12"])
+    @example(["+" + "9" * 4300], [])
+    @example(["+/1", "1/", "/2", "", "+", "+-1", "1/2/3"], [])
+    def test_same_as_regex_reader(self, a, b):
+        doc = {"a": a, "b": b}
+        assert _read_point(cli._parse_point, doc) == _read_point(oracles.parse_point, doc)
+
+    @pytest.mark.parametrize("v", ["5", "+5", "-12/34", "0/7", "-0/5", "1/" + "7" * 4299, "7" * 4301])
+    def test_digits_of_a_plain_fraction(self, v):
+        assert cli._digits(v) == oracles.digits(v) == len(v.lstrip("+-").replace("/", ""))
