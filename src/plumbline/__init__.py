@@ -74,11 +74,9 @@ from .resonance import (
     aomoto_complex,
     betti,
     betti_numbers,
-    delta_matrix,
     generic_betti,
     in_resonance,
     is_nonresonant,
-    phi_matrix,
     r11_prediction,
     sample_point,
     trial_seed,

@@ -143,15 +143,21 @@ def validate(raw_points: Iterable[Sequence[int]], n_lines: int) -> Arrangement:
 
     Each input point is deduplicated and sorted. Any pair of lines not
     covered by an input point gets a double point; completion can only add
-    points of size two. Raises an ``ArrangementError`` subclass when the
-    input mentions a bad index, a point smaller than a pair, or covers some
-    pair twice.
+    points of size two. Raises ``FormatError`` when a line index is not an
+    ``int`` (a ``bool`` is not), before any other check, and an
+    ``ArrangementError`` subclass when the input mentions an index out of
+    range, a point smaller than a pair, or covers some pair twice.
     """
+    raw_points = list(raw_points)
+    for pt in raw_points:
+        for x in pt:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise FormatError('"points" must contain integer line indices')
     if n_lines < 2:
         raise ArrangementError("an arrangement needs at least 2 lines")
     norm: list[tuple[int, ...]] = []
     for pt in raw_points:
-        s = sorted(set(int(x) for x in pt))
+        s = sorted(set(pt))
         for x in s:
             if not 0 <= x < n_lines:
                 raise IndexOutOfRange(f"line index {x} not in 0..{n_lines - 1}")
@@ -245,10 +251,6 @@ def from_json(doc: dict) -> Arrangement:
         raise FormatError('"lines" must be an integer')
     if not isinstance(points, list) or not all(isinstance(pt, list) for pt in points):
         raise FormatError('"points" must be a list of lists of line indices')
-    for pt in points:
-        for x in pt:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise FormatError('"points" must contain integer line indices')
     return validate(points, lines)
 
 

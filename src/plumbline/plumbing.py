@@ -28,6 +28,7 @@ rows at a time. A result keeps the graph, not the matrix.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 
 from .arrangement import Arrangement, Frozen, InternalContradiction
 from .exact_linalg import SparseIntMatrix, cokernel
@@ -45,13 +46,16 @@ __all__ = [
 
 class PlumbingGraph(Frozen):
     """A vertex-weighted simple graph on vertices 0..len(weights) - 1; edges
-    are index pairs (i, j), i < j, and weights are ``int`` (not ``bool``)."""
+    are index pairs (i, j), i < j, and endpoints and weights are ``int`` (not
+    ``bool``)."""
 
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         nv = len(self.weights)
+        if not set(map(type, chain.from_iterable(self.edges))) <= {int}:
+            raise TypeError("plumbing edge endpoints must be int")
         seen = set()
         for i, j in self.edges:
             if not (0 <= i < j < nv):

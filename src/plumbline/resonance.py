@@ -98,8 +98,6 @@ __all__ = [
     "ChainConditionViolated",
     "AomotoPoint",
     "AomotoComplex",
-    "delta_matrix",
-    "phi_matrix",
     "aomoto_complex",
     "betti",
     "betti_numbers",
@@ -195,16 +193,6 @@ def _blocks(alg: GradedAlgebra, pt: AomotoPoint) -> AomotoComplex:
             phi[i][j] = phi[i].get(j, 0) + x
             phi[j][i] = phi[j].get(i, 0) - x
     return AomotoComplex(pt, columns, phi)
-
-
-def delta_matrix(alg: GradedAlgebra, a: Sequence[int | Fraction]) -> RatMatrix:
-    """The r1 x r2 matrix Delta(a), the dense view of the block that ``aomoto_complex`` builds."""
-    return _blocks(alg, AomotoPoint(tuple(a), (0,) * alg.rank(2))).delta
-
-
-def phi_matrix(alg: GradedAlgebra, b: Sequence[int | Fraction]) -> RatMatrix:
-    """The antisymmetric r1 x r1 matrix Phi(b), the dense view of the block that ``aomoto_complex`` builds."""
-    return _blocks(alg, AomotoPoint((0,) * alg.rank(1), tuple(b))).phi
 
 
 def aomoto_complex(dbl: DoubledAlgebra, pt: AomotoPoint) -> AomotoComplex:

@@ -56,3 +56,8 @@ def linear_spaces(v: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 def census(v: int) -> list[Arrangement]:
     """Every labelled arrangement of v lines, validated."""
     return [validate([list(pt) for pt in pts], v) for pts in linear_spaces(v)]
+
+
+def census_and_fano() -> list[Arrangement]:
+    """Every labelled arrangement of 3-6 lines, then the Fano plane."""
+    return [arr for v in range(3, 7) for arr in census(v)] + [validate([list(pt) for pt in FANO], 7)]

@@ -1,59 +1,47 @@
-"""Reference implementations that the fast paths in ``src/`` replaced.
+"""Reference implementations that the package's fast paths replaced, kept as test oracles.
 
-Each function here is the earlier, direct implementation, kept unchanged as
-a test oracle: the Smith normal form that ran each stage through four
-helpers (pivot, column, row, non-divisible entry), the Smith-form cokernel,
-the one that eliminated unit entries by least Markowitz cost after it and
-the one pass that kept an exact set of rows per column after that
-(``cokernel_exact_sets``), all on that Smith form, the stand-alone
-Bareiss determinant, the (line, point index) incidence graph and the
-plumbing graph rebuilt and re-sorted from it, the row-list plumbing matrix
-and the ``homology`` JSON document dumped whole with it, the three builders
-that each made the plumbing matrix's rows from the weights and edges before
-``PlumbingGraph.nonzeros`` (``plumbing_matrix_sorted_rows``, the component
-search over adjacency lists ``n_components_by_adjacency`` and the
-``homology`` writer ``write_entries_from_edges``), the ``json.dumps`` call
-that every command's JSON went through (and the ``_emit`` that made it on
-the whole document), the ``report`` document with every product list
-built as one dict per product by ``to_json``, the triple-loop double and the
-one-pass double that followed it (with a label call per product), the
-positional double that built its whole table when it was made
-(``eager_double``; ``double_with_products`` gives a tampered double), the
-Orlik-Solomon algebra and the intersection ring that formatted each label
-per product (the ring scanning every line against every nbc pair), the
-pair-loop cohomology ring (with the label parsing it used for Poincare
-duality), the pair-loop ring verifier (with the label map it used) and the
-verifier that compared both orders of every stored product, the
-positional cohomology ring that listed PD(t) before PD(g) in degree two
-and the ring check that mapped it onto the double through a permutation
-of positions (``cohomology_of_t_first`` and ``compare_by_permutation``), the
-positional intersection ring with separate H_2 and H_1 index spaces and the
-cohomology ring that rewrote each of its vectors through a list of dual
-positions (``IndexedIntersectionRing``, ``intersection_ring_by_index`` and
-``cohomology_of_by_index``), the
-label-keyed ``GradedAlgebra``, ``DoubledAlgebra`` and ``IntersectionRing``
-(here ``LabelledAlgebra``, ``LabelledDoubledAlgebra`` and
-``LabelledIntersectionRing``, which every oracle above builds) with the
-Orlik-Solomon algebra, double, intersection ring, cohomology ring and ring
-check that built and compared them by label (the ``*_by_label`` functions),
-and the resonance complex (as the three dense differentials of the
-``AomotoComplex`` it returned, built in ``Fraction`` arithmetic from the
-label-keyed structure constants) with Betti numbers from dense rational
-ranks and generic Betti numbers as a minimum over every sampled point, and
-the dense witness and block rank that sparse elimination replaced
-(``block_betti_numbers``, with the dense rank modulo a prime ``rank_mod_p``,
-the Bareiss ``left_kernel`` and the integer ``_restricted_phi``), and the
-frozen dataclass that each record class was before ``arrangement.Frozen``
-(``dataclass_twin``), the ``--point`` reader that sent every string
-through ``Fraction``'s regex and counted its digits character by character
-(``parse_point`` and ``digits``), and the ``--help`` option that click
-builds itself, through a gettext lookup of its text (``click_help_option``).
-The property tests in ``test_oracles.py`` check that
-the package's versions give the same results, reading the package's
-positional algebras and rings through ``relabel``. The cohomology rings
-built here list degree two as PD(t) and then PD(g); ``in_double_order``
-rotates one into the package's order, that of the double, PD(g) first.
-Nothing in ``src/`` imports this module.
+One entry per concept: the kept oracles, what each is independent of, and the tests that read it. The label-keyed
+oracles build ``LabelledAlgebra``, ``LabelledDoubledAlgebra`` or ``LabelledIntersectionRing``, which key each structure
+constant by label strings; ``relabel`` reads a package algebra or ring, keyed by basis position, into them.
+
+- Smith form: ``snf``, each stage through four helpers, no loop shared with the package. ``TestSnfMatchesOracle``.
+- Cokernel: ``cokernel``, the Smith form of the whole dense matrix, no unit elimination; ``cokernel_exact_sets``,
+  the exact row set per column that the append-only pass replaced. ``TestCokernelMatchesSmithForm``,
+  ``test_plumbing_cokernel_*``, ``test_census``.
+- Determinant: ``det``, its own Bareiss loop, not the one ``rank`` shares. ``TestDetMatchesOracle``.
+- Incidence graph: ``incidence_graph`` by (line, point index), and ``plumbing_graph`` re-sorted from it.
+  ``test_incidence_graph_*``.
+- Plumbing matrix: ``plumbing_matrix``, dense; the three row builders that ``PlumbingGraph.nonzeros`` replaced
+  (``plumbing_matrix_sorted_rows``, ``n_components_by_adjacency``, ``write_entries_from_edges``).
+  ``test_plumbing_matrix_*``, ``test_plumbing_rows_*``, ``test_plumbing_cokernel_weighted_graphs``.
+- JSON output: ``emit_json`` and ``emit``, one ``json.dumps`` of the whole document, not the CLI's writer;
+  ``homology_json`` with the dense matrix; ``build_report`` with every product list from ``to_json``.
+  ``TestJsonWriter``, ``TestProductListWriter``, ``TestStdoutMatchesOracle``, ``test_scalar_lists_*``,
+  ``test_homology_stdout_*``, ``test_census``.
+- Orlik-Solomon algebra: ``os_algebra``, a label per product. ``test_product_order_*`` (order too), ``test_census``.
+- Double: ``double``, a triple loop through ``basis_product``, not the one-pass rule; ``eager_double``, positional
+  and built whole, which the view replaced (order too; ``double_with_products`` tampers a double).
+  ``test_double_*``, ``test_double_view_*``, ``TestMutatedDouble``, ``test_census``.
+- Intersection ring: ``intersection_ring``, every line scanned against every nbc pair; ``intersection_ring_by_index``
+  (``IndexedIntersectionRing``), separate H_2 and H_1 index spaces, which the flat basis replaced.
+  ``test_product_order_*`` (order too), ``test_index_ring_*``, ``test_census``.
+- Cohomology ring: ``cohomology_ring``, dense, each product asked of ``ring.product``, PD(t) before PD(g)
+  (``in_double_order`` rotates it); ``cohomology_of_by_index``, each vector rewritten through dual positions,
+  which the shared table replaced (order too). ``test_cohomology_ring_*``, ``test_shared_vectors_*``, ``test_cli``.
+- Ring check: ``verify_double_isomorphism``, every ordered basis pair through ``basis_product``; ``compare``, both
+  orders of every stored product, for tampered rings; ``compare_by_permutation``, positions read through a
+  permutation, which the shared basis order replaced. ``test_verify_*``, ``test_compare_*``, ``TestMutatedDouble``,
+  ``test_permutation_path_*``, ``test_census``, ``test_cli``.
+- Resonance: ``aomoto_complex``, ``delta_matrix``, ``phi_matrix``, ``betti_numbers`` and ``generic_betti``, dense
+  ``Fraction`` ranks from label-keyed constants; ``block_betti_numbers`` (``rank_mod_p``, ``left_kernel``,
+  ``_restricted_phi``), the dense witness and block rank that sparse elimination replaced.
+  ``TestResonanceMatchesOracle``, ``TestSparseBlocks``, ``TestBlockRank``, ``TestScalingLemma``, ``TestBettiFloor``,
+  ``TestRankModP``, ``TestLeftKernel``, ``test_resonance``, ``test_census``.
+- Records: ``dataclass_twin``, the frozen dataclass each record class was before ``Frozen``. ``test_dataclass_twin_*``.
+- ``--point``: ``parse_point`` and ``digits``, every string through ``Fraction``'s regex. ``TestPointReader``.
+- ``--help``: ``click_help_option``, the option click builds through gettext. ``test_cli``'s ``TestHelpOption``.
+
+Nothing in ``src/`` imports this module; ``test_every_oracle_is_read`` fails on a definition that no test reads.
 """
 
 from __future__ import annotations
@@ -224,73 +212,6 @@ def cokernel(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
     free = m.rows - len(nonzero)
     torsion = tuple(d for d in nonzero if d > 1)
     return free, torsion
-
-
-def cokernel_markowitz(m: IntMatrix | SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
-    """Invariants of coker(m : Z^cols -> Z^rows) = Z^rows / im(m).
-
-    Returns (free_rank, torsion) where torsion lists the invariant factors
-    greater than 1 in divisibility order. A ``SparseIntMatrix`` is read by
-    its nonzeros only, so the cost follows them and not rows x cols.
-
-    Unit entries (+-1) are eliminated first on a sparse copy, least Markowitz
-    cost (row nnz - 1) * (column nnz - 1) first (Kannan-Bachem 1979). Each
-    step is unimodular and splits off an invariant factor 1, so only the
-    rest goes through ``snf``. For a plumbing matrix [[D_L, B], [B^T, -I]]
-    the -I point block eliminates to the all-ones J, whose cokernel is Z^n.
-    """
-    from heapq import heapify, heappop, heappush  # imported on use: most commands never get here
-
-    rows: dict[int, dict[int, int]]
-    if isinstance(m, SparseIntMatrix):
-        rows = dict(enumerate(map(dict, m.nonzeros)))
-    else:
-        rows = {i: {j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)}
-    cols: dict[int, set[int]] = {j: set() for j in range(m.cols)}
-    for i, row in rows.items():
-        for j in row:
-            cols[j].add(i)
-
-    def cost(i: int, j: int) -> int:
-        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
-
-    # Unit entries by cost when pushed; a popped entry that is gone or no
-    # longer a unit is dropped, and one whose cost rose is pushed back.
-    heap = [(cost(i, j), i, j) for i, row in rows.items() for j, x in row.items() if x in (1, -1)]
-    heapify(heap)
-    while heap:
-        c, p, q = heappop(heap)
-        if p not in rows or rows[p].get(q) not in (1, -1):
-            continue
-        now = cost(p, q)
-        if now > c:
-            heappush(heap, (now, p, q))
-            continue
-        prow = rows.pop(p)
-        u = prow.pop(q)  # +-1, its own inverse
-        for i in cols.pop(q) - {p}:
-            row = rows[i]
-            f = row.pop(q) * u
-            for j, x in prow.items():
-                y = row.get(j, 0) - f * x
-                if y:
-                    row[j] = y
-                    cols[j].add(i)
-                    if y in (1, -1):
-                        heappush(heap, (cost(i, j), i, j))
-                else:
-                    del row[j]
-                    cols[j].discard(i)
-        for j in prow:
-            cols[j].discard(p)
-
-    left = sorted(cols)
-    rest = IntMatrix(len(rows), len(left), tuple(row.get(j, 0) for row in rows.values() for j in left))
-    nonzero = [d for d in snf(rest).diagonal if d]
-    free = len(rows) - len(nonzero)
-    torsion = tuple(d for d in nonzero if d > 1)
-    return free, torsion
-
 
 
 def cokernel_exact_sets(m: IntMatrix | SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
@@ -647,74 +568,6 @@ class LabelledDoubledAlgebra(LabelledAlgebra):
     base: LabelledAlgebra
 
 
-def os_algebra_by_label(arr: Arrangement) -> LabelledAlgebra:
-    """The Orlik-Solomon algebra of an arrangement, degrees 0..2."""
-    n = arr.n
-    points = arr.points
-    e = [f"e{i}" for i in range(n + 1)]  # e[i] is the generator of line i; e[0] is unused
-    pairs = nbc_set(arr)
-    f_label = {(p.j, p.k): f"f({p.j},{p.k})" for p in pairs}
-    products: dict[tuple[str, str], dict[str, int]] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            k = points[arr.point_of(i, j)][0]
-            if k == 0:
-                continue
-            if k == i:
-                vec = {f_label[(i, j)]: 1}
-            else:
-                vec = {f_label[(k, j)]: 1, f_label[(k, i)]: -1}
-            products[(e[i], e[j])] = vec
-    basis = (("1",), tuple(e[1:]), tuple(f_label.values()))
-    return LabelledAlgebra(basis, products)
-
-
-def double_by_label(alg: LabelledAlgebra) -> LabelledDoubledAlgebra:
-    """The double of a graded algebra with top degree two.
-
-    Degree 1 is the degree-one basis of ``alg`` followed by the duals of its
-    degree-two basis; degree 2 is the degree-two basis followed by the duals
-    of the degree-one basis; degree 3 is the dual of the unit. Both middle
-    degrees have rank (rank A1 + rank A2).
-
-    The a_j ~f_k block is read off the stored degree-one products in one
-    pass: x y = c f gives y ~f -> c ~x and x ~f -> -c ~y. The intersection
-    ring's F_a . F_b table copies the Orlik-Solomon case split of
-    ``os_algebra``, so on that block ``verify_double_isomorphism`` compares
-    two transcriptions of one rule.
-    """
-    if alg.top_degree != 2:
-        raise DegreeError("doubling requires a graded algebra with top degree 2")
-    a_labels = alg.basis[1]
-    b_labels = alg.basis[2]
-    dual = {lab: dual_label(lab) for lab in a_labels + b_labels}
-    top = dual_label(alg.unit)
-    deg1 = a_labels + tuple(dual[b] for b in b_labels)
-    deg2 = b_labels + tuple(dual[a] for a in a_labels)
-    pos = alg._position
-
-    products: dict[tuple[str, str], dict[str, int]] = {}
-    for (x, y), vec in alg.products.items():
-        (dx, ix), (dy, iy) = pos[x], pos[y]
-        if dx != 1 or dy != 1:
-            continue
-        products[(x, y)] = dict(vec)
-        if ix >= iy:
-            continue  # never read by basis_product
-        for f, c in vec.items():
-            if c:
-                products.setdefault((y, dual[f]), {})[dual[x]] = c
-                products.setdefault((x, dual[f]), {})[dual[y]] = -c
-    # Complementary degrees pair as the identity on dual bases.
-    for ai in a_labels:
-        products[(ai, dual[ai])] = {top: 1}
-    for bk in b_labels:
-        products[(dual[bk], bk)] = {top: 1}
-
-    basis = ((alg.unit,), deg1, deg2, (top,))
-    return LabelledDoubledAlgebra(basis=basis, products=products, base=alg)
-
-
 @dataclass(frozen=True, eq=True)
 class LabelledIntersectionRing:
     """H_1, H_2, the intersection product, and the intersection pairing.
@@ -766,73 +619,6 @@ class LabelledIntersectionRing:
                 for (x, y), vec in sorted(self.products.items(), key=lambda kv: (idx[kv[0][0]], idx[kv[0][1]]))
             ],
         }
-
-
-def intersection_ring_by_label(arr: Arrangement) -> LabelledIntersectionRing:
-    """The intersection ring of the boundary manifold, from the closed tables."""
-    n = arr.n
-    points = arr.points
-    pairs = nbc_set(arr)
-    t = [f"t{i}" for i in range(n + 1)]  # t[i] and F[i] belong to line i; index 0 is unused
-    f_surf = [f"F{i}" for i in range(n + 1)]
-    g = {(p.j, p.k): f"g({p.j},{p.k})" for p in pairs}
-    tau = [f"tau({p.j},{p.k})" for p in pairs]
-
-    products: dict[tuple[str, str], dict[str, int]] = {}
-
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            k = points[arr.point_of(a, b)][0]
-            if k == 0:
-                continue
-            if k == a:
-                vec = {g[(a, b)]: 1}
-            else:
-                vec = {g[(k, b)]: 1, g[(k, a)]: -1}
-            products[(f_surf[a], f_surf[b])] = vec
-
-    # F_i . tau is zero unless line i lies in the pair's point: list, for
-    # each line, the pairs whose point contains it, in nbc order.
-    through: list[list[int]] = [[] for _ in range(n + 1)]
-    for idx, p in enumerate(pairs):
-        for m in points[p.point]:
-            through[m].append(idx)
-    for i in range(1, n + 1):
-        for idx in through[i]:
-            k = pairs[idx].k
-            if i == k:
-                vec = {t[m]: 1 for m in points[pairs[idx].point] if m != i}
-            else:
-                vec = {t[k]: -1}
-            products[(f_surf[i], tau[idx])] = vec
-
-    # Position i of h1 is dual to position i of h2: t_i <-> F_i, g <-> tau.
-    h2 = tuple(f_surf[1:]) + tuple(tau)
-    h1 = tuple(t[1:]) + tuple(g.values())
-    return LabelledIntersectionRing(h1, h2, products)
-
-
-def cohomology_of_by_label(ring: LabelledIntersectionRing) -> LabelledAlgebra:
-    """``cohomology_ring`` of the arrangement whose intersection ring is ``ring``."""
-    # PD(F_i) = ~t_i and PD(tau) = ~g in degree one; PD(t_i) = ~F_i and
-    # PD(g) = ~tau in degree two. The H_1 and H_2 bases are in dual order.
-    deg1 = tuple(map(dual_label, ring.h1_labels))
-    deg2 = tuple(map(dual_label, ring.h2_labels))
-    pd1 = dict(zip(ring.h2_labels, deg1))  # H_2 class -> its PD in degree 1
-    pd2 = dict(zip(ring.h1_labels, deg2))  # H_1 class -> its PD in degree 2
-
-    # H_2 is ordered as the duals of H_1: a stored pair stays canonical.
-    idx = ring._h2_index
-    products: dict[tuple[str, str], dict[str, int]] = {}
-    for (x, y), vec in ring.products.items():
-        if vec and idx[x] < idx[y]:
-            products[(pd1[x], pd1[y])] = {pd2[lab]: c for lab, c in vec.items()}
-    for x, y in zip(deg1, deg2):
-        # complementary degrees pair as the identity, into the top class
-        products[(x, y)] = {"pt": 1}
-
-    basis = (("1",), deg1, deg2, ("pt",))
-    return LabelledAlgebra(basis, products)
 
 
 @dataclass(frozen=True, eq=True)
@@ -958,26 +744,6 @@ def cohomology_of_by_index(ring: IndexedIntersectionRing, n: int) -> GradedAlgeb
     return GradedAlgebra(basis, products)
 
 
-def cohomology_of_t_first(ring: IndexedIntersectionRing) -> GradedAlgebra:
-    """``cohomology_ring`` of the arrangement whose intersection ring is ``ring``."""
-    # PD(F_i) = ~t_i and PD(tau) = ~g in degree one; PD(t_i) = ~F_i and
-    # PD(g) = ~tau in degree two. The H_1 and H_2 bases are in dual order,
-    # so H_2 index i is flat position 1 + i and H_1 index i is 1 + h + i.
-    h = len(ring.h1_labels)
-    products: dict[tuple[int, int], dict[int, int]] = {}
-    for (x, y), vec in ring.products.items():
-        if vec and x < y:
-            row = products[(x + 1, y + 1)] = {}
-            for z, c in vec.items():  # a loop, not a comprehension: no frame per product
-                row[z + h + 1] = c
-    for p in range(1, h + 1):
-        # complementary degrees pair as the identity, into the top class
-        products[(p, p + h)] = {2 * h + 1: 1}
-
-    basis = (("1",), tuple(map(dual_label, ring.h1_labels)), tuple(map(dual_label, ring.h2_labels)), ("pt",))
-    return GradedAlgebra(basis, products)
-
-
 def compare_by_permutation(coh: GradedAlgebra, dbl: DoubledAlgebra) -> IsomorphismReport:
     """``verify_double_isomorphism`` of an arrangement's cohomology ring and double."""
     # phi is the module docstring's correspondence, by flat position.
@@ -1027,46 +793,6 @@ def basis_map_by_label(coh: LabelledAlgebra, dbl: LabelledDoubledAlgebra) -> dic
         old, new = next(pair for pair in _DOUBLE_PREFIX if lab.startswith(pair[0]))
         out[lab] = new + lab[len(old):]
     return out
-
-
-def canonical_products_by_label(alg: LabelledAlgebra) -> dict[tuple[str, str], dict[str, int]]:
-    """The nonzero stored products of a ring of top degree 3 on degree 1 x 1
-    pairs (lower basis index first) and degree 1 x 2 pairs. Every other
-    product on degrees 1 x 1, 1 x 2 and 2 x 1 follows from these by graded
-    commutativity; the rest are zero."""
-    deg1 = {lab: i for i, lab in enumerate(alg.basis[1])}
-    deg2 = set(alg.basis[2])
-    return {
-        (x, y): vec
-        for (x, y), vec in alg.products.items()
-        if vec and x in deg1 and (y in deg2 or deg1.get(y, -1) > deg1[x])
-    }
-
-
-def compare_by_label(coh: LabelledAlgebra, dbl: LabelledDoubledAlgebra) -> IsomorphismReport:
-    """``verify_double_isomorphism`` of an arrangement's cohomology ring and double."""
-    phi = basis_map_by_label(coh, dbl)
-    lhs = {
-        (phi[x], phi[y]): {phi[lab]: c for lab, c in vec.items()}
-        for (x, y), vec in canonical_products_by_label(coh).items()
-    }
-    rhs = canonical_products_by_label(dbl)
-    if lhs == rhs:
-        return IsomorphismReport(ok=True, mismatches=())
-
-    back = {v: k for k, v in phi.items()}
-    pos = coh._position
-    mismatches = []
-    for key in lhs.keys() | rhs.keys():
-        left, right = lhs.get(key, {}), rhs.get(key, {})
-        if left != right:
-            x, y = back[key[0]], back[key[1]]
-            sign = -1 if pos[y][0] == 1 else 1
-            mismatches.append((x, y, left, dict(right)))
-            mismatches.append((y, x, {lab: sign * c for lab, c in left.items()},
-                               {lab: sign * c for lab, c in right.items()}))
-    mismatches.sort(key=lambda m: (pos[m[0]][0], pos[m[1]][0], pos[m[0]][1], pos[m[1]][1]))
-    return IsomorphismReport(ok=False, mismatches=tuple(mismatches))
 
 
 def in_double_order(coh: LabelledAlgebra, n: int) -> LabelledAlgebra:
@@ -1162,51 +888,6 @@ def os_algebra(arr: Arrangement) -> LabelledAlgebra:
             products[(f"e{i}", f"e{j}")] = vec
     basis = (("1",), e_labels, tuple(f_label[(p.j, p.k)] for p in pairs))
     return LabelledAlgebra(basis, products)
-
-
-def double_one_pass(alg: LabelledAlgebra) -> LabelledDoubledAlgebra:
-    """The double of a graded algebra with top degree two.
-
-    Degree 1 is the degree-one basis of ``alg`` followed by the duals of its
-    degree-two basis; degree 2 is the degree-two basis followed by the duals
-    of the degree-one basis; degree 3 is the dual of the unit. Both middle
-    degrees have rank (rank A1 + rank A2).
-
-    The a_j ~f_k block is read off the stored degree-one products in one
-    pass: x y = c f gives y ~f -> c ~x and x ~f -> -c ~y. The intersection
-    ring's F_a . F_b table copies the Orlik-Solomon case split of
-    ``os_algebra``, so on that block ``verify_double_isomorphism`` compares
-    two transcriptions of one rule.
-    """
-    if alg.top_degree != 2:
-        raise DegreeError("doubling requires a graded algebra with top degree 2")
-    a_labels = alg.basis[1]
-    b_labels = alg.basis[2]
-    top = dual_label(alg.unit)
-    deg1 = a_labels + tuple(dual_label(b) for b in b_labels)
-    deg2 = b_labels + tuple(dual_label(a) for a in a_labels)
-    pos = alg._position
-
-    products: dict[tuple[str, str], dict[str, int]] = {}
-    for (x, y), vec in alg.products.items():
-        (dx, ix), (dy, iy) = pos[x], pos[y]
-        if dx != 1 or dy != 1:
-            continue
-        products[(x, y)] = dict(vec)
-        if ix >= iy:
-            continue  # never read by basis_product
-        for f, c in vec.items():
-            if c:
-                products.setdefault((y, dual_label(f)), {})[dual_label(x)] = c
-                products.setdefault((x, dual_label(f)), {})[dual_label(y)] = -c
-    # Complementary degrees pair as the identity on dual bases.
-    for ai in a_labels:
-        products[(ai, dual_label(ai))] = {top: 1}
-    for bk in b_labels:
-        products[(dual_label(bk), bk)] = {top: 1}
-
-    basis = ((alg.unit,), deg1, deg2, (top,))
-    return LabelledDoubledAlgebra(basis=basis, products=products, base=alg)
 
 
 def eager_double(alg: GradedAlgebra) -> GradedAlgebra:
@@ -1322,17 +1003,17 @@ def _dual_surface(h1_label: str) -> str:
     return "tau" + h1_label[1:]
 
 
-def cohomology_ring(arr: Arrangement) -> LabelledAlgebra:
-    """The cohomology ring of the boundary manifold, degrees 0..3.
+def cohomology_ring(ring: LabelledIntersectionRing) -> LabelledAlgebra:
+    """The cohomology ring of the boundary manifold whose intersection ring is
+    ``ring``, degrees 0..3.
 
     Degree-one classes are the Poincare duals of the H_2 basis and carry the
     labels ~t_i, ~g_(j,k); degree-two classes are the duals of the H_1 basis,
     labelled ~F_i, ~tau_(j,k); the top class is the dual of a point, "pt".
     Cup products of degree-one classes are the intersection products of the
-    dual surfaces, rewritten through duality; degree one cups degree two as
-    the identity pairing into pt.
+    dual surfaces, each asked of ``ring.product`` and rewritten through
+    duality; degree one cups degree two as the identity pairing into pt.
     """
-    ring = intersection_ring(arr)
     h1 = ring.h1_labels
     # PD(F_i) = ~t_i and PD(tau) = ~g in degree one; PD(t_i) = ~F_i and
     # PD(g) = ~tau in degree two.
@@ -1377,7 +1058,7 @@ def verify_double_isomorphism(arr: Arrangement) -> IsomorphismReport:
     (both orders). Returns a report rather than raising, so callers can
     surface the exact mismatching pairs.
     """
-    coh = cohomology_ring(arr)
+    coh = cohomology_ring(intersection_ring(arr))
     dbl = double(os_algebra(arr))
     phi = _label_map(arr, dbl)
 

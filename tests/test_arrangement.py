@@ -68,6 +68,15 @@ class TestValidate:
         with pytest.raises(ArrangementError):
             validate([], 1)
 
+    @pytest.mark.parametrize("index", [1.5, "1", True, 1.0, None], ids=repr)
+    def test_non_int_index(self, index):
+        # int() would read each of these as line 1 (or fail with another error).
+        with pytest.raises(FormatError, match="integer line indices"):
+            validate([[0, index, 2]], 3)
+        # The type is checked before any range or size check.
+        with pytest.raises(FormatError):
+            validate([[0, 9], [index, 1]], 1)
+
     def test_every_pair_covered_once(self, any_fixture):
         seen = set()
         for pt in any_fixture.points:

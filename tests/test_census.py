@@ -10,8 +10,8 @@ Betti floor.
 The incidence graph has one independent cycle per nbc pair, and H1 of the
 boundary manifold is free of rank (number of nbc pairs) + n: both are
 checked on each arrangement, the non-realizable ones included. The
-cokernel of each plumbing matrix must equal the Markowitz-order oracle's,
-and its unit pivots must clear the whole matrix, so that ``snf`` is never
+cokernel of each plumbing matrix must equal the exact-set oracle's, and
+its unit pivots must clear the whole matrix, so that ``snf`` is never
 called; ``snf`` of the dense matrix must still give V - n ones and n
 zeros. The generic first Betti number of the double must sit on the
 proved floor, and the exact rank of Delta(1, ..., 1) must be r1 - 1 off
@@ -24,13 +24,12 @@ import pytest
 from click.testing import CliRunner
 
 import oracles
-from census import FANO, census, linear_spaces
+from census import census, census_and_fano, linear_spaces
 from plumbline import (
     ArrangementClass,
     beta,
     classify,
     cohomology_ring,
-    delta_matrix,
     double,
     from_json,
     generic_betti,
@@ -41,7 +40,6 @@ from plumbline import (
     plumbing_matrix,
     random_arrangement,
     to_json,
-    validate,
     verify_double_isomorphism,
 )
 from plumbline import boundary_ring, cli, exact_linalg, resonance
@@ -61,11 +59,12 @@ def test_listed_once():
 
 def _generic_point_lemma_holds(arr):
     """rank Delta(1, ..., 1) = r1 - 1, by exact rank, unless the arrangement
-    is a pencil; there r2 = 0. The class is general exactly when beta > 0."""
-    alg = os_algebra(arr)
+    is a pencil; there r2 = 0. The class is general exactly when beta > 0.
+    Delta is the label-keyed oracle's dense matrix, not the package's blocks."""
+    alg = oracles.os_algebra(arr)
     r1 = alg.rank(1)
     pencil = classify(arr) is ArrangementClass.PENCIL
-    assert exact_linalg.rank(delta_matrix(alg, (1,) * r1)) == (0 if pencil else r1 - 1), arr.points
+    assert exact_linalg.rank(oracles.delta_matrix(alg, (1,) * r1)) == (0 if pencil else r1 - 1), arr.points
     assert (beta(arr) > 0) == (classify(arr) is ArrangementClass.GENERAL), arr.points
 
 
@@ -85,7 +84,7 @@ def test_every_arrangement(v):
         res = h1_boundary(arr)
         assert (res.free_rank, res.torsion) == (n_pairs + arr.n, ()), arr.points
         m = plumbing_matrix(g)
-        assert cokernel(m) == oracles.cokernel_exact_sets(m) == oracles.cokernel_markowitz(m) == (arr.n, ()), arr.points
+        assert cokernel(m) == oracles.cokernel_exact_sets(m) == (arr.n, ()), arr.points
 
 
 @pytest.mark.parametrize("v", range(3, 7))
@@ -96,9 +95,9 @@ def test_every_command(v, tmp_path):
     for arr in census(v):
         path.write_text(json.dumps(to_json(arr)))
         want = {
-            "os": oracles.os_algebra_by_label(arr),
-            "double": oracles.double_by_label(oracles.os_algebra_by_label(arr)),
-            "ring": oracles.intersection_ring_by_label(arr),
+            "os": oracles.os_algebra(arr),
+            "double": oracles.double(oracles.os_algebra(arr)),
+            "ring": oracles.intersection_ring(arr),
         }
         alg = os_algebra(arr)
         point = json.dumps({"a": [1] * alg.rank(1), "b": [0] * alg.rank(2)})
@@ -129,7 +128,7 @@ def test_plumbing_cokernel_never_reaches_snf(monkeypatch):
     monkeypatch.setattr(exact_linalg, "snf", no_snf)
     rng = random.Random(19)
     arrs = [load_fixture(name) for name in ALL_FIXTURES]
-    arrs += [arr for v in range(3, 7) for arr in census(v)]
+    arrs += census_and_fano()
     arrs += [random_arrangement(rng, rng.randint(3, 30), rng.random()) for _ in range(200)]
     for arr in arrs:
         assert cokernel(plumbing_matrix(incidence_graph(arr))) == (arr.n, ()), arr.points
@@ -150,7 +149,7 @@ def test_snf_of_every_plumbing_matrix(v):
 
 
 def test_fano_plane():
-    arr = validate([list(pt) for pt in FANO], 7)
+    arr = census_and_fano()[-1]  # the Fano plane
     assert [len(pt) for pt in arr.points] == [3] * 7
     assert classify(arr) is ArrangementClass.GENERAL
     assert verify_double_isomorphism(arr).ok

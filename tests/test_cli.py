@@ -746,7 +746,7 @@ class TestOncePerOp:
         del products[(index["F2"], index["tau(1,2)"])]
         fake = plumbline.IntersectionRing(real.basis, products, real.n)
         dbl = plumbline.double(plumbline.os_algebra(two_triples))
-        coh = oracles.in_double_order(oracles.cohomology_of_by_label(oracles.relabel(fake)), two_triples.n)
+        coh = oracles.in_double_order(oracles.cohomology_ring(oracles.relabel(fake)), two_triples.n)
         want = oracles.compare(coh, oracles.relabel(dbl)).to_json()
         assert len(want["mismatches"]) == 4
         monkeypatch.setattr("plumbline.boundary_ring.intersection_ring", lambda arr: fake)

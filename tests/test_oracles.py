@@ -1,55 +1,40 @@
-"""The fast paths against the implementations they replaced.
+"""The package's fast paths against the oracles of ``oracles.py``, which say what each one is independent of.
 
-``oracles`` holds the earlier code unchanged: the Smith normal form that
-ran each stage through four helpers (checked against the one loop of
-``snf``), the Smith-form cokernel, the least-Markowitz-cost unit
-elimination and the pass with an exact row set per column (all checked
-against the append-only pass of ``cokernel``, on dense and sparse input),
-the stand-alone Bareiss determinant, the two-step incidence and plumbing
-graphs, the row-list plumbing matrix and the ``homology`` document dumped
-whole with it, the triple-loop and one-pass doubles, the positional double
-that built its table when it was made (the view built on first read must
-equal it, on the census with Fano too), the Orlik-Solomon
-algebra and intersection ring with per-product labels, the label-keyed
-algebras, rings and ring check that the positional ones replaced, the
-pair-loop cohomology ring, the pair-loop ring verifier and the both-orders
-verifier, the cohomology ring in its old basis order and the ring check
-that read it through a permutation of positions (the new check must list
-the same mismatches, only the 1 x 2 pairs in the new order), the
-intersection ring with separate H_2 and H_1 index spaces and the
-cohomology ring rebuilt from it vector by vector (the ring on one flat
-basis must answer every product and pairing query alike, and its
-cohomology ring must hold its vectors as the same objects), the
-resonance complex with Betti numbers from dense rational ranks, and the
-dense witness and block rank (with their rank modulo a prime and left
-kernel, whose unit tests are here) that sparse elimination replaced. Betti numbers must agree three ways at integer, rational, a = 0,
-b = 0, generic and local-component points, on the fixtures, the 3-6-line
-census with Fano, random arrangements and an algebra that is not
-Orlik-Solomon. The package's algebras and rings store structure constants
-by basis position; ``oracles.relabel`` reads them into the label-keyed
-classes that the oracles build and read. The package's cohomology ring
-lists degree two in the double's order, PD(g) before PD(t); where an
-oracle lists PD(t) first, the tests rotate its degree two by the number of
-lines, exactly (``oracles.in_double_order``), before they compare. Each property runs on the shipped
-fixtures and on random arrangements of 3-12 lines (3-30 for the label-keyed
-builders, the ring check and the plumbing cokernel against its sparse
-oracles, 3-10 for resonance; the whole plumbing cokernel check also runs
-on the 3-6-line census with Fano) at densities 0-1, or on
-random integer matrices or weighted graphs, and requires identical results.
-The plumbing matrix is compared through its dense view, and ``cokernel``
-must agree on the sparse and the dense matrix. Rings and algebras must also
-store their products in the same order, vectors included, which ``to_json``
-and the resonance table ``_mu`` read; that is also checked on every
-arrangement of 3-6 lines. The verifier is also run on rings with one
-product dropped, changed or added; ``test_census.py`` runs it on every
-arrangement of 3-6 lines, and the incidence graph is compared on that
-census here. The CLI's writer of product lists is compared with
-``json.dumps`` of the ``to_json`` documents for ``os``, ``double``,
-``ring`` and ``report`` on the fixtures, that census and arrangements of
-10-16 lines, where label and position order differ. Each record class
-behaves as the frozen dataclass on its fields (``oracles.dataclass_twin``)
-on records built from the fixtures and random arrangements.
+Inputs: the fixtures; random arrangements of 3-12 lines (``arrangements``), 3-30 (``wide_arrangements``, for the
+oracles linear in the products), 3-10 (``small_arrangements``, resonance) and 10-16 (where label and position order
+differ); every arrangement of 3-6 lines with the Fano plane (``census_and_fano``); random matrices and weighted graphs.
+Results must be identical; "order too" means products and each vector in one insertion order, which ``_mu`` and
+every ``to_json`` read. One entry per concept, with the kept oracles and the tests:
+
+- Smith form, determinant: ``snf`` and ``det`` on random matrices. ``TestSnfMatchesOracle``, ``TestDetMatchesOracle``.
+- Cokernel: ``cokernel``, dense and sparse, against ``cokernel_exact_sets`` and the Smith-form ``cokernel``, on random
+  matrices and every plumbing matrix. ``TestCokernelMatchesSmithForm``, ``test_plumbing_cokernel_*``.
+- Plumbing: the incidence graph, the dense plumbing matrix and the three row builders, on arrangements and on graphs
+  with any weights. ``test_incidence_graph_*``, ``test_plumbing_matrix_*``, ``test_plumbing_rows_*``.
+- Orlik-Solomon algebra and intersection ring: the label-keyed ``os_algebra`` and ``intersection_ring``, order too.
+  ``test_product_order_*``; ``intersection_ring_by_index`` answers every product and pairing query alike,
+  ``test_index_ring_*``.
+- Double: the triple-loop ``double``, and ``eager_double`` order too (the view stores only its base).
+  ``test_double_*``, ``test_double_view_*``, ``test_double_of_a_non_canonical_product``.
+- Cohomology ring: the dense ``cohomology_ring``; ``cohomology_of_by_index`` order too, and the ring's vectors are
+  the same objects. ``test_cohomology_ring_*``, ``test_shared_vectors_*``, ``test_one_table_*``.
+- Ring check: ``verify_double_isomorphism``, and ``compare`` and ``compare_by_permutation`` (the same mismatches,
+  the 1 x 2 pairs in the package's order) also on rings with one product dropped, changed or added, or constants
+  of the double flipped. ``test_verify_*``, ``test_compare_*``, ``test_permutation_path_*``, ``TestMutatedDouble``.
+- Resonance: Betti numbers three ways (sparse, the dense witness and block rank, the label-keyed dense ranks) at
+  integer, rational, a = 0, b = 0, generic and local-component points, and on an algebra that is not Orlik-Solomon;
+  the floor, scaling, duality and the one generic walk. ``TestResonanceMatchesOracle``, ``TestSparseBlocks``,
+  ``TestBlockRank``, ``TestScalingLemma``, ``TestBettiFloor``, ``TestPoincareDuality``, ``TestOneGenericWalk``;
+  ``TestRankModP`` and ``TestLeftKernel`` test the dense witness's own parts.
+- Output: the CLI's writer against ``json.dumps`` of random trees, the product lists and every command's stdout.
+  ``TestJsonWriter``, ``test_scalar_lists_*``, ``TestProductListWriter``, ``TestStdoutMatchesOracle``,
+  ``test_homology_stdout_*``.
+- Records: each record class behaves as its frozen dataclass twin. ``test_dataclass_twin_*``.
+- ``--point``: the reader against the regex reader, the same point or the same error. ``TestPointReader``.
+
+``test_every_oracle_is_read`` fails on a definition in ``oracles.py`` that no test reads.
 """
+import ast
 import json
 import random
 import tempfile
@@ -63,7 +48,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from census import FANO, census
+from census import census, census_and_fano
 from plumbline import (
     AomotoPoint,
     ArrangementClass,
@@ -73,16 +58,13 @@ from plumbline import (
     betti_numbers,
     classify,
     cohomology_ring,
-    delta_matrix,
     double,
     from_json,
     generic_betti,
     intersection_ring,
     os_algebra,
-    phi_matrix,
     sample_point,
     trial_seed,
-    validate,
     verify_double_isomorphism,
 )
 from plumbline import arrangement, boundary_ring, cli, exact_linalg, resonance
@@ -112,7 +94,7 @@ arrangements = st.builds(
 )
 
 
-# Random arrangements of 3-30 lines, for the label-keyed oracles that are
+# Random arrangements of 3-30 lines, for the oracles that are
 # linear in the products; the triple-loop double stays on 3-12.
 wide_arrangements = st.builds(
     lambda seed, lines, density: random_arrangement(random.Random(seed), lines, density),
@@ -168,30 +150,22 @@ def _same_items(new, old):
 
 
 def _same_product_order(arr):
-    alg = os_algebra(arr)
-    _same_items(alg, oracles.os_algebra_by_label(arr))
-    _same_items(alg, oracles.os_algebra(arr))
-    dbl, old_alg = double(alg), oracles.relabel(alg)
-    _same_items(dbl, oracles.double_by_label(old_alg))
-    _same_items(dbl, oracles.double_one_pass(old_alg))
-    ring = intersection_ring(arr)
-    _same_items(ring, oracles.intersection_ring_by_label(arr))
-    _same_items(ring, oracles.intersection_ring(arr))
-    old_coh = oracles.cohomology_of_by_label(oracles.relabel(ring))
-    _same_items(boundary_ring._cohomology_of(ring), oracles.in_double_order(old_coh, arr.n))
+    # The double's order is checked against eager_double (_same_view) and the
+    # cohomology ring's against cohomology_of_by_index (_cohomology_shares_the_ring_vectors).
+    _same_items(os_algebra(arr), oracles.os_algebra(arr))
+    _same_items(intersection_ring(arr), oracles.intersection_ring(arr))
 
 
 def _same_compare(arr):
     coh, dbl = cohomology_ring(arr), double(os_algebra(arr))
-    old_coh, old_dbl = oracles.relabel(coh), oracles.relabel(dbl)
     new = boundary_ring._compare(coh, dbl)
-    assert new == oracles.compare(old_coh, old_dbl) == oracles.compare_by_label(old_coh, old_dbl)
+    assert new == oracles.compare(oracles.relabel(coh), oracles.relabel(dbl))
     assert new.ok
 
 
 def _t_first(coh: GradedAlgebra, n: int) -> GradedAlgebra:
-    """The package's cohomology ring, by flat position, in the order of
-    ``oracles.cohomology_of_t_first``: degree two rotated right by n, PD(t)
+    """The package's cohomology ring, by flat position, in the order that
+    ``oracles.compare_by_permutation`` reads: degree two rotated right by n, PD(t)
     before PD(g). H_1 index z moves from 1 + h + (z - n) % h to 1 + h + z."""
     h = coh.rank(1)
     old = list(range(2 * h + 2))  # package position -> oracle position
@@ -210,7 +184,8 @@ def _in_package_order(mismatches, coh: GradedAlgebra) -> tuple:
 
 
 def _same_cohomology_ring(arr):
-    new, old = cohomology_ring(arr), oracles.in_double_order(oracles.cohomology_ring(arr), arr.n)
+    new = cohomology_ring(arr)
+    old = oracles.in_double_order(oracles.cohomology_ring(oracles.intersection_ring(arr)), arr.n)
     assert oracles.relabel(new) == old
     assert new.to_json() == old.to_json()
 
@@ -231,8 +206,7 @@ def _same_incidence_graph(arr):
 
 def _same_sparse_plumbing_cokernel(arr):
     sparse = plumbing_matrix(incidence_graph(arr))
-    assert cokernel(sparse) == cokernel(sparse.to_dense()) == oracles.cokernel_exact_sets(sparse)
-    assert cokernel(sparse) == oracles.cokernel_markowitz(sparse) == (arr.n, ())
+    assert cokernel(sparse) == cokernel(sparse.to_dense()) == oracles.cokernel_exact_sets(sparse) == (arr.n, ())
 
 
 def _same_plumbing_cokernel(arr):
@@ -260,7 +234,7 @@ def _homology_stdout_is_oracle(arr):
 
 
 test_double_fixture, test_double_random = fixture_and_random(_same_double)
-test_double_view_fixture, test_double_view_random = fixture_and_random(_same_view)
+test_double_view_fixture, test_double_view_random = fixture_and_random(_same_view, wide_arrangements)
 test_cohomology_ring_fixture, test_cohomology_ring_random = fixture_and_random(_same_cohomology_ring)
 test_verify_fixture, test_verify_random = fixture_and_random(_same_report)
 test_incidence_graph_fixture, test_incidence_graph_random = fixture_and_random(_same_incidence_graph)
@@ -279,13 +253,14 @@ def test_incidence_graph_census(v):
 
 
 def test_plumbing_cokernel_census_and_fano():
-    for arr in [arr for v in range(3, 7) for arr in census(v)] + [validate([list(pt) for pt in FANO], 7)]:
+    for arr in census_and_fano():
         _same_plumbing_cokernel(arr)
 
 
 def test_double_view_census_and_fano():
-    for arr in [arr for v in range(3, 7) for arr in census(v)] + [validate([list(pt) for pt in FANO], 7)]:
+    for arr in census_and_fano():
         _same_view(arr)
+        _same_double(arr)
 
 
 @pytest.mark.parametrize("v", range(3, 7))
@@ -333,7 +308,6 @@ def test_compare_tampered(rings):
     assert new.ok == old.ok
     assert new.mismatches == old.mismatches  # order included
     assert new.to_json() == old.to_json()
-    assert new == oracles.compare_by_label(old_coh, old_dbl)
 
 
 def test_compare_tampered_examples(two_triples):
@@ -367,7 +341,7 @@ def test_compare_ignores_products_past_the_top_degree(two_triples):
     ):
         new = boundary_ring._compare(fake_coh, fake_dbl)
         assert new.ok
-        assert new == oracles.compare_by_label(oracles.relabel(fake_coh), oracles.relabel(fake_dbl))
+        assert new == oracles.compare(oracles.relabel(fake_coh), oracles.relabel(fake_dbl))
 
 
 def _same_as_permutation_path(coh, dbl):
@@ -385,9 +359,7 @@ def _same_as_permutation_path(coh, dbl):
 
 
 def _same_as_permutation_path_on(arr):
-    coh, dbl = cohomology_ring(arr), double(os_algebra(arr))
-    assert _t_first(coh, arr.n) == oracles.cohomology_of_t_first(oracles.intersection_ring_by_index(arr))
-    assert _same_as_permutation_path(coh, dbl).ok
+    assert _same_as_permutation_path(cohomology_ring(arr), double(os_algebra(arr))).ok
 
 
 def _one_table(arr):
@@ -403,7 +375,7 @@ test_one_table_fixture, test_one_table_random = fixture_and_random(_one_table, w
 
 
 def test_permutation_path_and_one_table_census_and_fano():
-    for arr in [arr for v in range(3, 7) for arr in census(v)] + [validate([list(pt) for pt in FANO], 7)]:
+    for arr in census_and_fano():
         _same_as_permutation_path_on(arr)
         _one_table(arr)
 
@@ -419,9 +391,8 @@ def _answer(query, *args):
 def _same_as_index_ring(arr):
     """The intersection ring on one flat basis against the one with separate
     H_2 and H_1 index spaces that it replaced: the same label-keyed ring and
-    JSON, the same answer (or KeyError) to every product and pairing query,
-    and the same cohomology ring, products and vectors in one insertion
-    order."""
+    JSON, and the same answer (or KeyError) to every product and pairing
+    query."""
     new, old = intersection_ring(arr), oracles.intersection_ring_by_index(arr)
     _same_items(new, oracles.relabel(old))
     assert new.to_json() == old.to_json()
@@ -438,19 +409,21 @@ def _same_as_index_ring(arr):
         for y in probe:
             assert _answer(new.product, x, y) == _answer(old.product, x, y)
             assert _answer(new.pairing, x, y) == _answer(old.pairing, x, y)
-    coh, old_coh = boundary_ring._cohomology_of(new), oracles.cohomology_of_by_index(old, arr.n)
-    assert coh.basis == old_coh.basis
-    assert [(k, list(v.items())) for k, v in coh.products.items()] == [
-        (k, list(v.items())) for k, v in old_coh.products.items()
-    ]
 
 
 def _cohomology_shares_the_ring_vectors(arr):
     # Each class of the intersection ring sits at its dual's position, so the
     # cohomology ring keeps every intersection vector, the same object, and
-    # adds only the h pairings into the top class.
+    # adds only the h pairings into the top class. Its basis, products and
+    # vectors are those of the ring that rewrote each vector through a list
+    # of dual positions, in one insertion order.
     ring = intersection_ring(arr)
     coh = boundary_ring._cohomology_of(ring)
+    old = oracles.cohomology_of_by_index(oracles.intersection_ring_by_index(arr), arr.n)
+    assert coh.basis == old.basis
+    assert [(k, list(v.items())) for k, v in coh.products.items()] == [
+        (k, list(v.items())) for k, v in old.products.items()
+    ]
     assert all(coh.products[key] is vec for key, vec in ring.products.items())
     h = ring.rank(1)
     added = [coh.products[key] for key in coh.products.keys() - ring.products.keys()]
@@ -465,7 +438,7 @@ test_shared_vectors_fixture, test_shared_vectors_random = fixture_and_random(
 
 
 def test_index_ring_and_shared_vectors_census_and_fano():
-    for arr in [arr for v in range(3, 7) for arr in census(v)] + [validate([list(pt) for pt in FANO], 7)]:
+    for arr in census_and_fano():
         _same_as_index_ring(arr)
         _cohomology_shares_the_ring_vectors(arr)
 
@@ -480,7 +453,7 @@ def test_double_of_a_non_canonical_product():
     # basis_product never reads a pair stored in non-canonical order, so the
     # double copies it and derives no dual products from it.
     alg = GradedAlgebra((("1",), ("x1", "x2"), ("z1",)), {(2, 1): {3: 1}})
-    assert oracles.relabel(double(alg)) == oracles.double_by_label(oracles.relabel(alg))
+    assert oracles.relabel(double(alg)) == oracles.double(oracles.relabel(alg))
 
 
 @st.composite
@@ -503,8 +476,7 @@ def test_plumbing_cokernel_weighted_graphs(g):
     sparse = plumbing_matrix(g)
     dense = sparse.to_dense()
     assert dense == oracles.plumbing_matrix(g)
-    assert cokernel(sparse) == cokernel(dense) == oracles.cokernel_markowitz(sparse) == oracles.cokernel(dense)
-    assert cokernel(sparse) == oracles.cokernel_exact_sets(sparse)
+    assert cokernel(sparse) == cokernel(dense) == oracles.cokernel_exact_sets(sparse) == oracles.cokernel(dense)
     res = h1_plumbed(g)
     assert (res.coker_free_rank, res.torsion) == cokernel(dense)
 
@@ -550,7 +522,7 @@ test_plumbing_rows_fixture, test_plumbing_rows_random = fixture_and_random(lambd
 
 
 def test_plumbing_rows_census_and_fano():
-    for arr in [arr for v in range(3, 7) for arr in census(v)] + [validate([list(pt) for pt in FANO], 7)]:
+    for arr in census_and_fano():
         _same_rows(incidence_graph(arr))
 
 
@@ -594,50 +566,45 @@ def torsion_matrices(draw):
     return IntMatrix.from_rows(s) if nr else IntMatrix(0, nc, ())
 
 
-def _sparse_cokernel(m: IntMatrix):
-    """``cokernel`` of ``m`` read as a ``SparseIntMatrix``."""
+def _same_cokernel(m: IntMatrix):
+    """``cokernel`` of ``m``, the same read as a ``SparseIntMatrix``, from the
+    exact-set pass and from the Smith form."""
     nonzeros = tuple(tuple((j, x) for j, x in enumerate(m.row(i)) if x) for i in range(m.rows))
-    return cokernel(SparseIntMatrix(m.rows, m.cols, nonzeros))
+    got = cokernel(m)
+    assert got == cokernel(SparseIntMatrix(m.rows, m.cols, nonzeros))
+    assert got == oracles.cokernel_exact_sets(m) == oracles.cokernel(m)
+    return got
 
 
 class TestCokernelMatchesSmithForm:
-    # The append-only elimination against the exact-set one it replaced, the
-    # Markowitz-order one before that and the Smith form, on the dense
-    # matrix and on its sparse form.
+    # The append-only elimination against the exact-set one it replaced and
+    # the Smith form, on the dense matrix and on its sparse form.
     @settings(max_examples=300, deadline=None)
     @given(int_matrices(st.integers(-5, 5)))
     def test_random(self, m):
-        assert cokernel(m) == _sparse_cokernel(m) == oracles.cokernel_exact_sets(m) == oracles.cokernel(m)
-        assert cokernel(m) == oracles.cokernel_markowitz(m)
+        _same_cokernel(m)
 
     @settings(max_examples=200, deadline=None)
     @given(int_matrices(st.sampled_from([0, 0, 2, -2, 3, -4, 6, 9])))
     def test_no_unit_entry(self, m):
-        assert cokernel(m) == _sparse_cokernel(m) == oracles.cokernel_exact_sets(m) == oracles.cokernel(m)
-        assert cokernel(m) == oracles.cokernel_markowitz(m)
+        _same_cokernel(m)
 
     @settings(max_examples=200, deadline=None)
     @given(int_matrices(st.sampled_from([0, 0, 0, 1, -1, 2])))
     def test_sparse_units(self, m):
-        assert cokernel(m) == _sparse_cokernel(m) == oracles.cokernel_exact_sets(m) == oracles.cokernel(m)
-        assert cokernel(m) == oracles.cokernel_markowitz(m)
+        _same_cokernel(m)
 
     @settings(max_examples=200, deadline=None)
     @given(torsion_matrices())
     def test_with_torsion(self, m):
-        assert cokernel(m) == _sparse_cokernel(m) == oracles.cokernel_exact_sets(m) == oracles.cokernel(m)
-        assert cokernel(m) == oracles.cokernel_markowitz(m)
+        _same_cokernel(m)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_empty(self, shape):
-        m = IntMatrix.zeros(*shape)
-        assert cokernel(m) == _sparse_cokernel(m) == oracles.cokernel_exact_sets(m) == oracles.cokernel(m)
-        assert cokernel(m) == oracles.cokernel_markowitz(m) == (shape[0], ())
+        assert _same_cokernel(IntMatrix.zeros(*shape)) == (shape[0], ())
 
     def test_torsion_behind_units(self):
-        m = IntMatrix.from_rows([[1, 1, 0], [1, 3, 0], [0, 0, 6]])
-        assert cokernel(m) == _sparse_cokernel(m) == oracles.cokernel_exact_sets(m) == oracles.cokernel(m)
-        assert cokernel(m) == oracles.cokernel_markowitz(m) == (0, (2, 6))
+        assert _same_cokernel(IntMatrix.from_rows([[1, 1, 0], [1, 3, 0], [0, 0, 6]])) == (0, (2, 6))
 
 
 _BIG = st.integers(-(10**6), 10**6)
@@ -775,9 +742,9 @@ def _same_resonance(arr, seed: int = 0):
     dbl = double(os_algebra(arr))
     old_dbl = oracles.relabel(dbl)
     for pt in _points(arr, dbl, random.Random(seed)):
-        assert delta_matrix(dbl.base, pt.a) == oracles.delta_matrix(old_dbl.base, pt.a)
-        assert phi_matrix(dbl.base, pt.b) == oracles.phi_matrix(old_dbl.base, pt.b)
         new, old = aomoto_complex(dbl, pt), oracles.aomoto_complex(old_dbl, pt)
+        assert new.delta == oracles.delta_matrix(old_dbl.base, pt.a)
+        assert new.phi == oracles.phi_matrix(old_dbl.base, pt.b)
         for d in ("d1", "d2", "d3"):
             assert getattr(new, d).to_rows() == getattr(old, d).to_rows(), d
         assert betti_numbers(dbl, pt) == oracles.betti_numbers(old_dbl, pt), pt
@@ -918,15 +885,14 @@ class TestBlockRank:
         # x1 x2 = z1 and x3 x4 = z2 are the only products. At a = x1, Delta(a)
         # has rank 1 and left kernel <x1, x3, x4>, on which b = z2* pairs x3
         # with x4: K Phi K^T has rank 2, so rank d2 = 2 + 2 and b1 = 6 - 1 - 4.
-        alg = NON_ISOTROPIC
-        dbl = double(alg)
+        dbl = double(NON_ISOTROPIC)
         pt = oracles.exact_point([1, 0, 0, 0], [0, 1])
-        s, kernel = oracles.left_kernel(delta_matrix(alg, pt.a))
+        cx = aomoto_complex(dbl, AomotoPoint((1, 0, 0, 0), (0, 1)))
+        s, kernel = oracles.left_kernel(cx.delta)
         assert s == 1
         # The integer Phi that the dense block rank builds; IntMatrix refuses Fraction entries.
-        assert rank(oracles._restricted_phi(phi_matrix(alg, (0, 1)), kernel)) == 2
+        assert rank(oracles._restricted_phi(cx.phi, kernel)) == 2
         # The sparse path: Delta(a) by its rows, tagged by index, then the rows of K Phi K^T.
-        cx = aomoto_complex(dbl, AomotoPoint((1, 0, 0, 0), (0, 1)))
         rows = [{~j: 1, **{k: col[j] for k, col in enumerate(cx.columns) if col.get(j)}} for j in range(4)]
         s, kernel = echelon(rows)
         assert s == 1 and len(kernel) == 3
@@ -973,7 +939,7 @@ class TestSparseBlocks:
 
     def test_census_and_fano(self):
         rng = random.Random(23)
-        arrs = [arr for v in range(3, 7) for arr in census(v)] + [validate([list(pt) for pt in FANO], 7)]
+        arrs = census_and_fano()
         for arr in arrs:
             dbl = double(os_algebra(arr))
             _same_three_ways(dbl, _every_kind(arr, dbl, rng))
@@ -1001,7 +967,7 @@ class TestSparseBlocks:
             raise AssertionError("a dense matrix was built")
 
         for module in (resonance, exact_linalg):
-            for attr in ("delta_matrix", "phi_matrix", "RatMatrix", "IntMatrix"):
+            for attr in ("RatMatrix", "IntMatrix"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
         assert [betti_numbers(dbl, pt) for pt in points] == want
@@ -1047,7 +1013,8 @@ class TestSparseBlocks:
             old = oracles.aomoto_complex(old_dbl, pt)
             for d in ("d1", "d2", "d3"):
                 assert getattr(cx, d).to_rows() == getattr(old, d).to_rows(), d
-            assert cx.delta == delta_matrix(dbl.base, pt.a) and cx.phi == phi_matrix(dbl.base, pt.b)
+            assert cx.delta == oracles.delta_matrix(old_dbl.base, pt.a)
+            assert cx.phi == oracles.phi_matrix(old_dbl.base, pt.b)
             assert cx.d2 is cx.d2
             assert (cx.d1 @ cx.d2).is_zero() and (cx.d2 @ cx.d3).is_zero()
             r1_, r2_, r3_ = rank(cx.d1), rank(cx.d2), rank(cx.d3)
@@ -1099,7 +1066,7 @@ def _floor_holds(arr, seed: int):
     for pt in _points(arr, dbl, rng):
         assert all(x >= f for x, f in zip(oracles.betti_numbers(old_dbl, pt), floor)), pt
     assert pencil == (r2 == 0)
-    assert rank(delta_matrix(dbl.base, (1,) * r1)) == (0 if pencil else r1 - 1)
+    assert rank(oracles.delta_matrix(old_dbl.base, (1,) * r1)) == (0 if pencil else r1 - 1)
     for b in ([0] * r2, [rng.randint(-9, 9) for _ in range(r2)]):
         assert oracles.betti_numbers(old_dbl, oracles.exact_point([1] * r1, b)) == floor, b
 
@@ -1278,7 +1245,7 @@ test_scalar_lists_fixtures, test_scalar_lists_random = fixture_and_random(_scala
 
 
 def test_scalar_lists_census_and_fano():
-    for arr in [arr for v in range(3, 7) for arr in census(v)] + [validate([list(pt) for pt in FANO], 7)]:
+    for arr in census_and_fano():
         _scalar_lists_are_oracle(arr)
 
 
@@ -1626,3 +1593,30 @@ class TestPointReader:
     @pytest.mark.parametrize("v", ["5", "+5", "-12/34", "0/7", "-0/5", "1/" + "7" * 4299, "7" * 4301])
     def test_digits_of_a_plain_fraction(self, v):
         assert cli._digits(v) == oracles.digits(v) == len(v.lstrip("+-").replace("/", ""))
+
+
+def test_every_oracle_is_read():
+    """Each top-level definition in ``oracles.py`` is read by a test module,
+    or by a definition there that is read: an oracle that nothing reads
+    checks nothing, so it goes when the last test that read it goes."""
+    here = Path(__file__).parent
+    defs = {}
+    for node in ast.parse((here / "oracles.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((target.id, node) for target in node.targets if isinstance(target, ast.Name))
+    read = set()
+    for path in here.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "oracles":
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                read.update(alias.name for alias in node.names)
+    todo = list(read & defs.keys())
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            if isinstance(node, ast.Name) and node.id in defs and node.id not in read:
+                read.add(node.id)
+                todo.append(node.id)
+    assert sorted(defs.keys() - read) == []

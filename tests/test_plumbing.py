@@ -81,6 +81,12 @@ class TestPlumbingGraph:
         assert PlumbingGraph((0, 0, 0), ((0, 2),)).n_components == 2
         assert PlumbingGraph((0, 0, 0), ((0, 2), (1, 2))).n_components == 1
 
+    @pytest.mark.parametrize("edge", [(0.0, 1.0), (0, 1.0), (False, True), (0, True)], ids=repr)
+    def test_rejects_non_int_endpoint(self, edge):
+        # A float or bool endpoint passes the range check; rows and matrix would then fail.
+        with pytest.raises(TypeError, match="plumbing edge endpoints must be int"):
+            PlumbingGraph((1, 1), (edge,))
+
     @pytest.mark.parametrize("weight", [1.5, True, False, Fraction(1, 2), "1", None])
     def test_rejects_non_int_weight(self, weight):
         with pytest.raises(TypeError, match="plumbing weights must be int"):

@@ -16,12 +16,10 @@ from plumbline import (
     betti,
     betti_numbers,
     double,
-    delta_matrix,
     generic_betti,
     in_resonance,
     is_nonresonant,
     os_algebra,
-    phi_matrix,
     r11_prediction,
     sample_point,
     trial_seed,
@@ -47,9 +45,19 @@ def frac(values):
     return tuple(Fraction(x) for x in values)
 
 
+def delta_matrix(dbl, a):
+    """Delta(a), the dense view of the block that ``aomoto_complex`` builds at (a, 0)."""
+    return aomoto_complex(dbl, AomotoPoint(tuple(a), (0,) * dbl.base.rank(2))).delta
+
+
+def phi_matrix(dbl, b):
+    """Phi(b), the dense view of the block that ``aomoto_complex`` builds at (0, b)."""
+    return aomoto_complex(dbl, AomotoPoint((0,) * dbl.base.rank(1), tuple(b))).phi
+
+
 class TestDeltaMatrix:
-    def test_two_triples_at_first_generator(self, alg_two_triples):
-        d = delta_matrix(alg_two_triples, frac([1, 0, 0, 0]))
+    def test_two_triples_at_first_generator(self, dbl_two_triples):
+        d = delta_matrix(dbl_two_triples, frac([1, 0, 0, 0]))
         assert d.to_rows() == [
             [0, 0, 0, 0],
             [1, 0, 0, 0],
@@ -58,9 +66,9 @@ class TestDeltaMatrix:
         ]
         assert rank(d) == 3
 
-    def test_two_triples_at_local_resonance(self, alg_two_triples):
+    def test_two_triples_at_local_resonance(self, dbl_two_triples):
         # e1 - e2 is supported on the triple point {1, 2, 3}, with zero sum.
-        d = delta_matrix(alg_two_triples, frac([1, -1, 0, 0]))
+        d = delta_matrix(dbl_two_triples, frac([1, -1, 0, 0]))
         assert d.to_rows() == [
             [1, 0, 0, 0],
             [1, 0, 0, 0],
@@ -69,22 +77,22 @@ class TestDeltaMatrix:
         ]
         assert rank(d) == 2
 
-    def test_left_kernel_contains_the_point(self, alg_two_triples):
+    def test_left_kernel_contains_the_point(self, dbl_two_triples):
         rng = random.Random(5)
         for _ in range(20):
             a = frac([rng.randint(-9, 9) for _ in range(4)])
-            d = delta_matrix(alg_two_triples, a)
+            d = delta_matrix(dbl_two_triples, a)
             row = RatMatrix(1, 4, a)
             assert (row @ d).is_zero()
 
-    def test_dimension_check(self, alg_two_triples):
+    def test_dimension_check(self, dbl_two_triples):
         with pytest.raises(DimensionMismatch):
-            delta_matrix(alg_two_triples, frac([1, 2]))
+            delta_matrix(dbl_two_triples, frac([1, 2]))
 
 
 class TestPhiMatrix:
-    def test_two_triples_at_first_dual_generator(self, alg_two_triples):
-        p = phi_matrix(alg_two_triples, frac([1, 0, 0, 0]))
+    def test_two_triples_at_first_dual_generator(self, dbl_two_triples):
+        p = phi_matrix(dbl_two_triples, frac([1, 0, 0, 0]))
         assert p.to_rows() == [
             [0, 1, 0, 0],
             [-1, 0, -1, 0],
@@ -93,26 +101,26 @@ class TestPhiMatrix:
         ]
         assert rank(p) == 2
 
-    def test_antisymmetric(self, alg_two_triples):
+    def test_antisymmetric(self, dbl_two_triples):
         rng = random.Random(6)
         for _ in range(20):
             b = frac([rng.randint(-9, 9) for _ in range(4)])
-            p = phi_matrix(alg_two_triples, b)
+            p = phi_matrix(dbl_two_triples, b)
             for i in range(4):
                 for j in range(4):
                     assert p[i, j] == -p[j, i]
 
-    def test_dimension_check(self, alg_two_triples):
+    def test_dimension_check(self, dbl_two_triples):
         with pytest.raises(DimensionMismatch):
-            phi_matrix(alg_two_triples, frac([1, 2, 3]))
+            phi_matrix(dbl_two_triples, frac([1, 2, 3]))
 
 
 @pytest.mark.parametrize("build", [delta_matrix, phi_matrix], ids=["delta", "phi"])
 @pytest.mark.parametrize("bad", [0.1, "1/2", True], ids=["float", "str", "bool"])
-def test_inexact_coordinate_raises_type_error(alg_two_triples, build, bad):
+def test_inexact_coordinate_raises_type_error(dbl_two_triples, build, bad):
     # Without the check a float would flow into the entries as a float, no longer exact.
     with pytest.raises(TypeError):
-        build(alg_two_triples, (Fraction(1, 2), bad, 0, 1))
+        build(dbl_two_triples, (Fraction(1, 2), bad, 0, 1))
 
 
 @pytest.mark.parametrize("bad", [0.1, "1/2", True], ids=["float", "str", "bool"])
@@ -131,7 +139,7 @@ def test_point_refuses_float_and_bool(dbl_two_triples, bad):
 
 
 class TestAomotoComplex:
-    def test_shapes_and_blocks(self, alg_two_triples, dbl_two_triples):
+    def test_shapes_and_blocks(self, dbl_two_triples):
         a = frac([1, 2, 0, -1])
         b = frac([0, 1, 1, 3])
         cx = aomoto_complex(dbl_two_triples, AomotoPoint(a, b))
@@ -140,8 +148,8 @@ class TestAomotoComplex:
         assert (cx.d3.rows, cx.d3.cols) == (8, 1)
         assert cx.d1.row(0) == a + b
         assert tuple(cx.d3.entries) == a + b
-        delta = delta_matrix(alg_two_triples, a)
-        phi = phi_matrix(alg_two_triples, b)
+        delta = delta_matrix(dbl_two_triples, a)
+        phi = phi_matrix(dbl_two_triples, b)
         for i in range(4):
             for j in range(4):
                 assert cx.d2[i, j] == phi[i, j]
@@ -243,10 +251,10 @@ class TestZeroAIdentity:
                 lhs, rhs = zero_a_identity_check(dbl, frac(b))
                 assert lhs == rhs
 
-    def test_matches_phi_kernel(self, alg_two_triples, dbl_two_triples):
+    def test_matches_phi_kernel(self, dbl_two_triples):
         b = frac([2, -1, 0, 3])
         lhs, rhs = zero_a_identity_check(dbl_two_triples, b)
-        assert rhs == 4 - 1 + kernel_dim(phi_matrix(alg_two_triples, b))
+        assert rhs == 4 - 1 + kernel_dim(phi_matrix(dbl_two_triples, b))
         assert lhs == rhs
 
     def test_rejects_trivial_cases(self, dbl_two_triples):
