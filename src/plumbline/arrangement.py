@@ -143,8 +143,8 @@ def validate(raw_points: Iterable[Sequence[int]], n_lines: int) -> Arrangement:
 
     Each input point is deduplicated and sorted. Any pair of lines not
     covered by an input point gets a double point; completion can only add
-    points of size two. Raises ``FormatError`` when a line index is not an
-    ``int`` (a ``bool`` is not), before any other check, and an
+    points of size two. Raises ``FormatError`` when ``n_lines`` or a line
+    index is not an ``int`` (a ``bool`` is not), before any other check, and an
     ``ArrangementError`` subclass when the input mentions an index out of
     range, a point smaller than a pair, or covers some pair twice.
     """
@@ -153,6 +153,8 @@ def validate(raw_points: Iterable[Sequence[int]], n_lines: int) -> Arrangement:
         for x in pt:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise FormatError('"points" must contain integer line indices')
+    if type(n_lines) is not int:
+        raise FormatError('"lines" must be an integer')
     if n_lines < 2:
         raise ArrangementError("an arrangement needs at least 2 lines")
     norm: list[tuple[int, ...]] = []

@@ -256,13 +256,71 @@ class _Command(click.Command):
         return HELP_OPTION if self.add_help_option else None
 
 
+# The direct path: _Group runs argv that _match reads without click's parser; click parses any other.
+# Click reads a param or runs a command that sets one of these some other way, so leaves it to click.
+_EXTRA = "multiple envvar is_flag count prompt deprecated chain _result_callback context_settings".split()
+
+
+def _grammar(cmd: click.Command, ctx: click.Context):
+    """``cmd``'s options by name, arguments and defaults, read once from its params, or False."""
+    if "_grammar" not in cmd.__dict__:
+        ps = cmd.params
+        plain = not any(getattr(x, a, None) for x in (cmd, *ps) for a in _EXTRA) and all(
+            p.nargs == 1 and p.expose_value and not p.callback and (p.required or type(p.default) in (int, float, str))
+            for p in ps)
+        cmd._grammar = plain and ({o: p for p in ps if isinstance(p, click.Option) for o in p.opts},
+                                  [p for p in ps if isinstance(p, click.Argument)],
+                                  {p.name: p.type_cast_value(ctx, p.default) for p in ps if not p.required})
+    return cmd._grammar
+
+
+def _match(ctx: click.Context, name: str, cmd: click.Command, args: list[str]) -> list | None:
+    """The ``(name, command, params)`` path from ``cmd`` down when ``args`` is a group's ``--name VALUE``
+    pairs, its command's name, and so on to a command's ``--name VALUE`` pairs and exactly its arguments,
+    none starting with ``-``, each value converted by its param's type; else None or an error."""
+    if not (table := _grammar(cmd, ctx)):
+        return None
+    opts, positional, params, rest = table[0], iter(table[1]), dict(table[2]), iter(args)
+    for a in rest:
+        if a in opts:
+            params[opts[a].name] = opts[a].type_cast_value(ctx, next(rest))
+        elif a[:1] == "-":
+            return None
+        elif isinstance(cmd, click.Group):
+            below = a in cmd.commands and _match(ctx, a, cmd.commands[a], list(rest))
+            return [(name, cmd, params), *below] if below and len(params) == len(cmd.params) else None
+        else:
+            p = next(positional)
+            params[p.name] = p.type_cast_value(ctx, a)
+    return None if isinstance(cmd, click.Group) or len(params) != len(cmd.params) else [(name, cmd, params)]
+
+
 class _Group(_Command, click.Group):
     command_class = _Command
     group_class = type  # a sub-group is a _Group too
 
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        try:
+            found = not (ctx.resilient_parsing or ctx.default_map or ctx.auto_envvar_prefix or ctx.token_normalize_func
+                         or "--help" in args or "--" in args) and _match(ctx, ctx.info_name, self, args)
+        except (click.UsageError, StopIteration):  # a rejected value, a missing value, an extra argument
+            found = None
+        if not found:
+            return super().parse_args(ctx, args)
+        ctx.params.update(found[0][2])
+        ctx.meta["plumbline.direct"] = found[1:]  # what invoke runs below this group
+        return []
+
     def invoke(self, ctx: click.Context):
         try:
-            return super().invoke(ctx)
+            if "plumbline.direct" not in ctx.meta:
+                return super().invoke(ctx)
+            for name, cmd, params in ctx.meta.pop("plumbline.direct"):
+                ctx.invoked_subcommand = name
+                click.Command.invoke(ctx.command, ctx)  # the callback, as click's Group.invoke calls it
+                ctx = cmd.context_class(cmd, parent=ctx, info_name=name)
+                ctx.params.update(params)
+            return click.Command.invoke(ctx.command, ctx)
         except MemoryError:
             pass  # out of the handler, the traceback and the frames it holds are freed
         _fail(EXIT_IO, "out of memory: the input is too large")

@@ -68,6 +68,14 @@ class TestValidate:
         with pytest.raises(ArrangementError):
             validate([], 1)
 
+    @pytest.mark.parametrize(("points", "n_lines"), [
+        ([[0, 1]], 3.0), ([[0, 1]], 2.5), ([[0, 1]], "3"), ([], True), ([[0, 1]], None),
+    ], ids=repr)
+    def test_non_int_n_lines(self, points, n_lines):
+        # range() or < would fail on these with a bare TypeError; True would read as one line.
+        with pytest.raises(FormatError, match='"lines" must be an integer'):
+            validate(points, n_lines)
+
     @pytest.mark.parametrize("index", [1.5, "1", True, 1.0, None], ids=repr)
     def test_non_int_index(self, index):
         # int() would read each of these as line 1 (or fail with another error).

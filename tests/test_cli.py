@@ -48,6 +48,15 @@ def all_output(result) -> str:
     return result.output + err
 
 
+# ``python -m plumbline.cli`` with click's own parser replaced by an exit: a
+# child that runs this and ends as the command would took the direct path.
+DIRECT_ONLY = (
+    "import runpy, sys, click\n"
+    "click.Command.parse_args = lambda *args: sys.exit('click parsed the arguments')\n"
+    "runpy.run_module('plumbline.cli', run_name='__main__')\n"
+)
+
+
 class TestValidateCommand:
     def test_normalizes(self, runner):
         result = runner.invoke(main, ["validate", fixture_path("triangle")])
@@ -113,11 +122,12 @@ class TestValidateCommand:
     def test_out_of_memory_exits_2(self, tmp_path, command, lines):
         # In a child whose address space is capped at 512 MB these inputs run
         # out of memory: an error line and exit 2, not a MemoryError traceback.
+        # The child runs them on the direct path, without click's parser.
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"lines": lines, "points": []}))
         limit = 512 * 2**20
         proc = subprocess.run(
-            [sys.executable, "-m", "plumbline.cli", command, str(path)],
+            [sys.executable, "-c", DIRECT_ONLY, command, str(path)],
             capture_output=True, text=True, timeout=120,
             env=dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src")),
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
@@ -357,41 +367,38 @@ class TestRandomArrangementFunction:
             random_arrangement(random.Random(0), 5, 1.5)
 
 
+# Out-of-range options and unreadable coordinates, by test id.
+USAGE_ERRORS = {
+    "trials-0": ["--trials", "0", "resonance", "generic", fixture_path("two_triples")],
+    "count-negative": ["random", "--count", "-1"],
+    "point-overflow": [
+        "resonance", "eval", fixture_path("two_triples"),
+        "--point", '{"a": [1e400, 0, 0, 0], "b": [0, 0, 0, 0]}',
+    ],
+    "point-float": [
+        "resonance", "eval", fixture_path("two_triples"),
+        "--point", '{"a": [0.1, 0, 0, 0], "b": [0, 0, 0, 0]}',
+    ],
+    "point-string": [
+        "resonance", "eval", fixture_path("two_triples"),
+        "--point", '{"a": "1000", "b": [0, 0, 0, 0]}',
+    ],
+    "point-bool": [
+        "resonance", "eval", fixture_path("two_triples"),
+        "--point", '{"a": [true, 0, 0, 0], "b": [0, 0, 0, 0]}',
+    ],
+    "point-long-integer": [
+        "resonance", "eval", fixture_path("two_triples"),
+        "--point", '{"a": [' + "1" * 5000 + ', 0, 0, 0], "b": [0, 0, 0, 0]}',
+    ],
+    "point-deep-nesting": ["resonance", "eval", fixture_path("two_triples"), "--point", "[" * 5000],
+}
+
+
 class TestUsageErrors:
     """Out-of-range options and unreadable coordinates exit 2 without a traceback."""
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["--trials", "0", "resonance", "generic", fixture_path("two_triples")],
-            ["random", "--count", "-1"],
-            [
-                "resonance", "eval", fixture_path("two_triples"),
-                "--point", '{"a": [1e400, 0, 0, 0], "b": [0, 0, 0, 0]}',
-            ],
-            [
-                "resonance", "eval", fixture_path("two_triples"),
-                "--point", '{"a": [0.1, 0, 0, 0], "b": [0, 0, 0, 0]}',
-            ],
-            [
-                "resonance", "eval", fixture_path("two_triples"),
-                "--point", '{"a": "1000", "b": [0, 0, 0, 0]}',
-            ],
-            [
-                "resonance", "eval", fixture_path("two_triples"),
-                "--point", '{"a": [true, 0, 0, 0], "b": [0, 0, 0, 0]}',
-            ],
-            [
-                "resonance", "eval", fixture_path("two_triples"),
-                "--point", '{"a": [' + "1" * 5000 + ', 0, 0, 0], "b": [0, 0, 0, 0]}',
-            ],
-            ["resonance", "eval", fixture_path("two_triples"), "--point", "[" * 5000],
-        ],
-        ids=[
-            "trials-0", "count-negative", "point-overflow", "point-float", "point-string", "point-bool",
-            "point-long-integer", "point-deep-nesting",
-        ],
-    )
+    @pytest.mark.parametrize("args", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
     def test_exits_2(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 2
